@@ -151,10 +151,12 @@ def _resolve_workers() -> int:
     raw = os.environ.get("CBSS_THREADS", "").strip()
     if not raw:
         return 1
+    if not (raw.isascii() and raw.isdigit()):
+        raise ConfigError(f"CBSS_THREADS must be a non-negative integer, got {raw!r}")
     count = int(raw)
     if count == 0:
         return os.cpu_count() or 1
-    return max(count, 1)
+    return count
 
 
 def _seed_for(cfg: RateExperimentConfig, t_index: int, rep: int) -> np.random.SeedSequence:

@@ -81,7 +81,12 @@ def read_complex_csv(path) -> np.ndarray:
         rows.append([complex(vals[2 * k], vals[2 * k + 1]) for k in range(d)])
     if not rows:
         raise ConfigError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=np.complex128)
+    out = np.asarray(rows, dtype=np.complex128)
+    finite = np.isfinite(out.real) & np.isfinite(out.imag)
+    if not finite.all():
+        row = int(np.argmin(finite.all(axis=1)))
+        raise ConfigError(f"{path}: data row {row + 1} has a non-finite cell")
+    return out
 
 
 def _load_json(path) -> dict:

@@ -1,9 +1,7 @@
-"""Radix-agnostic FFT.
+"""Validated 1-D DFT on numpy's pocketfft.
 
-Power-of-two lengths run through an iterative radix-2 Cooley-Tukey with
-vectorized butterflies; every other length is reduced to a power-of-two
-circular convolution with Bluestein's chirp-z trick, so the API is total
-in the input length.
+Any length is accepted.  Input must be a non-empty, finite 1-D signal;
+the transforms themselves are ``numpy.fft.fft`` and ``numpy.fft.ifft``.
 
 Convention: the forward transform is unnormalized,
 ``X_k = sum_n x_n exp(-2*pi*i*n*k/N)``, and the inverse carries ``1/N``.
@@ -14,10 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError
-
-# per-length caches for bit-reversal permutations and stage twiddles
-_REV_CACHE: dict[int, np.ndarray] = {}
-_TWIDDLE_CACHE: dict[int, list[np.ndarray]] = {}
 
 
 def _as_signal(x) -> np.ndarray:
@@ -31,68 +25,11 @@ def _as_signal(x) -> np.ndarray:
     return a
 
 
-def _bit_reversal(n: int) -> np.ndarray:
-    rev = _REV_CACHE.get(n)
-    if rev is None:
-        rev = np.zeros(1, dtype=np.intp)
-        while rev.size < n:
-            rev = np.concatenate([2 * rev, 2 * rev + 1])
-        _REV_CACHE[n] = rev
-    return rev
-
-
-def _stage_twiddles(n: int) -> list[np.ndarray]:
-    tws = _TWIDDLE_CACHE.get(n)
-    if tws is None:
-        tws = []
-        m = 1
-        while m < n:
-            tws.append(np.exp(-1j * np.pi * np.arange(m) / m))
-            m *= 2
-        _TWIDDLE_CACHE[n] = tws
-    return tws
-
-
-def _fft_pow2(x: np.ndarray) -> np.ndarray:
-    n = x.size
-    if n == 1:
-        return x.copy()
-    a = x[_bit_reversal(n)]
-    for w in _stage_twiddles(n):
-        m = w.size
-        a = a.reshape(-1, 2 * m)
-        t = a[:, m:] * w
-        a = np.hstack([a[:, :m] + t, a[:, :m] - t])
-    return a.ravel()
-
-
-def _bluestein(x: np.ndarray) -> np.ndarray:
-    n = x.size
-    idx = np.arange(n)
-    # keep the quadratic phase argument small: n^2 mod 2N
-    chirp = np.exp(-1j * np.pi * ((idx * idx) % (2 * n)) / n)
-    m = 1 << (2 * n - 1).bit_length()
-    a = np.zeros(m, dtype=np.complex128)
-    a[:n] = x * chirp
-    b = np.zeros(m, dtype=np.complex128)
-    b[:n] = np.conj(chirp)
-    if n > 1:
-        b[-(n - 1):] = np.conj(chirp[1:])[::-1]
-    conv = _fft_pow2(np.conj(_fft_pow2(a) * _fft_pow2(b)))
-    conv = np.conj(conv) / m
-    return conv[:n] * chirp
-
-
 def fft(x) -> np.ndarray:
     """Forward DFT of a 1-D complex signal (unnormalized)."""
-    a = _as_signal(x)
-    n = a.size
-    if n & (n - 1) == 0:
-        return _fft_pow2(a)
-    return _bluestein(a)
+    return np.fft.fft(_as_signal(x))
 
 
 def ifft(x) -> np.ndarray:
     """Inverse DFT with ``1/N`` normalization; ``ifft(fft(v)) == v``."""
-    a = _as_signal(x)
-    return np.conj(fft(np.conj(a))) / a.size
+    return np.fft.ifft(_as_signal(x))

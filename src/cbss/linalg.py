@@ -1,9 +1,9 @@
 """Dense complex matrix helpers: Hermitian eigendecomposition and friends.
 
-All routines operate on 2-D ``numpy`` arrays of ``complex128``.  The
-eigensolver is a cyclic-by-row complex Jacobi iteration, which is
-unconditionally stable for conjugate-symmetric input and keeps the whole
-stack dependency-free of external decomposition routines.
+All routines operate on 2-D ``numpy`` arrays of ``complex128``.  They
+validate their input and hand the decompositions to LAPACK: the
+eigensolver is ``numpy.linalg.eigh`` and the inverse runs on LAPACK's LU
+(``getrf``/``getri`` from ``scipy.linalg``).
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 
 from .errors import (
     DimensionError,
@@ -19,12 +20,10 @@ from .errors import (
     SingularMatrixError,
 )
 
-#: Relative off-diagonal magnitude at which a Jacobi sweep is considered done.
-JACOBI_TOL = 1e-12
-#: Hard cap on Jacobi sweeps; hitting it signals numerical pathology.
-JACOBI_MAX_SWEEPS = 100
 #: Eigenvalues below this fraction of the largest one count as non-positive.
 POSDEF_RTOL = 1e-12
+
+_GETRF, _GETRI = get_lapack_funcs(("getrf", "getri"), dtype=np.complex128)
 
 
 def as_cmatrix(a, name: str = "matrix") -> np.ndarray:
@@ -93,88 +92,28 @@ class HermEig:
 
 
 def hermitian_eig(m, hermitian_tol: float = 1e-9) -> HermEig:
-    """Eigendecomposition of a Hermitian matrix via cyclic complex Jacobi.
+    """Eigendecomposition of a Hermitian matrix via ``numpy.linalg.eigh``.
 
-    Each rotation is a unitary 2x2 transform that zeroes one off-diagonal
-    pair; sweeps repeat until the largest off-diagonal modulus drops below
-    ``JACOBI_TOL`` times the Frobenius norm of the input.
+    The input is checked to be Hermitian to ``hermitian_tol`` and then
+    symmetrized exactly, so LAPACK reads the same matrix from either
+    triangle.
 
     Raises
     ------
     DimensionError / ValueError
         For non-square or non-Hermitian (to ``hermitian_tol``) input.
     NonConvergenceError
-        If ``JACOBI_MAX_SWEEPS`` sweeps do not converge.
+        If LAPACK's eigensolver does not converge.
     """
-    a = as_cmatrix(m).copy()
+    a = as_cmatrix(m)
     _require_square(a)
-    d = a.shape[0]
     if not is_hermitian(a, hermitian_tol):
         raise ValueError("input matrix is not Hermitian to tolerance")
-
-    if d == 1:
-        return HermEig(values=np.array([a[0, 0].real]),
-                       vectors=np.ones((1, 1), dtype=np.complex128))
-
-    # Work with an exactly Hermitian copy so roundoff cannot accumulate
-    # asymmetrically.
-    a = 0.5 * (a + a.conj().T)
-    v = np.eye(d, dtype=np.complex128)
-    off_target = JACOBI_TOL * max(float(np.sqrt(np.sum(np.abs(a) ** 2))), np.finfo(float).tiny)
-
-    for sweep in range(JACOBI_MAX_SWEEPS + 1):
-        off = _max_offdiag(a)
-        if off <= off_target:
-            break
-        if sweep == JACOBI_MAX_SWEEPS:
-            raise NonConvergenceError(
-                f"Jacobi iteration did not converge in {JACOBI_MAX_SWEEPS} sweeps")
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                beta = a[p, q]
-                absb = abs(beta)
-                if absb <= off_target / d:
-                    continue
-                phase = beta / absb
-                alpha = a[p, p].real
-                delta = a[q, q].real
-                tau = (alpha - delta) / (2.0 * absb)
-                sign = 1.0 if tau >= 0 else -1.0
-                t = sign / (abs(tau) + np.hypot(1.0, tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                gpq = -s * phase
-                gqp = s * np.conj(phase)
-                # columns p, q of a (right-multiply by the rotation)
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p + gqp * col_q
-                a[:, q] = gpq * col_p + c * col_q
-                # rows p, q (left-multiply by its conjugate transpose)
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p + np.conj(gqp) * row_q
-                a[q, :] = np.conj(gpq) * row_p + c * row_q
-                # pin the eliminated pair and the (real) diagonal exactly
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                # accumulate eigenvectors
-                vcol_p = v[:, p].copy()
-                vcol_q = v[:, q].copy()
-                v[:, p] = c * vcol_p + gqp * vcol_q
-                v[:, q] = gpq * vcol_p + c * vcol_q
-
-    values = np.diag(a).real.copy()
-    order = np.argsort(-values, kind="stable")
-    return HermEig(values=values[order], vectors=v[:, order])
-
-
-def _max_offdiag(a: np.ndarray) -> float:
-    d = a.shape[0]
-    mask = ~np.eye(d, dtype=bool)
-    return float(np.max(np.abs(a[mask]))) if d > 1 else 0.0
+    try:
+        values, vectors = np.linalg.eigh(0.5 * (a + a.conj().T))
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergenceError(f"Hermitian eigensolver failed: {exc}") from None
+    return HermEig(values=values[::-1], vectors=vectors[:, ::-1])
 
 
 def herm_inv_sqrt(m) -> np.ndarray:
@@ -196,24 +135,20 @@ def herm_inv_sqrt(m) -> np.ndarray:
 
 
 def inverse(m) -> np.ndarray:
-    """Matrix inverse via LU elimination with partial pivoting.
+    """Matrix inverse from LAPACK's LU factorization with partial pivoting.
 
-    Raises ``SingularMatrixError`` if a pivot falls below
+    Raises ``SingularMatrixError`` if a pivot of ``U`` falls at or below
     ``n * eps * max(1, max|m|)``.
     """
-    a = as_cmatrix(m).copy()
+    a = as_cmatrix(m)
     _require_square(a)
     n = a.shape[0]
-    aug = np.hstack([a, np.eye(n, dtype=np.complex128)])
     tol = n * np.finfo(float).eps * max(1.0, float(np.max(np.abs(a))))
-    for col in range(n):
-        pivot_row = col + int(np.argmax(np.abs(aug[col:, col])))
-        pivot = aug[pivot_row, col]
-        if abs(pivot) <= tol:
-            raise SingularMatrixError(f"pivot {abs(pivot):.3e} below tolerance {tol:.3e}")
-        if pivot_row != col:
-            aug[[col, pivot_row]] = aug[[pivot_row, col]]
-        aug[col] /= aug[col, col]
-        others = np.arange(n) != col
-        aug[others] -= np.outer(aug[others, col], aug[col])
-    return aug[:, n:]
+    # the raw LAPACK calls report an exactly zero pivot through ``info``
+    # rather than a LinAlgWarning; the pivot test below covers that case
+    lu, piv, _ = _GETRF(a)
+    pivot = float(np.min(np.abs(np.diag(lu))))
+    if pivot <= tol:
+        raise SingularMatrixError(f"pivot {pivot:.3e} below tolerance {tol:.3e}")
+    inv, _ = _GETRI(lu, piv, overwrite_lu=True)
+    return inv

@@ -85,7 +85,7 @@ def md_index(gamma_hat, mixing) -> float:
     sq = np.abs(gain) ** 2
     row_norms = sq.sum(axis=1)
     if np.any(np.sqrt(row_norms) <= ZERO_ROW_TOL):
-        raise ValueError("gain matrix has a zero row; score undefined")
+        raise SingularMatrixError("gain matrix has a zero row; score undefined")
     cost = 1.0 - sq / row_norms[:, None]
     perm = solve_assignment(cost)
     total = float(cost[np.arange(d), perm].sum())

@@ -14,9 +14,9 @@ from test_imagepipe import gradient_images
 X3_CSV = "re_1,im_1\n1,0\n0,1\n-1,0\n"
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, **env):
     return subprocess.run([sys.executable, "-m", "cbss", *map(str, args)],
-                          capture_output=True, text=True, cwd=cwd, env=cli_env())
+                          capture_output=True, text=True, cwd=cwd, env={**cli_env(), **env})
 
 
 def write_model_config(path, model):
@@ -63,6 +63,24 @@ def test_unmix_tau_out_of_range(tmp_path):
     proc = run_cli("unmix", "--input", "x.csv", "--tau", "2", "--out", "y_", cwd=tmp_path)
     assert proc.returncode == 2
     assert "range" in proc.stderr
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_unmix_rejects_non_finite_cell(tmp_path, cell):
+    (tmp_path / "x.csv").write_text(f"re_1,im_1\n1,0\n0,{cell}\n-1,0\n")
+    proc = run_cli("unmix", "--input", "x.csv", "--tau", "1", "--out", "y_", cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "non-finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_md_zero_row_gain_is_numerical_failure(tmp_path):
+    cli.write_complex_csv(tmp_path / "g.csv", np.array([[1.0, 0.0], [0.0, 0.0]]))
+    cli.write_complex_csv(tmp_path / "a.csv", np.eye(2))
+    proc = run_cli("md", "--gamma", "g.csv", "--mixing", "a.csv", cwd=tmp_path)
+    assert proc.returncode == 3
+    assert "zero row" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_simulate_then_unmix_then_md(tmp_path):
@@ -143,6 +161,18 @@ def test_rate_rejects_zero_replications(tmp_path):
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
     proc = run_cli("rate", "--config", "cfg.json", "--out", "out", cwd=tmp_path)
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("threads", ["abc", "-1", "1.5"])
+def test_rate_rejects_bad_thread_count(tmp_path, threads):
+    cfg = {"model": short_range_model(phis=(0.8, 0.2)).to_dict(),
+           "t_grid": [64, 128, 256], "replications": 50, "seed": 5}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    proc = run_cli("rate", "--config", "cfg.json", "--out", "out", cwd=tmp_path,
+                   CBSS_THREADS=threads)
+    assert proc.returncode == 2
+    assert "CBSS_THREADS" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_rate_failure_budget_exit_code(tmp_path):

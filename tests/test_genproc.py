@@ -171,6 +171,52 @@ def test_generate_trivial_mixing_returns_latents():
     assert x.shape == (128, 3)
 
 
+def dense_dft_matrix(m, sign):
+    """``exp(sign*2*pi*i*j*k/m)`` with ``j*k`` reduced mod ``m`` for accuracy."""
+    k = np.arange(m)
+    return np.exp(sign * 2j * np.pi * (np.outer(k, k) % m) / m)
+
+
+def dense_embedding_draw(driver, n, rng):
+    """Circulant-embedding draw of one driver path using O(N^2) dense DFTs.
+
+    Consumes ``rng`` in the sampler's order: the two real frequencies,
+    then the real and the imaginary halves of the complex ones.
+    """
+    if driver.kind == "iid":
+        return rng.standard_normal(n)
+    length = 1 << max(int(np.ceil(np.log2(max(n - 1, 8)))), 3)
+    r = driver.autocov(np.arange(length + 1))
+    circ = np.concatenate([r, r[-2:0:-1]])
+    m = circ.size
+    sqrt_eigs = np.sqrt(np.clip((dense_dft_matrix(m, -1) @ circ).real, 0.0, None))
+    half = m // 2
+    spectrum = np.empty(m, dtype=complex)
+    spectrum[0] = rng.standard_normal()
+    spectrum[half] = rng.standard_normal()
+    re = rng.standard_normal(half - 1)
+    im = rng.standard_normal(half - 1)
+    spectrum[1:half] = (re + 1j * im) / np.sqrt(2.0)
+    spectrum[half + 1:] = np.conj(spectrum[1:half][::-1])
+    sample = dense_dft_matrix(m, 1) @ (sqrt_eigs * spectrum) / np.sqrt(m)
+    return sample.real[:n]
+
+
+def test_generate_matches_dense_dft_draw():
+    # seeded draws depend on the seed stream only, not on the FFT kernel
+    drivers = [genproc.Driver("ar1", 0.6), genproc.Driver("fgn", 0.8),
+               genproc.Driver("fgn", 0.7), genproc.Driver("iid")]
+    model = genproc.ModelSpec(d=2, components=[genproc.LatentComponentSpec(dv) for dv in drivers],
+                              normalize=False)
+    n, seed = 64, 2024
+    _, z = genproc.generate(model, n, seed)
+    children = np.random.SeedSequence(seed).spawn(len(drivers))
+    parts = [dense_embedding_draw(dv, n, np.random.default_rng(ch))
+             for dv, ch in zip(drivers, children)]
+    expected = np.column_stack([parts[0] + 1j * parts[2], parts[1] + 1j * parts[3]])
+    assert np.max(np.abs(z - expected)) < 1e-12
+
+
 def test_generate_deterministic_and_seed_sensitive():
     model = short_range_model()
     a, _ = genproc.generate(model, 256, seed=5)

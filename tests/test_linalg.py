@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -154,5 +156,8 @@ def test_inverse_defining_property_and_involution():
 
 
 def test_inverse_rejects_singular():
-    with pytest.raises(SingularMatrixError):
-        linalg.inverse(np.array([[1.0, 2.0], [2.0, 4.0]]))
+    # an exactly singular input raises the typed error and no warning escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMatrixError):
+            linalg.inverse(np.array([[1.0, 2.0], [2.0, 4.0]]))
