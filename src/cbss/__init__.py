@@ -43,17 +43,7 @@ from .genproc import (
     sample_stationary_gaussian,
     theoretical_gamma,
 )
-from .linalg import (
-    HermEig,
-    conj_transpose,
-    frobenius_norm,
-    herm_inv_sqrt,
-    hermitian_eig,
-    inverse,
-    is_hermitian,
-    is_unitary,
-    matmul,
-)
+from .linalg import HermEig, herm_inv_sqrt, hermitian_eig, inverse, is_hermitian
 from .metrics import md_index, solve_assignment
 from .unmixing import (
     PhaseShift,

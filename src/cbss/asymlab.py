@@ -16,11 +16,17 @@ matrix, and aggregates alignment errors across a grid of sample lengths:
 Replications are independent work items, seeded by ``(grid index,
 replication index)`` spawn keys, so reports are bit-identical no matter
 how many workers run them (``CBSS_THREADS`` caps the pool; unset means
-serial, ``0`` means all cores).
+serial, ``0`` means all cores).  Each replication is reduced to a short
+vector of floats by a score function.  A replication that fails with a
+numerical error (``NumericalError`` or ``PhaseError``) is dropped from
+every statistic and counted in the report's ``failures``; when more than
+``FAILURE_BUDGET`` of all replications fail, the experiment raises
+``ExperimentError``.  Any other exception propagates.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import warnings
@@ -31,11 +37,12 @@ import numpy as np
 from scipy.special import erf
 
 from . import linalg
-from .errors import ConfigError, DimensionError, ExperimentError, NumericalError
+from .errors import ConfigError, DimensionError, ExperimentError, NumericalError, PhaseError
 from .estimators import autocov_sym, sample_mean
-from .genproc import ModelSpec, RateInfo, generate, population_lambdas, theoretical_gamma
+from .genproc import (MIN_LENGTH, ModelSpec, RateInfo, generate, population_lambdas,
+                      theoretical_gamma)
 from .metrics import md_index
-from .unmixing import align_phase_to, unmix
+from .unmixing import align_phase_to, unmix, unmix_from_covariances
 
 ERROR_METRICS = ("md", "frobenius_after_alignment", "elementwise")
 #: Replication failure fraction above which an experiment aborts.
@@ -59,6 +66,10 @@ class RateExperimentConfig:
             raise ConfigError("t_grid needs at least 3 points")
         if any(b <= a for a, b in zip(self.t_grid, self.t_grid[1:])):
             raise ConfigError("t_grid must be strictly increasing")
+        if self.t_grid[0] < MIN_LENGTH:
+            raise ConfigError(f"t_grid must start at {MIN_LENGTH} or more")
+        if not 1 <= self.tau <= self.t_grid[0] - 2:
+            raise ConfigError(f"tau must lie in [1, {self.t_grid[0] - 2}] for this t_grid")
         if self.replications < 50:
             raise ConfigError("need at least 50 replications")
         if self.error_metric not in ERROR_METRICS:
@@ -139,14 +150,6 @@ class RateExperimentReport:
 # replication plumbing
 # ---------------------------------------------------------------------------
 
-_WORKER_CFG = None
-
-
-def _init_worker(cfg_mode):
-    global _WORKER_CFG
-    _WORKER_CFG = cfg_mode
-
-
 def _resolve_workers() -> int:
     raw = os.environ.get("CBSS_THREADS", "").strip()
     if not raw:
@@ -163,88 +166,78 @@ def _seed_for(cfg: RateExperimentConfig, t_index: int, rep: int) -> np.random.Se
     return np.random.SeedSequence(cfg.seed, spawn_key=(t_index, rep))
 
 
-def _run_task(task):
-    cfg, mode, t_index, length, rep, extra = task if _WORKER_CFG is None else (
-        *_WORKER_CFG, *task)
+def _run_task(cfg, score, extra, task):
+    """Score one replication; a numerical failure comes back as its message."""
+    t_index, rep = task
     try:
-        x, _ = generate(cfg.model, length, _seed_for(cfg, t_index, rep))
-        return (t_index, rep) + _MODES[mode](cfg, x, extra)
-    except (NumericalError, DimensionError, ValueError) as exc:
-        return (t_index, rep, "error", f"{type(exc).__name__}: {exc}")
+        x, _ = generate(cfg.model, cfg.t_grid[t_index], _seed_for(cfg, t_index, rep))
+        return score(cfg, x, extra)
+    except (NumericalError, PhaseError) as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
-def _map_replications(cfg: RateExperimentConfig, mode: str, grid, extra=None):
-    """Run one task per (grid point, replication); aggregation is slot-based.
+def _map_replications(cfg: RateExperimentConfig, score, extra=None):
+    """Run ``score(cfg, x, extra)`` on every replication of every grid length.
 
-    Returns ``results[t_index][rep]`` payload tuples and raises
+    Returns ``(rows, failures)``: ``rows[t_index]`` stacks the score
+    vectors of that length's successful replications in replication
+    order, and ``failures`` counts the dropped ones.  Raises
     ``ExperimentError`` when more than ``FAILURE_BUDGET`` of them failed.
     """
-    tasks = [(t_index, length, rep)
-             for t_index, length in enumerate(grid)
+    tasks = [(t_index, rep) for t_index in range(len(cfg.t_grid))
              for rep in range(cfg.replications)]
+    run = functools.partial(_run_task, cfg, score, extra)
     workers = _resolve_workers()
-    slots: dict[tuple, tuple] = {}
-    failures = []
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                 initargs=((cfg, mode),)) as pool:
-            chunk = max(len(tasks) // (8 * workers), 1)
-            out = pool.map(_run_task, [(ti, ln, rep, extra) for ti, ln, rep in tasks],
-                           chunksize=chunk)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            out = list(pool.map(run, tasks, chunksize=max(len(tasks) // (8 * workers), 1)))
     else:
-        out = (_run_task((cfg, mode, ti, ln, rep, extra)) for ti, ln, rep in tasks)
-    for record in out:
-        t_index, rep = record[0], record[1]
-        if record[2] == "error":
-            failures.append(record[3])
-        else:
-            slots[(t_index, rep)] = record[2:]
+        out = [run(task) for task in tasks]
+    failures = [o for o in out if isinstance(o, str)]
     if len(failures) > FAILURE_BUDGET * len(tasks):
         raise ExperimentError(
             f"{len(failures)} of {len(tasks)} replications failed; first: {failures[0]}")
-    return slots, len(failures)
+    reps = cfg.replications
+    rows = [np.array([o for o in out[i:i + reps] if not isinstance(o, str)])
+            for i in range(0, len(out), reps)]
+    return rows, len(failures)
 
 
-# per-replication payloads ---------------------------------------------------
+def _medians(rows, column: int) -> list:
+    return [float(np.median(r[:, column])) for r in rows]
 
-def _gain_and_errors(cfg: RateExperimentConfig, x):
+
+# per-replication scores ------------------------------------------------------
+
+def _gain_score(cfg: RateExperimentConfig, x, extra):
+    """``(error, diag_err, off_err, *gain as float pairs)`` against the truth."""
+    mixing, gamma_ref = extra
     res = unmix(x, cfg.tau)
-    mixing = cfg.model.mixing_matrix()
-    gamma_ref = linalg.inverse(mixing)
     aligned = align_phase_to(res.gamma, gamma_ref)
     gain = aligned @ mixing
     d = gain.shape[0]
     diag_err = float(np.max(np.abs(np.diag(gain) - 1.0)))
-    if d > 1:
-        off = gain[~np.eye(d, dtype=bool)]
-        off_err = float(np.max(np.abs(off)))
-    else:
-        off_err = 0.0
+    off_err = float(np.max(np.abs(gain[~np.eye(d, dtype=bool)]))) if d > 1 else 0.0
     if cfg.error_metric == "md":
         err = md_index(res.gamma, mixing)
     elif cfg.error_metric == "frobenius_after_alignment":
         err = float(np.sqrt(np.sum(np.abs(aligned - gamma_ref) ** 2)))
     else:
         err = float(np.max(np.abs(aligned - gamma_ref)))
-    return err, diag_err, off_err, gain
+    return np.concatenate(([err, diag_err, off_err], gain.reshape(-1).view(float)))
 
 
-def _rate_payload(cfg, x, gain_length):
-    err, diag_err, off_err, gain = _gain_and_errors(cfg, x)
-    keep = gain_length is not None and x.shape[0] == gain_length
-    return (err, diag_err, off_err, gain if keep else None)
+def _truth(cfg: RateExperimentConfig):
+    """The mixing matrix and its inverse, the reference of ``_gain_score``."""
+    mixing = cfg.model.mixing_matrix()
+    return mixing, linalg.inverse(mixing)
 
 
-def _ratio_payload(cfg, x, extra):
-    err, diag_err, off_err, _ = _gain_and_errors(cfg, x)
-    return (err, diag_err, off_err)
-
-
-def _residual_payload(cfg, x, lambdas):
-    res = unmix(x, cfg.tau)
-    gain = res.gamma  # trivial mixing: the gain is the standardized estimate
+def _residual_score(cfg: RateExperimentConfig, x, lambdas):
     s0 = autocov_sym(x, 0)
     st = autocov_sym(x, cfg.tau)
+    res = unmix_from_covariances(s0, st, sample_mean(x), cfg.tau)
+    gain = res.gamma  # trivial mixing: the gain is the standardized estimate
     lam = res.lambdas if lambdas is None else lambdas
     d = gain.shape[0]
     r_diag = float(np.max(np.abs((np.diag(gain) - 1.0) - 0.5 * (1.0 - np.diag(s0)))))
@@ -258,27 +251,16 @@ def _residual_payload(cfg, x, lambdas):
     return (r_diag, float(r_off))
 
 
-def _mu_payload(cfg, x, extra):
+def _mu_score(cfg: RateExperimentConfig, x, extra):
     exponent, known_mean = extra
-    d = cfg.model.d
     if known_mean:
         return (0.0, 0.0)
+    d = cfg.model.d
     mu_err = sample_mean(x) - cfg.model.location_vector()
     outer = np.outer(mu_err, np.conj(mu_err)) * (x.shape[0] ** exponent)
     diag_max = float(np.max(np.abs(np.diag(outer))))
-    if d > 1:
-        off_max = float(np.max(np.abs(outer[~np.eye(d, dtype=bool)])))
-    else:
-        off_max = 0.0
+    off_max = float(np.max(np.abs(outer[~np.eye(d, dtype=bool)]))) if d > 1 else 0.0
     return (off_max, diag_max)
-
-
-_MODES = {
-    "rate": _rate_payload,
-    "ratio": _ratio_payload,
-    "residual": _residual_payload,
-    "mu": _mu_payload,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -342,32 +324,20 @@ def run_rate_experiment(cfg: RateExperimentConfig) -> RateExperimentReport:
     summaries.
     """
     info = theoretical_gamma(cfg.model)
-    top_index = len(cfg.t_grid) - 1
-    slots, failures = _map_replications(cfg, "rate", cfg.t_grid, cfg.t_grid[-1])
-
-    per_t = []
-    medians = []
-    for t_index, length in enumerate(cfg.t_grid):
-        errs = np.array([slots[(t_index, rep)][0] for rep in range(cfg.replications)
-                         if (t_index, rep) in slots])
-        diags = np.array([slots[(t_index, rep)][1] for rep in range(cfg.replications)
-                          if (t_index, rep) in slots])
-        offs = np.array([slots[(t_index, rep)][2] for rep in range(cfg.replications)
-                         if (t_index, rep) in slots])
-        q25, q50, q75 = np.quantile(errs, [0.25, 0.5, 0.75])
-        per_t.append((length, float(q50), float(q75 - q25),
-                      float(np.median(diags)), float(np.median(offs))))
-        medians.append(q50)
-    slope, stderr = fit_loglog_slope(cfg.t_grid, medians)
-    diag_meds = [row[3] for row in per_t]
-    off_meds = [row[4] for row in per_t]
+    rows, failures = _map_replications(cfg, _gain_score, _truth(cfg))
+    quartiles = [np.quantile(r[:, 0], [0.25, 0.5, 0.75]) for r in rows]
+    diag_meds, off_meds = _medians(rows, 1), _medians(rows, 2)
+    per_t = [(length, float(q50), float(q75 - q25), diag, off)
+             for length, (q25, q50, q75), diag, off
+             in zip(cfg.t_grid, quartiles, diag_meds, off_meds)]
+    slope, stderr = fit_loglog_slope(cfg.t_grid, [row[1] for row in per_t])
     diag_slope = (fit_loglog_slope(cfg.t_grid, diag_meds)[0]
                   if all(m > 0 for m in diag_meds) else None)
     offdiag_slope = (fit_loglog_slope(cfg.t_grid, off_meds)[0]
                      if all(m > 0 for m in off_meds) else None)
 
-    gains = np.array([slots[(top_index, rep)][3] for rep in range(cfg.replications)
-                      if (top_index, rep) in slots])
+    d = cfg.model.d
+    gains = np.ascontiguousarray(rows[-1][:, 3:]).view(np.complex128).reshape(-1, d, d)
     gaussianity = _elementwise_ks(gains)
     scale_diag = _diag_scale_summary(gains, cfg.t_grid[-1], info.exponent)
     return RateExperimentReport(
@@ -445,22 +415,12 @@ def diagonal_limit_check(cfg: RateExperimentConfig) -> DiagonalLimitFragment:
     info = theoretical_gamma(cfg.model)
     if info.regime != "long-range" or info.exponent >= 0.5:
         return DiagonalLimitFragment(applicable=False)
-    slots, _ = _map_replications(cfg, "ratio", cfg.t_grid)
-    ratios = []
-    for t_index, length in enumerate(cfg.t_grid):
-        diags = np.array([slots[(t_index, rep)][1] for rep in range(cfg.replications)
-                          if (t_index, rep) in slots])
-        offs = np.array([slots[(t_index, rep)][2] for rep in range(cfg.replications)
-                         if (t_index, rep) in slots])
-        med_diag = float(np.median(diags))
-        med_off = float(np.median(offs))
-        ratios.append(med_off / med_diag if med_diag > 0 else 0.0)
-    if cfg.model.d == 1:
-        return DiagonalLimitFragment(applicable=True, lengths=cfg.t_grid,
-                                     ratios=tuple(ratios), decreasing=True)
+    rows, _ = _map_replications(cfg, _gain_score, _truth(cfg))
+    ratios = [off / diag if diag > 0 else 0.0
+              for diag, off in zip(_medians(rows, 1), _medians(rows, 2))]
     return DiagonalLimitFragment(
         applicable=True, lengths=cfg.t_grid, ratios=tuple(ratios),
-        decreasing=bool(ratios[-1] < ratios[0]))
+        decreasing=cfg.model.d == 1 or bool(ratios[-1] < ratios[0]))
 
 
 @dataclass(frozen=True)
@@ -501,15 +461,8 @@ def expansion_residual_check(cfg: RateExperimentConfig,
         lam = None
     else:
         raise ConfigError("lambdas must be 'population' or 'sample'")
-    slots, _ = _map_replications(cfg, "residual", cfg.t_grid, lam)
-    diag_medians, off_medians = [], []
-    for t_index, _length in enumerate(cfg.t_grid):
-        rd = np.array([slots[(t_index, rep)][0] for rep in range(cfg.replications)
-                       if (t_index, rep) in slots])
-        ro = np.array([slots[(t_index, rep)][1] for rep in range(cfg.replications)
-                       if (t_index, rep) in slots])
-        diag_medians.append(float(np.median(rd)))
-        off_medians.append(float(np.median(ro)))
+    rows, _ = _map_replications(cfg, _residual_score, lam)
+    diag_medians, off_medians = _medians(rows, 0), _medians(rows, 1)
     diag_ratios = tuple(b / a for a, b in zip(diag_medians, diag_medians[1:]) if a > 0)
     off_ratios = tuple(b / a for a, b in zip(off_medians, off_medians[1:]) if a > 0)
     return ResidualFragment(
@@ -549,15 +502,8 @@ def mu_contribution_check(cfg: RateExperimentConfig,
     if cfg.model.normalize and cfg.model.centering == "empirical" and not known_mean:
         warnings.warn("empirically centered generation makes the location error "
                       "identically zero; use centering='population'", stacklevel=2)
-    slots, _ = _map_replications(cfg, "mu", cfg.t_grid, (info.exponent, known_mean))
-    off_medians, diag_medians = [], []
-    for t_index, _length in enumerate(cfg.t_grid):
-        offs = np.array([slots[(t_index, rep)][0] for rep in range(cfg.replications)
-                         if (t_index, rep) in slots])
-        diags = np.array([slots[(t_index, rep)][1] for rep in range(cfg.replications)
-                          if (t_index, rep) in slots])
-        off_medians.append(float(np.median(offs)))
-        diag_medians.append(float(np.median(diags)))
+    rows, _ = _map_replications(cfg, _mu_score, (info.exponent, known_mean))
+    off_medians, diag_medians = _medians(rows, 0), _medians(rows, 1)
     return MeanContributionFragment(
         lengths=cfg.t_grid,
         offdiag_medians=tuple(off_medians),

@@ -25,6 +25,10 @@ class NonConvergenceError(NumericalError):
     """Iterative solver hit its iteration cap without converging."""
 
 
+class NonFiniteError(NumericalError, ValueError):
+    """Input or intermediate array holds a NaN or an infinity."""
+
+
 class PhaseError(CbssError, ValueError):
     """Row phase is undefined (zero diagonal entry or orthogonal reference row)."""
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, NonFiniteError
 
 
 def as_timeseries(x, min_length: int = 2) -> np.ndarray:
@@ -29,7 +29,7 @@ def as_timeseries(x, min_length: int = 2) -> np.ndarray:
     if a.shape[1] < 1:
         raise DimensionError("need at least one component")
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        raise ValueError("time series contains non-finite entries")
+        raise NonFiniteError("time series contains non-finite entries")
     return a
 
 

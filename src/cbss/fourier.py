@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, NonFiniteError
 
 
 def _as_signal(x) -> np.ndarray:
@@ -21,7 +21,7 @@ def _as_signal(x) -> np.ndarray:
     if a.size == 0:
         raise DimensionError("empty input")
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        raise ValueError("signal contains non-finite entries")
+        raise NonFiniteError("signal contains non-finite entries")
     return a
 
 

@@ -32,6 +32,8 @@ QUADRATURE_NODES = 128
 RANK_COEFF_TOL = 1e-9
 #: Relative clamped eigenvalue mass above which the sampler warns.
 CLAMP_REPORT_TOL = 1e-8
+#: Shortest series ``generate`` draws.
+MIN_LENGTH = 16
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +432,13 @@ def hermite_coefficients(transform: Transform, max_degree: int = MAX_HERMITE_DEG
     ``a_k = E[f(X) H_k(X)] / k!`` computed with Gauss-Hermite quadrature,
     exact for polynomial transforms well past the guard degree.
     """
-    points, weights, hvals = _quadrature()
-    fx = transform.apply(points)
+    points, _, _ = _quadrature()
+    return _hermite_projection(transform.apply(points), max_degree)
+
+
+def _hermite_projection(fx: np.ndarray, max_degree: int = MAX_HERMITE_DEGREE) -> np.ndarray:
+    """``E[g(X) H_k(X)] / k!`` for ``k <= max_degree`` from ``g`` at the quadrature points."""
+    _, weights, hvals = _quadrature()
     coeffs = np.empty(max_degree + 1)
     factorial = 1.0
     for k in range(max_degree + 1):
@@ -460,16 +467,9 @@ def hermite_rank(transform: Transform) -> tuple[int, int]:
     """
     coeffs = hermite_coefficients(transform)
     q1 = _first_nonzero(coeffs)
-    points, weights, hvals = _quadrature()
+    points, weights, _ = _quadrature()
     fx = transform.apply(points)
-    centered_sq = (fx - float(weights @ fx)) ** 2
-    sq_coeffs = np.empty(MAX_HERMITE_DEGREE + 1)
-    factorial = 1.0
-    for k in range(MAX_HERMITE_DEGREE + 1):
-        if k > 0:
-            factorial *= k
-        sq_coeffs[k] = float(weights @ (centered_sq * hvals[k])) / factorial
-    q2 = _first_nonzero(sq_coeffs)
+    q2 = _first_nonzero(_hermite_projection((fx - float(weights @ fx)) ** 2))
     return q1, q2
 
 
@@ -505,8 +505,8 @@ def generate(model: ModelSpec, length: int, seed) -> tuple[np.ndarray, np.ndarra
     shift other draws.
     """
     t = int(length)
-    if t < 16:
-        raise DimensionError(f"need at least 16 observations, got {t}")
+    if t < MIN_LENGTH:
+        raise DimensionError(f"need at least {MIN_LENGTH} observations, got {t}")
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     children = ss.spawn(2 * model.d)
     parts = np.empty((2 * model.d, t))

@@ -16,6 +16,7 @@ from scipy.linalg import get_lapack_funcs
 from .errors import (
     DimensionError,
     NonConvergenceError,
+    NonFiniteError,
     NotPositiveDefiniteError,
     SingularMatrixError,
 )
@@ -32,7 +33,7 @@ def as_cmatrix(a, name: str = "matrix") -> np.ndarray:
     if m.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got shape {m.shape}")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise NonFiniteError(f"{name} contains non-finite entries")
     return m
 
 
@@ -41,41 +42,12 @@ def _require_square(m: np.ndarray, name: str = "matrix") -> None:
         raise DimensionError(f"{name} must be square, got shape {m.shape}")
 
 
-def matmul(a, b) -> np.ndarray:
-    """Complex matrix product with an explicit shape check."""
-    a = as_cmatrix(a, "a")
-    b = as_cmatrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def conj_transpose(a) -> np.ndarray:
-    """Conjugate transpose ``a^H``."""
-    return as_cmatrix(a).conj().T
-
-
-def frobenius_norm(m) -> float:
-    """sqrt of the sum of squared entry moduli."""
-    m = as_cmatrix(m)
-    return float(np.sqrt(np.sum(np.abs(m) ** 2)))
-
-
 def is_hermitian(m, tol: float = 1e-10) -> bool:
     """True if the largest entry of ``|m - m^H|`` is at most ``tol``."""
     m = as_cmatrix(m)
     if m.shape[0] != m.shape[1]:
         return False
     return float(np.max(np.abs(m - m.conj().T))) <= tol if m.size else True
-
-
-def is_unitary(m, tol: float = 1e-10) -> bool:
-    """True if ``m^H m`` is the identity to within ``tol`` (max entry)."""
-    m = as_cmatrix(m)
-    if m.shape[0] != m.shape[1]:
-        return False
-    d = m.shape[0]
-    return float(np.max(np.abs(m.conj().T @ m - np.eye(d)))) <= tol
 
 
 @dataclass(frozen=True)

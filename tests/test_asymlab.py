@@ -58,6 +58,14 @@ def test_config_validation():
         small_cfg(t_grid=(128, 64, 256))
     with pytest.raises(ConfigError):
         small_cfg(error_metric="nope")
+    # the lag must fit the shortest length, which generate must be able to draw
+    for tau in (0, -1, 63, 5000):
+        with pytest.raises(ConfigError):
+            small_cfg(tau=tau)
+    assert small_cfg(tau=62).tau == 62
+    with pytest.raises(ConfigError):
+        small_cfg(t_grid=(15, 128, 256))
+    assert small_cfg(t_grid=(16, 128, 256)).t_grid[0] == 16
 
 
 def test_config_json_round_trip():
@@ -79,13 +87,63 @@ def test_rate_experiment_structure_and_determinism():
 
 
 def test_rate_experiment_parallel_matches_serial(monkeypatch):
+    # every public operation, so the pool runs each score function
+    runs = [(asymlab.run_rate_experiment, small_cfg()),
+            (asymlab.diagonal_limit_check, small_cfg(model=long_range_model())),
+            (asymlab.expansion_residual_check, small_cfg()),
+            (asymlab.mu_contribution_check,
+             small_cfg(model=long_range_model(centering="population")))]
+    for operation, cfg in runs:
+        monkeypatch.delenv("CBSS_THREADS", raising=False)
+        serial = operation(cfg)
+        assert getattr(serial, "applicable", True), operation.__name__
+        monkeypatch.setenv("CBSS_THREADS", "3")
+        assert operation(cfg) == serial, operation.__name__
+
+
+def test_failed_replication_is_dropped_from_every_statistic(monkeypatch):
     cfg = small_cfg()
     monkeypatch.delenv("CBSS_THREADS", raising=False)
-    serial = asymlab.run_rate_experiment(cfg)
-    monkeypatch.setenv("CBSS_THREADS", "3")
-    parallel = asymlab.run_rate_experiment(cfg)
-    assert serial.per_t == parallel.per_t
-    assert serial.gaussianity == parallel.gaussianity
+    full = asymlab.run_rate_experiment(cfg)
+    truth = asymlab._truth(cfg)
+
+    def score(rep):
+        seed = np.random.SeedSequence(cfg.seed, spawn_key=(1, rep))
+        x, _ = genproc.generate(cfg.model, cfg.t_grid[1], seed)
+        return asymlab._gain_score(cfg, x, truth)
+
+    scores = np.array([score(rep) for rep in range(cfg.replications) if rep != 3])
+    real_generate = asymlab.generate
+
+    def failing(model, length, seed):
+        if seed.spawn_key == (1, 3):
+            raise NumericalError("injected failure")
+        return real_generate(model, length, seed)
+
+    monkeypatch.setattr(asymlab, "generate", failing)
+    rows, failures = asymlab._map_replications(cfg, asymlab._gain_score, truth)
+    assert failures == 1
+    np.testing.assert_array_equal(rows[1], scores)
+    report = asymlab.run_rate_experiment(cfg)
+    assert report.failures == 1
+    q25, q50, q75 = np.quantile(scores[:, 0], [0.25, 0.5, 0.75])
+    assert report.per_t[1] == (cfg.t_grid[1], q50, q75 - q25,
+                               np.median(scores[:, 1]), np.median(scores[:, 2]))
+    # the other lengths, and the top length's element statistics, are untouched
+    assert report.per_t[0] == full.per_t[0]
+    assert report.per_t[2] == full.per_t[2]
+    assert report.gaussianity == full.gaussianity
+    assert report.scale_diag == full.scale_diag
+
+
+def test_programming_error_in_a_replication_propagates(monkeypatch):
+    def broken(model, length, seed):
+        raise ValueError("not a numerical failure")
+
+    monkeypatch.setattr(asymlab, "generate", broken)
+    monkeypatch.delenv("CBSS_THREADS", raising=False)
+    with pytest.raises(ValueError, match="not a numerical failure"):
+        asymlab.run_rate_experiment(small_cfg())
 
 
 def test_failure_budget_aborts():

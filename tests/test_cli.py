@@ -74,6 +74,16 @@ def test_unmix_rejects_non_finite_cell(tmp_path, cell):
     assert "Traceback" not in proc.stderr
 
 
+def test_unmix_overflow_is_numerical_failure(tmp_path):
+    # finite cells whose cross products overflow double precision
+    x, _ = genproc.generate(short_range_model(), 256, seed=4)
+    cli.write_complex_csv(tmp_path / "x.csv", x * 1e200)
+    proc = run_cli("unmix", "--input", "x.csv", "--tau", "1", "--out", "y_", cwd=tmp_path)
+    assert proc.returncode == 3
+    assert "numerical failure" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_md_zero_row_gain_is_numerical_failure(tmp_path):
     cli.write_complex_csv(tmp_path / "g.csv", np.array([[1.0, 0.0], [0.0, 0.0]]))
     cli.write_complex_csv(tmp_path / "a.csv", np.eye(2))
@@ -152,15 +162,19 @@ def test_rate_bundled_long_range_config(tmp_path):
 
 
 def test_rate_rejects_zero_replications(tmp_path):
-    cfg = {
+    base = {
         "model": short_range_model(phis=(0.8, 0.2)).to_dict(),
         "t_grid": [64, 128, 256],
-        "replications": 0,
+        "replications": 50,
         "seed": 5,
     }
-    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
-    proc = run_cli("rate", "--config", "cfg.json", "--out", "out", cwd=tmp_path)
-    assert proc.returncode == 2
+    # a lag outside [1, t_grid[0] - 2] is refused before any generation
+    for change in ({"replications": 0}, {"tau": 0}, {"tau": -1}, {"tau": 5000}):
+        (tmp_path / "cfg.json").write_text(json.dumps({**base, **change}))
+        proc = run_cli("rate", "--config", "cfg.json", "--out", "out", cwd=tmp_path)
+        assert proc.returncode == 2, change
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("threads", ["abc", "-1", "1.5"])

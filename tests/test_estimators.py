@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cbss import estimators
-from cbss.errors import DimensionError
+from cbss.errors import DimensionError, NonFiniteError
 
 X3 = np.array([1.0, 1j, -1.0])
 
@@ -95,6 +95,12 @@ def test_lag_out_of_range():
         estimators.autocov_unsym(X3, 2)
     with pytest.raises(DimensionError):
         estimators.autocov_unsym(X3, -1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_non_finite_series_is_a_numerical_error(bad):
+    with pytest.raises(NonFiniteError):
+        estimators.autocov_sym(np.array([1.0, bad, -1.0]), 0)
 
 
 def test_gaussian_params_real_samples(rng):

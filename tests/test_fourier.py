@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cbss import fourier
-from cbss.errors import DimensionError
+from cbss.errors import DimensionError, NonFiniteError
 
 
 def direct_dft(x):
@@ -83,3 +83,5 @@ def test_empty_and_bad_inputs():
         fourier.ifft(np.zeros((2, 2)))
     with pytest.raises(ValueError):
         fourier.fft([np.inf, 0.0])
+    with pytest.raises(NonFiniteError):
+        fourier.ifft([0.0, np.nan])

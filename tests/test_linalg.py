@@ -6,6 +6,7 @@ import pytest
 from cbss import linalg
 from cbss.errors import (
     DimensionError,
+    NonFiniteError,
     NotPositiveDefiniteError,
     SingularMatrixError,
 )
@@ -16,45 +17,9 @@ def random_hermitian(rng, d):
     return 0.5 * (a + a.conj().T)
 
 
-def test_matmul_identity():
-    m = np.array([[1 + 2j, 3], [0, -1j]])
-    np.testing.assert_array_equal(linalg.matmul(np.eye(2), m), m)
-
-
-def test_matmul_imaginary_unit():
-    out = linalg.matmul([[1j]], [[1j]])
-    np.testing.assert_allclose(out, [[-1.0]], atol=1e-15)
-
-
-def test_matmul_hand_product():
-    out = linalg.matmul([[1, 1], [0, 1]], [[1, 0], [1, 1]])
-    np.testing.assert_allclose(out, [[2, 1], [1, 1]], atol=0)
-
-
-def test_matmul_dimension_mismatch():
-    with pytest.raises(DimensionError):
-        linalg.matmul(np.eye(2), np.eye(3))
-
-
-def test_conj_transpose():
-    np.testing.assert_array_equal(linalg.conj_transpose([[1j]]), [[-1j]])
-    sym = np.array([[1.0, 2.0], [2.0, 5.0]])
-    np.testing.assert_array_equal(linalg.conj_transpose(sym), sym)
-    np.testing.assert_array_equal(
-        linalg.conj_transpose([[0, 1], [2, 0]]), [[0, 2], [1, 0]])
-
-
-def test_frobenius_norm():
-    assert linalg.frobenius_norm(np.zeros((3, 3))) == 0.0
-    np.testing.assert_allclose(linalg.frobenius_norm(np.eye(3)), np.sqrt(3), rtol=1e-15)
-    np.testing.assert_allclose(linalg.frobenius_norm([[3.0, 4j]]), 5.0, rtol=1e-15)
-
-
 def test_hermitian_predicates():
     assert linalg.is_hermitian(np.array([[2, 1j], [-1j, 2]]), 1e-12)
     assert not linalg.is_hermitian(np.array([[2, 1j], [1j, 2]]), 1e-12)
-    assert linalg.is_unitary(np.diag([1j, -1]), 1e-12)
-    assert not linalg.is_unitary(2 * np.eye(2), 1e-12)
 
 
 def test_eig_diagonal_input():
@@ -105,6 +70,8 @@ def test_eig_rejects_non_hermitian():
 def test_eig_rejects_non_finite():
     with pytest.raises(ValueError):
         linalg.hermitian_eig(np.array([[np.nan, 0], [0, 1.0]]))
+    with pytest.raises(NonFiniteError):
+        linalg.inverse(np.array([[1.0, 0], [0, np.inf]]))
 
 
 def test_inv_sqrt_diagonal():
