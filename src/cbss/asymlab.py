@@ -74,6 +74,8 @@ class RateExperimentConfig:
             raise ConfigError("need at least 50 replications")
         if self.error_metric not in ERROR_METRICS:
             raise ConfigError(f"error_metric must be one of {ERROR_METRICS}")
+        if self.error_metric == "md" and self.model.d < 2:
+            raise ConfigError("error_metric 'md' needs a model with at least 2 components")
 
     def to_dict(self) -> dict:
         return {

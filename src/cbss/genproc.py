@@ -2,50 +2,53 @@
 
 Each real or imaginary part of a latent component is a transformed
 stationary Gaussian driver: white noise, AR(1), or fractional Gaussian
-noise (fGn).  Drivers are sampled exactly with circulant embedding, and
-the transform is a function with a finite expansion in the probabilists'
-Hermite basis.  Components are mixed with a fixed nonsingular matrix to
-produce the observed series.
+noise (fGn).  Drivers are sampled exactly with circulant embedding and a
+real inverse FFT.  Every transform is a finite series in the
+probabilists' Hermite basis, so its mean, variance and Hermite ranks are
+exact functions of the coefficients.  Components are mixed with a fixed
+nonsingular matrix to produce the observed series.
 
 A model lists ``2d`` part specifications: the ``d`` real parts first,
 then the ``d`` imaginary parts, one scalar driver per part.  All
-randomness flows through
-``numpy.random.SeedSequence`` so that draws are reproducible bit for bit
-regardless of scheduling.
+randomness flows through ``numpy.random.SeedSequence`` so that draws are
+reproducible bit for bit regardless of scheduling.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import hermite_e
 
 from . import linalg
 from .errors import ConfigError, DimensionError, SingularMatrixError
 
 #: Largest Hermite degree handled by the double-precision recurrence.
 MAX_HERMITE_DEGREE = 60
-#: Number of Gauss-Hermite nodes used for transform moments and ranks.
-QUADRATURE_NODES = 128
 #: Hermite coefficients below this are treated as zero in rank detection.
 RANK_COEFF_TOL = 1e-9
 #: Relative clamped eigenvalue mass above which the sampler warns.
 CLAMP_REPORT_TOL = 1e-8
 #: Shortest series ``generate`` draws.
 MIN_LENGTH = 16
+#: ``k!`` for ``k <= MAX_HERMITE_DEGREE``, each correctly rounded: ``E[H_k(X)^2]``.
+_FACTORIALS = np.array([math.factorial(k) for k in range(MAX_HERMITE_DEGREE + 1)], dtype=float)
 
 
 # ---------------------------------------------------------------------------
-# Hermite polynomials and quadrature
+# Hermite polynomials
 # ---------------------------------------------------------------------------
 
 def hermite_poly(k: int, x):
     """Probabilists' Hermite polynomial ``H_k`` evaluated at ``x``.
 
-    Uses the three-term recurrence ``H_{k+1}(x) = x H_k(x) - k H_{k-1}(x)``;
-    degrees above ``MAX_HERMITE_DEGREE`` are rejected to stay inside the
-    range where double precision is trustworthy.
+    Uses the three-term recurrence ``H_{k+1}(x) = x H_k(x) - k H_{k-1}(x)``
+    (``hermite_e.hermevander``); degrees above ``MAX_HERMITE_DEGREE`` are
+    rejected to stay inside the range where double precision is trustworthy.
     """
     k = int(k)
     if k < 0:
@@ -53,38 +56,8 @@ def hermite_poly(k: int, x):
     if k > MAX_HERMITE_DEGREE:
         raise ValueError(f"degree {k} beyond guard {MAX_HERMITE_DEGREE}")
     x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
-    if k == 0:
-        return prev if prev.ndim else float(prev)
-    cur = x.copy()
-    for degree in range(1, k):
-        prev, cur = cur, x * cur - degree * prev
-    return cur if cur.ndim else float(cur)
-
-
-_QUAD_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
-def _quadrature(nodes: int = QUADRATURE_NODES):
-    """Nodes/weights for standard-normal expectations plus Hermite values.
-
-    Returns ``(points, weights, hvals)`` with ``sum(weights) == 1``,
-    ``E[g(X)] ~ weights @ g(points)`` for ``X`` standard normal, and
-    ``hvals[k]`` the values of ``H_k`` at the points.
-    """
-    cached = _QUAD_CACHE.get(nodes)
-    if cached is None:
-        raw_x, raw_w = np.polynomial.hermite.hermgauss(nodes)
-        points = raw_x * np.sqrt(2.0)
-        weights = raw_w / np.sqrt(np.pi)
-        hvals = np.empty((MAX_HERMITE_DEGREE + 1, nodes))
-        hvals[0] = 1.0
-        hvals[1] = points
-        for k in range(1, MAX_HERMITE_DEGREE):
-            hvals[k + 1] = points * hvals[k] - k * hvals[k - 1]
-        cached = (points, weights, hvals)
-        _QUAD_CACHE[nodes] = cached
-    return cached
+    out = hermite_e.hermevander(x, k)[..., k]
+    return out if x.ndim else float(out[0])
 
 
 # ---------------------------------------------------------------------------
@@ -165,18 +138,17 @@ class Transform:
             if not np.all(np.isfinite(self.coeffs)):
                 raise ConfigError("coefficient list contains non-finite values")
 
+    def series(self) -> np.ndarray:
+        """Hermite coefficients ``a_0, a_1, ...`` of the transform."""
+        if self.kind == "coeffs":
+            return np.asarray(self.coeffs, dtype=float)
+        degree = {"identity": 1, "square_centered": 2}.get(self.kind, self.degree)
+        return np.eye(1, degree + 1, degree)[0]
+
     def apply(self, x: np.ndarray) -> np.ndarray:
         if self.kind == "identity":
             return x
-        if self.kind == "hermite":
-            return hermite_poly(self.degree, x)
-        if self.kind == "square_centered":
-            return x * x - 1.0
-        out = np.zeros_like(x)
-        for k, a in enumerate(self.coeffs):
-            if a != 0.0:
-                out = out + a * hermite_poly(k, x)
-        return out
+        return hermite_e.hermeval(x, self.series())
 
     def to_dict(self) -> dict:
         if self.kind == "hermite":
@@ -199,8 +171,8 @@ class Transform:
 class LatentComponentSpec:
     """One subordinated scalar process: driver, transform, optional ranks.
 
-    ``declared_ranks`` short-circuits quadrature rank detection when the
-    ranks ``(q1, q2)`` of the transform and its centered square are known.
+    ``declared_ranks`` overrides the ranks ``(q1, q2)`` computed from the
+    transform and its centered square.
     """
 
     driver: Driver
@@ -228,8 +200,8 @@ class ModelSpec:
     """Mixing model: ``x_t = A z_t + location`` with subordinated latents.
 
     ``components`` lists the ``2d`` part specs, real parts first.  With
-    ``normalize`` set, every part is standardized with its quadrature
-    mean and variance (each part gets variance 1/2, so each complex
+    ``normalize`` set, every part is standardized with its closed-form
+    Hermite mean and variance (each part gets variance 1/2, so each complex
     component has unit variance) and the generated latent block is
     additionally sample-centered when ``centering`` is ``"empirical"``;
     ``"population"`` keeps the raw sampling noise in the mean, which the
@@ -358,20 +330,34 @@ def _rng_from(seed) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed))
 
 
-def _draw_from_embedding(sqrt_eigs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    from . import fourier
+def _sqrt_spectrum(autocov) -> np.ndarray:
+    """Square roots of the embedding eigenvalues, negative ones clamped at zero.
 
+    Warns with a ``RuntimeWarning`` when the clamped mass exceeds
+    ``CLAMP_REPORT_TOL`` relative to the total.
+    """
+    eigs = embedding_spectrum(autocov)
+    clamped = -float(eigs[eigs < 0].sum())
+    total = float(np.abs(eigs).sum())
+    if total > 0 and clamped / total > CLAMP_REPORT_TOL:
+        warnings.warn(
+            f"circulant embedding clamped relative eigenvalue mass {clamped / total:.3e}",
+            RuntimeWarning, stacklevel=3)
+    return np.sqrt(np.clip(eigs, 0.0, None))
+
+
+def _draw_from_embedding(sqrt_eigs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    # the embedding eigenvalues are symmetric, so scaling the half spectrum
+    # of a Hermitian white noise gives the full path through a real inverse FFT
     m = sqrt_eigs.size
     half = m // 2
-    spectrum = np.empty(m, dtype=np.complex128)
+    spectrum = np.empty(half + 1, dtype=np.complex128)
     spectrum[0] = rng.standard_normal()
     spectrum[half] = rng.standard_normal()
     re = rng.standard_normal(half - 1)
     im = rng.standard_normal(half - 1)
     spectrum[1:half] = (re + 1j * im) / np.sqrt(2.0)
-    spectrum[half + 1:] = np.conj(spectrum[1:half][::-1])
-    sample = fourier.ifft(sqrt_eigs * spectrum) * np.sqrt(m)
-    return sample.real[:n].copy()
+    return np.fft.irfft(sqrt_eigs[:half + 1] * spectrum, m)[:n] * np.sqrt(m)
 
 
 def sample_stationary_gaussian(autocov, n: int, seed) -> np.ndarray:
@@ -391,35 +377,19 @@ def sample_stationary_gaussian(autocov, n: int, seed) -> np.ndarray:
         raise DimensionError(f"need autocovariances at lags 0..N-1 with N >= max(n, 2) = {max(n, 2)}")
     if abs(r[0] - 1.0) > 1e-12:
         raise ValueError(f"autocov must be normalized to r(0) = 1, got {r[0]}")
-    eigs = embedding_spectrum(r)
-    clamped = -float(eigs[eigs < 0].sum())
-    total = float(np.abs(eigs).sum())
-    if total > 0 and clamped / total > CLAMP_REPORT_TOL:
-        warnings.warn(
-            f"circulant embedding clamped relative eigenvalue mass {clamped / total:.3e}",
-            RuntimeWarning, stacklevel=2)
-    return _draw_from_embedding(np.sqrt(np.clip(eigs, 0.0, None)), n, _rng_from(seed))
+    return _draw_from_embedding(_sqrt_spectrum(r), n, _rng_from(seed))
 
 
-_EMBEDDING_CACHE: dict[tuple, np.ndarray] = {}
-
-
-def _cached_sqrt_eigs(driver: Driver, length: int) -> np.ndarray:
-    key = (driver.kind, driver.param, length)
-    sq = _EMBEDDING_CACHE.get(key)
-    if sq is None:
-        r = driver.autocov(np.arange(length + 1))
-        eigs = embedding_spectrum(r)
-        sq = np.sqrt(np.clip(eigs, 0.0, None))
-        _EMBEDDING_CACHE[key] = sq
-    return sq
+@functools.lru_cache(maxsize=None)
+def _driver_sqrt_spectrum(driver: Driver, length: int) -> np.ndarray:
+    return _sqrt_spectrum(driver.autocov(np.arange(length + 1)))
 
 
 def _sample_driver(driver: Driver, n: int, rng: np.random.Generator) -> np.ndarray:
     if driver.kind == "iid":
         return rng.standard_normal(n)
     length = 1 << max(int(np.ceil(np.log2(max(n - 1, 8)))), 3)
-    return _draw_from_embedding(_cached_sqrt_eigs(driver, length), n, rng)
+    return _draw_from_embedding(_driver_sqrt_spectrum(driver, length), n, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -427,50 +397,34 @@ def _sample_driver(driver: Driver, n: int, rng: np.random.Generator) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 def hermite_coefficients(transform: Transform, max_degree: int = MAX_HERMITE_DEGREE) -> np.ndarray:
-    """Coefficients ``a_k`` of the transform in the Hermite basis.
-
-    ``a_k = E[f(X) H_k(X)] / k!`` computed with Gauss-Hermite quadrature,
-    exact for polynomial transforms well past the guard degree.
-    """
-    points, _, _ = _quadrature()
-    return _hermite_projection(transform.apply(points), max_degree)
+    """Exact coefficients ``a_0..a_max_degree`` of the transform in the Hermite basis."""
+    a = transform.series()[:max_degree + 1]
+    return np.pad(a, (0, max_degree + 1 - a.size))
 
 
-def _hermite_projection(fx: np.ndarray, max_degree: int = MAX_HERMITE_DEGREE) -> np.ndarray:
-    """``E[g(X) H_k(X)] / k!`` for ``k <= max_degree`` from ``g`` at the quadrature points."""
-    _, weights, hvals = _quadrature()
-    coeffs = np.empty(max_degree + 1)
-    factorial = 1.0
-    for k in range(max_degree + 1):
-        if k > 0:
-            factorial *= k
-        coeffs[k] = float(weights @ (fx * hvals[k])) / factorial
-    return coeffs
+def _term_variances(transform: Transform) -> np.ndarray:
+    """``k! a_k^2``: the variance of each Hermite term of the transform."""
+    a = transform.series()
+    return _FACTORIALS[:a.size] * a ** 2
 
 
 def transform_moments(transform: Transform) -> tuple[float, float]:
-    """Mean and variance of the transform under a standard Gaussian."""
-    points, weights, _ = _quadrature()
-    fx = transform.apply(points)
-    mean = float(weights @ fx)
-    var = float(weights @ (fx - mean) ** 2)
-    return mean, var
+    """Mean ``a_0`` and variance ``sum_{k>=1} k! a_k^2`` under a standard Gaussian."""
+    return float(transform.series()[0]), float(_term_variances(transform)[1:].sum())
 
 
 def hermite_rank(transform: Transform) -> tuple[int, int]:
     """Ranks ``(q1, q2)`` of the transform and of its centered square.
 
     ``q1`` is the first index ``k >= 1`` with ``|a_k| > RANK_COEFF_TOL``
-    for the transform itself, ``q2`` the same for ``(f - E f)^2``.
-    Raises ``ValueError`` when no coefficient clears the threshold up to
-    the guard degree (rank undeterminable).
+    for the transform itself, ``q2`` the same for ``(f - E f)^2``, whose
+    coefficients come from the exact Hermite product of the centered
+    series with itself.  Raises ``ValueError`` when no coefficient clears
+    the threshold (rank undeterminable).
     """
-    coeffs = hermite_coefficients(transform)
-    q1 = _first_nonzero(coeffs)
-    points, weights, _ = _quadrature()
-    fx = transform.apply(points)
-    q2 = _first_nonzero(_hermite_projection((fx - float(weights @ fx)) ** 2))
-    return q1, q2
+    centered = transform.series()
+    centered[0] = 0.0
+    return _first_nonzero(centered), _first_nonzero(hermite_e.hermemul(centered, centered))
 
 
 def _first_nonzero(coeffs: np.ndarray) -> int:
@@ -483,7 +437,7 @@ def _first_nonzero(coeffs: np.ndarray) -> int:
 
 
 def component_ranks(spec: LatentComponentSpec) -> tuple[int, int]:
-    """Declared ranks when present, else quadrature-detected ones."""
+    """Declared ranks when present, else the ranks of the transform."""
     if spec.declared_ranks is not None:
         q1, q2 = spec.declared_ranks
         return int(q1), int(q2)
@@ -498,7 +452,7 @@ def generate(model: ModelSpec, length: int, seed) -> tuple[np.ndarray, np.ndarra
     """Draw ``(x, z)``: observed and latent series of the mixing model.
 
     ``z`` stacks the ``2d`` subordinated parts into ``d`` complex
-    components; every part is centered with its quadrature mean, and
+    components; every part is centered with its Hermite mean ``a_0``, and
     rescaled under ``normalize``.  ``x = z A^T + location`` rowwise.
     Deterministic per seed: every part consumes an independent child of
     the seed sequence, so adding parts or reordering evaluation cannot
@@ -541,13 +495,10 @@ def population_lambdas(model: ModelSpec, tau: int) -> np.ndarray:
         for idx in (comp, comp + model.d):
             spec = model.components[idx]
             rho = float(spec.driver.autocov(np.array([tau]))[0])
-            coeffs = hermite_coefficients(spec.transform)
-            ks = np.arange(1, coeffs.size)
-            factorials = np.cumprod(ks.astype(float))
-            cov = float(np.sum(factorials * coeffs[1:] ** 2 * rho ** ks))
+            terms = _term_variances(spec.transform)[1:]
+            cov = float(np.sum(terms * rho ** np.arange(1, terms.size + 1)))
             if model.normalize:
-                var = float(np.sum(factorials * coeffs[1:] ** 2))
-                total += cov / (2.0 * var)
+                total += cov / (2.0 * float(terms.sum()))
             else:
                 total += cov
         out[comp] = total
@@ -590,7 +541,7 @@ def theoretical_gamma(model: ModelSpec, ranks=None) -> RateInfo:
     """Rate exponent for a model, with regime-assumption diagnostics.
 
     ``ranks`` optionally supplies ``(q1, q2)`` per part (length ``2d``);
-    otherwise declared or quadrature-detected ranks are used.  Only
+    otherwise declared or computed ranks are used.  Only
     long-range parts strictly need ranks: for short-range parts an
     undeterminable rank is recorded as ``None`` instead of failing.
     """

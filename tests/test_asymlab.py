@@ -66,6 +66,11 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         small_cfg(t_grid=(15, 128, 256))
     assert small_cfg(t_grid=(16, 128, 256)).t_grid[0] == 16
+    # the MD index is undefined for one component
+    one = short_range_model(phis=(0.5,))
+    with pytest.raises(ConfigError):
+        small_cfg(model=one, error_metric="md")
+    assert small_cfg(model=one).error_metric == "frobenius_after_alignment"
 
 
 def test_config_json_round_trip():

@@ -26,10 +26,18 @@ def write_model_config(path, model):
 def test_csv_round_trip(tmp_path, rng):
     values = rng.standard_normal((13, 3)) + 1j * rng.standard_normal((13, 3))
     values *= 10.0 ** rng.integers(-8, 8, size=(13, 3))
+    # signed zero, the largest magnitudes and the smallest subnormal
+    values[0] = [complex(-0.0, 1e300), complex(5e-324, -5e-324),
+                 complex(-1.7976931348623157e308, 0.0)]
     path = tmp_path / "x.csv"
     cli.write_complex_csv(path, values)
     back = cli.read_complex_csv(path)
     np.testing.assert_array_equal(back, values)
+    assert np.signbit(back[0, 0].real) and not np.signbit(back[0, 2].imag)
+    # more rows than one formatting block
+    tall = np.tile(values, (cli.CSV_BLOCK_ROWS // len(values) + 1, 1))
+    cli.write_complex_csv(path, tall)
+    np.testing.assert_array_equal(cli.read_complex_csv(path), tall)
 
 
 def test_csv_rejects_malformed(tmp_path):
@@ -168,8 +176,10 @@ def test_rate_rejects_zero_replications(tmp_path):
         "replications": 50,
         "seed": 5,
     }
-    # a lag outside [1, t_grid[0] - 2] is refused before any generation
-    for change in ({"replications": 0}, {"tau": 0}, {"tau": -1}, {"tau": 5000}):
+    # a lag outside [1, t_grid[0] - 2], or the MD index on one component,
+    # is refused before any generation
+    one = {"model": short_range_model(phis=(0.5,)).to_dict(), "error_metric": "md"}
+    for change in ({"replications": 0}, {"tau": 0}, {"tau": -1}, {"tau": 5000}, one):
         (tmp_path / "cfg.json").write_text(json.dumps({**base, **change}))
         proc = run_cli("rate", "--config", "cfg.json", "--out", "out", cwd=tmp_path)
         assert proc.returncode == 2, change

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import sympy
@@ -140,6 +142,16 @@ def test_rank_pure_hermite():
     assert q1 == 2 and q2 == 2
     q1, _ = genproc.hermite_rank(genproc.Transform("hermite", degree=3))
     assert q1 == 3
+    # H_k has rank k, H_k^2 - k! has rank 2, E[H_k] = 0 and Var[H_k] = k!
+    # at every allowed degree
+    for k in range(1, genproc.MAX_HERMITE_DEGREE + 1):
+        transform = genproc.Transform("hermite", degree=k)
+        assert genproc.hermite_rank(transform) == (k, 2), k
+        assert genproc.transform_moments(transform) == (0.0, float(math.factorial(k))), k
+    top = genproc.MAX_HERMITE_DEGREE
+    np.testing.assert_array_equal(
+        genproc.hermite_coefficients(genproc.Transform("hermite", degree=top)),
+        np.eye(top + 1)[top])
 
 
 def test_rank_cubic():
@@ -309,14 +321,18 @@ def test_rate_info_short_range():
 
 
 def test_rate_info_single_long_range_component():
-    parts = [genproc.LatentComponentSpec(genproc.Driver("fgn", 0.9)),
-             genproc.LatentComponentSpec(genproc.Driver("iid"))]
-    model = genproc.ModelSpec(d=1, components=parts)
-    info = genproc.theoretical_gamma(model)
-    assert info.regime == "long-range"
-    np.testing.assert_allclose(info.exponent, 0.2, atol=1e-12)
-    assert info.cross_terms_dominated and info.mean_term_compatible
-    assert not info.sqrt_log_boundary
+    # the exponent depends on q2 only, which is 2 for x and for H_20 alike
+    for transform, ranks in ((genproc.Transform("identity"), (1, 2)),
+                             (genproc.Transform("hermite", degree=20), (20, 2))):
+        parts = [genproc.LatentComponentSpec(genproc.Driver("fgn", 0.9), transform),
+                 genproc.LatentComponentSpec(genproc.Driver("iid"))]
+        model = genproc.ModelSpec(d=1, components=parts)
+        info = genproc.theoretical_gamma(model)
+        assert info.regime == "long-range"
+        assert info.ranks[0] == ranks
+        np.testing.assert_allclose(info.exponent, 0.2, atol=1e-12)
+        assert info.cross_terms_dominated and info.mean_term_compatible
+        assert not info.sqrt_log_boundary
 
 
 def test_rate_info_boundary():
