@@ -70,6 +70,8 @@ class RateExperimentConfig:
             raise ConfigError(f"t_grid must start at {MIN_LENGTH} or more")
         if not 1 <= self.tau <= self.t_grid[0] - 2:
             raise ConfigError(f"tau must lie in [1, {self.t_grid[0] - 2}] for this t_grid")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.replications < 50:
             raise ConfigError("need at least 50 replications")
         if self.error_metric not in ERROR_METRICS:
@@ -522,10 +524,8 @@ def write_report(report: RateExperimentReport, directory) -> tuple[str, str]:
     """Write ``report.csv`` (per-length table) and ``summary.json``."""
     os.makedirs(directory, exist_ok=True)
     csv_path = os.path.join(directory, "report.csv")
-    with open(csv_path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("T,median_error,iqr,diag_median,offdiag_median\n")
-        for row in report.per_t:
-            fh.write("%d,%.17g,%.17g,%.17g,%.17g\n" % row)
+    np.savetxt(csv_path, report.per_t, fmt=["%d"] + ["%.17g"] * 4, delimiter=",",
+               header="T,median_error,iqr,diag_median,offdiag_median", comments="")
     json_path = os.path.join(directory, "summary.json")
     with open(json_path, "w", encoding="ascii", newline="\n") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)

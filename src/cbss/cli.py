@@ -8,10 +8,12 @@ Commands::
     cbss rate     --config cfg.json --out dir
     cbss image    --inputs a.ppm b.ppm c.ppm --seed N --tau 1 --out dir
 
-Exit codes: 0 success, 2 configuration or parse error, 3 numerical
-failure, 4 experiment failure budget exceeded.  Every command is
-deterministic given its arguments and seed; numbers are written with 17
-significant digits so CSV round trips are lossless.
+Exit codes: 0 success, 2 configuration or parse error (also a file that
+cannot be opened, read, decoded or written, a non-object JSON config and
+a negative seed), 3 numerical failure, 4 experiment failure budget
+exceeded.  Every command is deterministic given its arguments and seed;
+numbers are written with 17 significant digits so CSV round trips are
+lossless.
 
 Complex series CSV layout: header ``re_1,im_1,...,re_d,im_d``, one time
 step per row.  Square complex matrices use the same layout with one
@@ -21,6 +23,7 @@ matrix row per CSV row.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -28,7 +31,7 @@ import sys
 import numpy as np
 
 from .asymlab import RateExperimentConfig, run_rate_experiment, write_report
-from .errors import CbssError, ConfigError, DimensionError, ExperimentError, NumericalError, PhaseError
+from .errors import CbssError, ConfigError, ExperimentError, NumericalError, PhaseError
 from .genproc import ModelSpec, generate
 from .imagepipe import read_ppm, separate_images, write_ppm
 from .metrics import md_index
@@ -60,28 +63,21 @@ def write_complex_csv(path, values: np.ndarray) -> None:
 
 
 def read_complex_csv(path) -> np.ndarray:
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
-    if not lines:
-        raise ConfigError(f"{path}: empty file")
-    header = lines[0].split(",")
-    if len(header) % 2 != 0 or not header or header[0] != "re_1":
-        raise ConfigError(f"{path}: expected header re_1,im_1,...,re_d,im_d")
-    if len(lines) < 2:
-        raise ConfigError(f"{path}: no data rows")
-    d = len(header) // 2
-    out = np.empty((len(lines) - 1, 2 * d))
-    for i, ln in enumerate(lines[1:]):
-        cells = ln.split(",")
-        if len(cells) != 2 * d:
-            raise ConfigError(f"{path}: row has {len(cells)} cells, expected {2 * d}")
+    with open(path, "r", encoding="ascii") as fh:
+        lines = (ln for ln in fh if not ln.isspace())
         try:
-            out[i] = cells
-        except ValueError as exc:
+            header = next(lines, "").strip().split(",")
+            if len(header) % 2 != 0 or header[0] != "re_1":
+                raise ConfigError("expected header re_1,im_1,...,re_d,im_d")
+            first = next(lines, None)
+            if first is None:
+                raise ConfigError("no data rows")
+            out = np.loadtxt(itertools.chain([first], lines), delimiter=",",
+                             comments=None, ndmin=2)
+        except ValueError as exc:  # also a malformed cell, a ragged row or a non-ASCII byte
             raise ConfigError(f"{path}: {exc}") from exc
+    if out.shape[1] != len(header):
+        raise ConfigError(f"{path}: rows have {out.shape[1]} cells, expected {len(header)}")
     out = out.view(np.complex128)
     finite = np.isfinite(out)
     if not finite.all():
@@ -90,14 +86,19 @@ def read_complex_csv(path) -> np.ndarray:
     return out
 
 
-def _load_json(path) -> dict:
+def _load_config(path, from_dict):
+    """Build a config from the JSON object in ``path``; every error names the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:  # malformed JSON or not UTF-8
+            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: expected a JSON object, got {type(obj).__name__}")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+        return from_dict(obj)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _dump_json(obj, path) -> None:
@@ -111,7 +112,7 @@ def _dump_json(obj, path) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
-    model = ModelSpec.from_dict(_load_json(args.config))
+    model = _load_config(args.config, ModelSpec.from_dict)
     x, z = generate(model, args.T, args.seed)
     write_complex_csv(args.out, x)
     if args.latent:
@@ -124,10 +125,8 @@ def cmd_unmix(args) -> int:
     result = unmix(series, args.tau)
     prefix = args.out
     write_complex_csv(prefix + "gamma.csv", result.gamma)
-    with open(prefix + "lambdas.csv", "w", encoding="ascii", newline="\n") as fh:
-        fh.write("lambda\n")
-        for lam in result.lambdas:
-            fh.write((FLOAT_FMT % lam) + "\n")
+    np.savetxt(prefix + "lambdas.csv", result.lambdas, fmt=FLOAT_FMT,
+               header="lambda", comments="")
     write_complex_csv(prefix + "latent.csv", apply_unmixing(result, series))
     return 0
 
@@ -140,15 +139,13 @@ def cmd_md(args) -> int:
 
 
 def cmd_rate(args) -> int:
-    cfg = RateExperimentConfig.from_dict(_load_json(args.config))
+    cfg = _load_config(args.config, RateExperimentConfig.from_dict)
     report = run_rate_experiment(cfg)
     write_report(report, args.out)
     return 0
 
 
 def cmd_image(args) -> int:
-    if len(args.inputs) != 3:
-        raise ConfigError(f"need exactly 3 input images, got {len(args.inputs)}")
     images = [read_ppm(p) for p in args.inputs]
     mixing = "identity" if args.identity else "random"
     result = separate_images(images, tau=args.tau, mixing=mixing, seed=args.seed)
@@ -163,6 +160,12 @@ def cmd_image(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cbss",
                                      description="complex-valued blind source separation")
@@ -171,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate a model realization to CSV")
     p.add_argument("--config", required=True, help="model spec JSON")
     p.add_argument("--T", type=int, required=True, help="sample length")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--out", required=True, help="output CSV for the observed series")
     p.add_argument("--latent", help="optional output CSV for the latent series")
     p.set_defaults(func=cmd_simulate)
@@ -194,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("image", help="mix and unmix three PPM images")
     p.add_argument("--inputs", nargs=3, required=True, metavar="PPM")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--tau", type=int, default=1)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--identity", action="store_true",
@@ -207,16 +210,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DimensionError, FileNotFoundError) as exc:
-        print(f"cbss: {exc}", file=sys.stderr)
-        return 2
     except (NumericalError, PhaseError) as exc:
         print(f"cbss: numerical failure: {exc}", file=sys.stderr)
         return 3
     except ExperimentError as exc:
         print(f"cbss: {exc}", file=sys.stderr)
         return 4
-    except CbssError as exc:
+    except (CbssError, OSError, UnicodeError) as exc:
         print(f"cbss: {exc}", file=sys.stderr)
         return 2
 

@@ -284,7 +284,7 @@ class ModelSpec:
                 normalize=bool(d.get("normalize", True)),
                 centering=str(d.get("centering", "empirical")),
             )
-        except (KeyError, TypeError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid model spec: {exc}") from exc
 
 
@@ -537,30 +537,24 @@ class RateInfo:
     sqrt_log_boundary: bool = False
 
 
-def theoretical_gamma(model: ModelSpec, ranks=None) -> RateInfo:
+def theoretical_gamma(model: ModelSpec) -> RateInfo:
     """Rate exponent for a model, with regime-assumption diagnostics.
 
-    ``ranks`` optionally supplies ``(q1, q2)`` per part (length ``2d``);
-    otherwise declared or computed ranks are used.  Only
-    long-range parts strictly need ranks: for short-range parts an
-    undeterminable rank is recorded as ``None`` instead of failing.
+    Each part's ranks ``(q1, q2)`` are its ``declared_ranks`` when set,
+    else the ranks of its transform.  Only long-range parts strictly need
+    ranks: for short-range parts an undeterminable rank is recorded as
+    ``None`` instead of failing.
     """
     lr = tuple(i for i, spec in enumerate(model.components) if spec.driver.is_long_range())
-    if ranks is None:
-        detected = []
-        for i, spec in enumerate(model.components):
-            try:
-                detected.append(component_ranks(spec))
-            except ValueError:
-                if i in lr:
-                    raise
-                detected.append(None)
-        ranks = tuple(detected)
-    ranks = tuple(None if rk is None else (int(rk[0]), int(rk[1])) for rk in ranks)
-    if len(ranks) != 2 * model.d:
-        raise ConfigError(f"need ranks for all {2 * model.d} parts")
-    if any(ranks[i] is None for i in lr):
-        raise ConfigError("long-range parts need ranks")
+    ranks = []
+    for i, spec in enumerate(model.components):
+        try:
+            ranks.append(component_ranks(spec))
+        except ValueError:
+            if i in lr:
+                raise
+            ranks.append(None)
+    ranks = tuple(ranks)
     if not lr:
         return RateInfo(exponent=0.5, regime="short-range", ranks=ranks)
 

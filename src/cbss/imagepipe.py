@@ -14,6 +14,7 @@ Vectorization is column-major, so lag 1 steps down a column and lag
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -274,38 +275,24 @@ def separate_images(images, tau: int = 1, mixing="random", seed: int = 0) -> Sep
 # PPM (P6) input/output
 # ---------------------------------------------------------------------------
 
+#: ``P6``, then width, height and maxval, each after whitespace or ``#``
+#: comments, then the single whitespace byte that precedes the pixels.
+_PPM_HEADER = re.compile(rb"P6" + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"\s")
+
+
 def read_ppm(path) -> RgbImage:
     """Read a binary P6 PPM with maxval 255."""
     with open(path, "rb") as fh:
         data = fh.read()
-    fields = []
-    pos = 0
-    while len(fields) < 4:
-        if pos >= len(data):
-            raise ConfigError(f"{path}: truncated PPM header")
-        chunk = data[pos:pos + 1]
-        if chunk == b"#":
-            pos = data.find(b"\n", pos)
-            if pos < 0:
-                raise ConfigError(f"{path}: unterminated comment")
-            pos += 1
-        elif chunk.isspace():
-            pos += 1
-        else:
-            end = pos
-            while end < len(data) and not data[end:end + 1].isspace():
-                end += 1
-            fields.append(data[pos:end])
-            pos = end
-    if fields[0] != b"P6":
+    if not data.startswith(b"P6"):
         raise ConfigError(f"{path}: not a binary PPM (P6) file")
-    try:
-        width, height, maxval = int(fields[1]), int(fields[2]), int(fields[3])
-    except ValueError as exc:
-        raise ConfigError(f"{path}: malformed PPM header") from exc
+    header = _PPM_HEADER.match(data)
+    if header is None:
+        raise ConfigError(f"{path}: malformed or truncated PPM header")
+    width, height, maxval = map(int, header.groups())
     if maxval != 255:
         raise ConfigError(f"{path}: only maxval 255 is supported, got {maxval}")
-    pos += 1  # single whitespace byte after maxval
+    pos = header.end()
     raw = data[pos:pos + width * height * 3]
     if len(raw) != width * height * 3:
         raise ConfigError(f"{path}: truncated pixel data")

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.special import ndtri
@@ -71,6 +73,8 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         small_cfg(model=one, error_metric="md")
     assert small_cfg(model=one).error_metric == "frobenius_after_alignment"
+    with pytest.raises(ConfigError):
+        small_cfg(seed=-5)
 
 
 def test_config_json_round_trip():
@@ -266,10 +270,10 @@ def test_mu_check_known_mean_is_exactly_zero():
 def test_report_files(tmp_path):
     rep = asymlab.run_rate_experiment(small_cfg())
     csv_path, json_path = asymlab.write_report(rep, tmp_path)
-    lines = open(csv_path).read().splitlines()
+    lines = Path(csv_path).read_text().splitlines()
     assert lines[0] == "T,median_error,iqr,diag_median,offdiag_median"
     assert len(lines) == 1 + len(rep.per_t)
     import json
-    summary = json.load(open(json_path))
+    summary = json.loads(Path(json_path).read_text())
     assert summary["fitted_slope"] == rep.fitted_slope
     assert summary["regime"] == "short-range"

@@ -7,6 +7,7 @@ import pytest
 
 from cbss import cli, genproc
 from cbss import imagepipe as ip
+from cbss.errors import ConfigError
 
 from conftest import cli_env, short_range_model
 from test_imagepipe import gradient_images
@@ -38,13 +39,26 @@ def test_csv_round_trip(tmp_path, rng):
     tall = np.tile(values, (cli.CSV_BLOCK_ROWS // len(values) + 1, 1))
     cli.write_complex_csv(path, tall)
     np.testing.assert_array_equal(cli.read_complex_csv(path), tall)
+    # blank and whitespace-only lines are skipped; CRLF and padded cells parse
+    path.write_bytes(b"re_1,im_1\r\n\r\n 1.5 , -2\r\n \t \r\n0,1e-3\r\n\n")
+    np.testing.assert_array_equal(cli.read_complex_csv(path), [[1.5 - 2j], [1e-3j]])
 
 
 def test_csv_rejects_malformed(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("col_a,col_b\n1,2\n")
-    with pytest.raises(Exception):
-        cli.read_complex_csv(path)
+    for text, message in [
+        ("col_a,col_b\n1,2\n", "expected header"),
+        ("", "expected header"),
+        ("re_1,im_1\n", "no data rows"),
+        ("re_1,im_1\n\n  \n", "no data rows"),
+        ("re_1,im_1\n1,2\n3,4,5,6\n", "number of columns"),
+        ("re_1,im_1,re_2,im_2\n1,2\n", "rows have 2 cells, expected 4"),
+        ("re_1,im_1\n1,x\n", "could not convert"),
+    ]:
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=message) as info:
+            cli.read_complex_csv(path)
+        assert "bad.csv" in str(info.value)
 
 
 def test_unmix_command_scalar_example(tmp_path):
@@ -176,10 +190,11 @@ def test_rate_rejects_zero_replications(tmp_path):
         "replications": 50,
         "seed": 5,
     }
-    # a lag outside [1, t_grid[0] - 2], or the MD index on one component,
-    # is refused before any generation
+    # a lag outside [1, t_grid[0] - 2], the MD index on one component, or a
+    # negative seed is refused before any generation
     one = {"model": short_range_model(phis=(0.5,)).to_dict(), "error_metric": "md"}
-    for change in ({"replications": 0}, {"tau": 0}, {"tau": -1}, {"tau": 5000}, one):
+    for change in ({"replications": 0}, {"tau": 0}, {"tau": -1}, {"tau": 5000}, one,
+                   {"seed": -5}):
         (tmp_path / "cfg.json").write_text(json.dumps({**base, **change}))
         proc = run_cli("rate", "--config", "cfg.json", "--out", "out", cwd=tmp_path)
         assert proc.returncode == 2, change
@@ -259,3 +274,54 @@ def test_image_command_malformed_ppm(tmp_path):
     proc = run_cli("image", "--inputs", "in1.ppm", "in2.ppm", "in3.ppm",
                    "--out", "d", cwd=tmp_path)
     assert proc.returncode == 2
+
+
+def _model_json(encoding="ascii", **change):
+    model = {**short_range_model().to_dict(), **change}
+    return json.dumps(model, ensure_ascii=False).encode(encoding)
+
+
+SIMULATE = ("simulate", "--config", "model.json", "--T", "64", "--seed", "0")
+PPM_4X4 = b"P6\n4 4\n255\n" + bytes(48)
+#: (files to create, command, file or argument the error must name); a
+#: ``None`` file is created as a directory
+UNREADABLE = {
+    "csv-non-ascii": ({"x.csv": b"re_1,im_1\n1,0\n0,1\xc3\xa9\n-1,0\n"},
+                      ("unmix", "--input", "x.csv", "--out", "y_"), "x.csv"),
+    "ppm-is-directory": ({"pics": None},
+                         ("image", "--inputs", "pics", "pics", "pics", "--out", "o"), "pics"),
+    "out-is-directory": ({"model.json": _model_json(), "taken": None},
+                         SIMULATE + ("--out", "taken"), "taken"),
+    "json-array": ({"model.json": b"[1, 2]"}, SIMULATE + ("--out", "x.csv"),
+                   "model.json: expected a JSON object"),
+    "json-not-utf8": ({"model.json": _model_json("latin-1", centering="\xe9")},
+                      SIMULATE + ("--out", "x.csv"), "model.json"),
+    "component-is-list": ({"model.json": _model_json(components=[[1]] * 6)},
+                          SIMULATE + ("--out", "x.csv"), "model.json"),
+    "phi-not-a-number": ({"model.json": _model_json(
+                             components=[{"driver": {"kind": "ar1", "phi": "x"}}] * 6)},
+                         SIMULATE + ("--out", "x.csv"), "model.json"),
+    "ragged-mixing": ({"model.json": _model_json(
+                          mixing={"re": [[1, 0, 0], [0, 1]], "im": [[0] * 3] * 3})},
+                      SIMULATE + ("--out", "x.csv"), "model.json"),
+    "simulate-negative-seed": ({"model.json": _model_json()},
+                               SIMULATE[:-1] + ("-1", "--out", "x.csv"), "--seed"),
+    "image-negative-seed": ({"in1.ppm": PPM_4X4, "in2.ppm": PPM_4X4, "in3.ppm": PPM_4X4},
+                            ("image", "--inputs", "in1.ppm", "in2.ppm", "in3.ppm",
+                             "--seed", "-2", "--out", "o"), "--seed"),
+}
+
+
+@pytest.mark.parametrize("case", list(UNREADABLE))
+def test_unreadable_input_exits_2(tmp_path, case):
+    files, command, name = UNREADABLE[case]
+    for fname, content in files.items():
+        if content is None:
+            (tmp_path / fname).mkdir()
+        else:
+            (tmp_path / fname).write_bytes(content)
+    proc = run_cli(*command, cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert name in proc.stderr
+

@@ -190,6 +190,10 @@ def test_ppm_header_with_comments(tmp_path):
     path.write_bytes(b"P6\n# a comment\n2 1\n# another\n255\n" + bytes(6))
     img = ip.read_ppm(path)
     assert img.width == 2 and img.height == 1
+    # a comment between every pair of header fields
+    path.write_bytes(b"P6 # magic\n3 # width\n# more\n1\t# height\n255\n" + bytes(9))
+    img = ip.read_ppm(path)
+    assert img.width == 3 and img.height == 1
 
 
 def test_ppm_rejects_malformed(tmp_path):
@@ -203,3 +207,8 @@ def test_ppm_rejects_malformed(tmp_path):
     bad.write_bytes(b"P6\n2 1\n255\n" + bytes(3))
     with pytest.raises(ConfigError):
         ip.read_ppm(bad)
+    # header cut off before maxval, or inside a comment
+    for header in (b"P6\n2 1\n", b"P6\n2 1 # no end"):
+        bad.write_bytes(header)
+        with pytest.raises(ConfigError, match="header"):
+            ip.read_ppm(bad)
