@@ -39,7 +39,7 @@ from scipy.special import erf
 from . import linalg
 from .errors import ConfigError, DimensionError, ExperimentError, NumericalError, PhaseError
 from .estimators import autocov_sym, sample_mean
-from .genproc import (MIN_LENGTH, ModelSpec, RateInfo, generate, population_lambdas,
+from .genproc import (MIN_LENGTH, ModelSpec, RateInfo, generate, json_int, population_lambdas,
                       theoretical_gamma)
 from .metrics import md_index
 from .unmixing import align_phase_to, unmix, unmix_from_covariances
@@ -94,10 +94,11 @@ class RateExperimentConfig:
         try:
             return RateExperimentConfig(
                 model=ModelSpec.from_dict(d["model"]),
-                tau=int(d.get("tau", 1)),
-                t_grid=tuple(d.get("t_grid", (1024, 2048, 4096, 8192, 16384))),
-                replications=int(d.get("replications", 200)),
-                seed=int(d.get("seed", 0)),
+                tau=json_int(d.get("tau", 1), "tau"),
+                t_grid=tuple(json_int(t, "t_grid entry")
+                             for t in d.get("t_grid", (1024, 2048, 4096, 8192, 16384))),
+                replications=json_int(d.get("replications", 200), "replications"),
+                seed=json_int(d.get("seed", 0), "seed"),
                 error_metric=str(d.get("error_metric", "frobenius_after_alignment")),
             )
         except (KeyError, TypeError, ValueError) as exc:

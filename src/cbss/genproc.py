@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -63,6 +64,13 @@ def hermite_poly(k: int, x):
 # ---------------------------------------------------------------------------
 # Specs
 # ---------------------------------------------------------------------------
+
+def json_int(value, name: str) -> int:
+    """Decode an integer config field: an int, never a bool or a float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
 
 @dataclass(frozen=True)
 class Driver:
@@ -161,7 +169,7 @@ class Transform:
     def from_dict(d: dict) -> "Transform":
         kind = d.get("kind", "identity")
         if kind == "hermite":
-            return Transform("hermite", degree=int(d["degree"]))
+            return Transform("hermite", degree=json_int(d["degree"], "degree"))
         if kind == "coeffs":
             return Transform("coeffs", coeffs=tuple(float(c) for c in d["coeffs"]))
         return Transform(kind)
@@ -191,7 +199,8 @@ class LatentComponentSpec:
         return LatentComponentSpec(
             driver=Driver.from_dict(d["driver"]),
             transform=Transform.from_dict(d.get("transform", {"kind": "identity"})),
-            declared_ranks=tuple(int(q) for q in ranks) if ranks is not None else None,
+            declared_ranks=(tuple(json_int(q, "declared_ranks") for q in ranks)
+                            if ranks is not None else None),
         )
 
 
@@ -276,12 +285,15 @@ class ModelSpec:
                 loc = d["location"]
                 location = (np.asarray(loc["re"], dtype=float)
                             + 1j * np.asarray(loc["im"], dtype=float))
+            normalize = d.get("normalize", True)
+            if not isinstance(normalize, bool):
+                raise ConfigError(f"normalize must be true or false, got {normalize!r}")
             return ModelSpec(
-                d=int(d["d"]),
+                d=json_int(d["d"], "d"),
                 components=tuple(LatentComponentSpec.from_dict(c) for c in d["components"]),
                 mixing=mixing,
                 location=location,
-                normalize=bool(d.get("normalize", True)),
+                normalize=normalize,
                 centering=str(d.get("centering", "empirical")),
             )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:

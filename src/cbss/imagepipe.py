@@ -7,6 +7,13 @@ pole is the single excluded point).  Vectorized images become a 3-channel
 complex time series, are mixed with a random complex matrix, unmixed, and
 mapped back for display.
 
+The chain runs on the three channel planes, never reducing over a
+length-3 pixel axis, and reads the centered coordinate of an 8-bit
+channel and its modulus from 256-entry tables.  Each public
+``(..., 3)`` map wraps the same plane helpers.  Every expression keeps
+the operation order of the plain ``(..., 3)`` formulas, so the results
+are bitwise the same as theirs.
+
 Images use 8-bit binary PPM (P6, maxval 255) for bit-exact round trips.
 Vectorization is column-major, so lag 1 steps down a column and lag
 ``height`` crosses to the neighboring pixel of the next column.
@@ -39,7 +46,14 @@ class RgbImage:
     pixels: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.pixels, dtype=np.uint8)
+        p = np.asarray(self.pixels)
+        if p.dtype != np.uint8:
+            # refuse rather than wrap (300 -> 44) or truncate (0.7 -> 0)
+            if p.dtype.kind not in "iu":
+                raise ConfigError(f"pixels must have an integer dtype, got {p.dtype}")
+            if p.size and (p.min() < 0 or p.max() > 255):
+                raise ConfigError("pixel values must lie in [0, 255]")
+            p = p.astype(np.uint8)
         if p.shape != (self.height, self.width, 3):
             raise DimensionError(
                 f"pixel block must be ({self.height}, {self.width}, 3), got {p.shape}")
@@ -80,6 +94,57 @@ class ComplexImage:
 # the transform chain
 # ---------------------------------------------------------------------------
 
+#: Centered coordinate ``p = 2c - 1`` of each 8-bit level.
+_CENTERED = 2.0 * (np.arange(256, dtype=float) / 255.0) - 1.0
+#: Its modulus ``|p|``, exactly as the float formula gives it, so that
+#: comparisons and ties match (``|p(v)| == |p(255 - v)|`` fails for some v).
+_MODULUS = np.abs(_CENTERED)
+#: Level a winning channel snaps to: ``sign(p)`` mapped back to 8 bits.
+_SNAP = np.where(_CENTERED >= 0.0, 255, 0).astype(np.uint8)
+
+
+def _planes(points: np.ndarray) -> tuple:
+    return points[..., 0], points[..., 1], points[..., 2]
+
+
+def _as_points(points) -> np.ndarray:
+    p = np.asarray(points, dtype=float)
+    if p.shape[-1] != 3:
+        raise DimensionError("expected (..., 3) points")
+    return p
+
+
+def _max_modulus(s0, s1, s2):
+    return np.maximum(np.maximum(np.abs(s0), np.abs(s1)), np.abs(s2))
+
+
+def _check_surface(p0, p1, p2) -> None:
+    if np.any(np.abs(_max_modulus(p0, p1, p2) - 1.0) > 1e-9):
+        raise ValueError("points must lie on the cube surface (max|p_i| = 1)")
+
+
+def _cube_to_sphere(p0, p1, p2) -> tuple:
+    norm = np.sqrt(p0 * p0 + p1 * p1 + p2 * p2)
+    return p0 / norm, p1 / norm, p2 / norm
+
+
+def _stereographic(s0, s1, s2):
+    if np.any(s2 >= 1.0 - NORTH_POLE_TOL):
+        raise ValueError("north-pole point cannot be projected")
+    # for s3 near 1 the plain difference cancels; on the unit sphere
+    # 1 - s3 = (s1^2 + s2^2)/(1 + s3) keeps full relative accuracy
+    plane_sq = s0 ** 2 + s1 ** 2
+    upper = s2 > 0.0
+    denom = np.where(upper, plane_sq / np.where(upper, 1.0 + s2, 1.0), 1.0 - s2)
+    return (s0 + 1j * s1) / denom
+
+
+def _stereographic_inverse(z) -> tuple:
+    sq = np.abs(z) ** 2
+    denom = sq + 1.0
+    return 2.0 * z.real / denom, 2.0 * z.imag / denom, (sq - 1.0) / denom
+
+
 def color_correct(img: RgbImage) -> RgbImage:
     """Snap every pixel to the nearest point on the color-cube surface.
 
@@ -88,13 +153,14 @@ def color_correct(img: RgbImage) -> RgbImage:
     cube center maps to the +R face.  Afterwards each pixel satisfies
     ``min(R,G,B) = 0`` or ``max(R,G,B) = 1``.
     """
-    c = img.as_float()
-    p = 2.0 * c - 1.0
-    sel = np.argmax(np.abs(p), axis=2)
-    rows, cols = np.indices(sel.shape)
-    signs = np.where(p[rows, cols, sel] >= 0.0, 1.0, -1.0)
-    p[rows, cols, sel] = signs
-    return RgbImage.from_float((p + 1.0) / 2.0)
+    r, g, b = (np.take(_MODULUS, plane) for plane in _planes(img.pixels))
+    red = (r >= g) & (r >= b)
+    green = ~red & (g >= b)
+    blue = ~(red | green)
+    out = img.pixels.copy()
+    for plane, wins in zip(_planes(out), (red, green, blue)):
+        np.copyto(plane, np.take(_SNAP, plane), where=wins)
+    return RgbImage(width=img.width, height=img.height, pixels=out)
 
 
 def cube_to_sphere(points: np.ndarray) -> np.ndarray:
@@ -103,20 +169,16 @@ def cube_to_sphere(points: np.ndarray) -> np.ndarray:
     ``points`` is (..., 3) with ``max|p_i| = 1`` on the last axis; the map
     is ``p / ||p||`` and is a bijection between the two surfaces.
     """
-    p = np.asarray(points, dtype=float)
-    if p.shape[-1] != 3:
-        raise DimensionError("expected (..., 3) points")
-    if np.any(np.abs(np.max(np.abs(p), axis=-1) - 1.0) > 1e-9):
-        raise ValueError("points must lie on the cube surface (max|p_i| = 1)")
-    return p / np.linalg.norm(p, axis=-1, keepdims=True)
+    p = _planes(_as_points(points))
+    _check_surface(*p)
+    return np.stack(_cube_to_sphere(*p), axis=-1)
 
 
 def sphere_to_cube(points: np.ndarray) -> np.ndarray:
     """Inverse of :func:`cube_to_sphere`: scale out to the cube surface."""
-    s = np.asarray(points, dtype=float)
-    if s.shape[-1] != 3:
-        raise DimensionError("expected (..., 3) points")
-    return s / np.max(np.abs(s), axis=-1, keepdims=True)
+    s = _planes(_as_points(points))
+    m = _max_modulus(*s)
+    return np.stack([sk / m for sk in s], axis=-1)
 
 
 def stereographic(points: np.ndarray) -> np.ndarray:
@@ -125,57 +187,43 @@ def stereographic(points: np.ndarray) -> np.ndarray:
     ``zeta = (s1 + i s2) / (1 - s3)``; the north pole is rejected
     (``s3 >= 1 - NORTH_POLE_TOL``).
     """
-    s = np.asarray(points, dtype=float)
-    if s.shape[-1] != 3:
-        raise DimensionError("expected (..., 3) points")
-    s3 = s[..., 2]
-    if np.any(s3 >= 1.0 - NORTH_POLE_TOL):
-        raise ValueError("north-pole point cannot be projected")
-    # for s3 near 1 the plain difference cancels; on the unit sphere
-    # 1 - s3 = (s1^2 + s2^2)/(1 + s3) keeps full relative accuracy
-    plane_sq = s[..., 0] ** 2 + s[..., 1] ** 2
-    upper = s3 > 0.0
-    denom = np.where(upper, plane_sq / np.where(upper, 1.0 + s3, 1.0), 1.0 - s3)
-    return (s[..., 0] + 1j * s[..., 1]) / denom
+    return _stereographic(*_planes(_as_points(points)))
 
 
 def stereographic_inverse(zeta: np.ndarray) -> np.ndarray:
     """Map complex values back to the unit sphere (never the north pole)."""
-    z = np.asarray(zeta, dtype=np.complex128)
-    sq = np.abs(z) ** 2
-    denom = sq + 1.0
-    out = np.empty(z.shape + (3,), dtype=float)
-    out[..., 0] = 2.0 * z.real / denom
-    out[..., 1] = 2.0 * z.imag / denom
-    out[..., 2] = (sq - 1.0) / denom
-    return out
+    return np.stack(_stereographic_inverse(np.asarray(zeta, dtype=np.complex128)), axis=-1)
 
 
 def rgb_to_complex(img: RgbImage) -> tuple[ComplexImage, int]:
     """Full forward chain for a surface image; counts perturbed pixels.
 
-    Pixels whose sphere point would hit the north pole are nudged one
-    quantization step in the red channel first; the returned count says
-    how many (zero for every 8-bit image, since the quantized grid cannot
-    produce the pole exactly).
+    The count is of pixels that would have to be nudged off the north
+    pole before projecting.  It is zero for every 8-bit image: the pole
+    needs ``p = (0, 0, 1)``, and no 8-bit level has ``p = 2c - 1 = 0``.
     """
-    c = img.as_float()
-    p = 2.0 * c - 1.0
-    at_pole = (p[..., 0] == 0.0) & (p[..., 1] == 0.0) & (p[..., 2] == 1.0)
-    perturbed = int(at_pole.sum())
-    if perturbed:
-        red = c[..., 0]
-        c[..., 0] = np.where(at_pole, np.where(red < 1.0, red + QUANT_STEP,
-                                               red - QUANT_STEP), red)
-        p = 2.0 * c - 1.0
-    zeta = stereographic(cube_to_sphere(p))
-    return ComplexImage(width=img.width, height=img.height, values=zeta), perturbed
+    p = [np.take(_CENTERED, plane) for plane in _planes(img.pixels)]
+    _check_surface(*p)
+    zeta = _stereographic(*_cube_to_sphere(*p))
+    return ComplexImage(width=img.width, height=img.height, values=zeta), 0
 
 
 def complex_to_rgb(img: ComplexImage) -> RgbImage:
     """Inverse chain: complex plane -> sphere -> cube surface -> 8-bit RGB."""
-    p = sphere_to_cube(stereographic_inverse(img.values))
-    return RgbImage.from_float((p + 1.0) / 2.0)
+    s = _stereographic_inverse(img.values)
+    m = _max_modulus(*s)
+    out = np.empty(img.values.shape + (3,), dtype=np.uint8)
+    for plane, sk in zip(_planes(out), s):
+        # sphere_to_cube, then from_float's quantization of (p + 1) / 2
+        c = sk / m
+        c += 1.0
+        c /= 2.0
+        c *= 255.0
+        np.clip(np.round(c, out=c), 0, 255, out=c)
+        # cast in the input's memory order: a column-major input then
+        # pays for the transposing copy in bytes rather than in floats
+        plane[...] = c.astype(np.uint8)
+    return RgbImage(width=img.width, height=img.height, pixels=out)
 
 
 def phase_rotate(img: ComplexImage, theta: float) -> ComplexImage:

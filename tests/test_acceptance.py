@@ -20,7 +20,7 @@ from cbss import imagepipe as ip
 from cbss.cli import write_complex_csv
 
 from conftest import cli_env, long_range_model, random_mixing, short_range_model
-from test_imagepipe import gradient_images
+from test_imagepipe import gradient_images, surface_sweep
 
 
 def verdict(num: int, ok: bool, detail: str) -> None:
@@ -211,24 +211,7 @@ def test_criterion_8_md_metric():
 def test_criterion_9_image_pipeline():
     # full cube-surface sweep: every quantized pixel on all six faces,
     # the eight corners, and 1e5 random interior pixels snapped on
-    rng = np.random.default_rng(909)
-    grid = np.arange(256, dtype=np.uint8)
-    u, v = np.meshgrid(grid, grid, indexing="ij")
-    faces = []
-    for axis in range(3):
-        for value in (0, 255):
-            block = np.empty((256, 256, 3), dtype=np.uint8)
-            block[..., axis] = value
-            block[..., (axis + 1) % 3] = u
-            block[..., (axis + 2) % 3] = v
-            faces.append(block.reshape(-1, 3))
-    corners = np.array([[r, g, b] for r in (0, 255) for g in (0, 255) for b in (0, 255)],
-                       dtype=np.uint8)
-    random_px = ip.color_correct(ip.RgbImage(
-        width=100000, height=1,
-        pixels=rng.integers(0, 256, size=(1, 100000, 3)).astype(np.uint8))).pixels.reshape(-1, 3)
-    sweep = np.concatenate(faces + [corners, random_px], axis=0)
-    img = ip.RgbImage(width=sweep.shape[0], height=1, pixels=sweep[None, :, :])
+    img = surface_sweep()
     ci, perturbed = ip.rgb_to_complex(img)
     back = ip.complex_to_rgb(ci)
     max_step = int(np.max(np.abs(back.pixels.astype(int) - img.pixels.astype(int))))
@@ -238,7 +221,7 @@ def test_criterion_9_image_pipeline():
     identity_md = ip.separate_images(imgs, tau=1, mixing="identity").md
     seeded_md = ip.separate_images(imgs, tau=1, mixing="random", seed=5).md
     ok = sweep_ok and identity_md < 1e-8 and seeded_md < 0.3
-    verdict(9, ok, f"image pipeline (surface sweep of {sweep.shape[0]} pixels within "
+    verdict(9, ok, f"image pipeline (surface sweep of {img.width} pixels within "
             f"{max_step} quantization step; identity MD {identity_md:.1e} < 1e-8; "
             f"seeded synthetic MD {seeded_md:.3f} < 0.3)")
 

@@ -83,6 +83,35 @@ def test_config_json_round_trip():
     assert back == cfg
 
 
+def _hermite_model(cfg):
+    cfg["model"]["components"][0]["transform"] = {"kind": "hermite", "degree": 2}
+    return cfg["model"]["components"][0]["transform"]
+
+
+@pytest.mark.parametrize("field, edit", [
+    ("seed", lambda c: c.update(seed=1.7)),
+    ("seed", lambda c: c.update(seed=True)),
+    ("tau", lambda c: c.update(tau=1.9)),
+    ("tau", lambda c: c.update(tau=True)),
+    ("replications", lambda c: c.update(replications=50.9)),
+    ("t_grid", lambda c: c.update(t_grid=[64.7, 128, 256])),
+    ("d", lambda c: c["model"].update(d=2.9)),
+    ("d", lambda c: c["model"].update(d=True, components=c["model"]["components"][:2])),
+    ("degree", lambda c: _hermite_model(c).update(degree=2.5)),
+    ("degree", lambda c: _hermite_model(c).update(degree=True)),
+    ("declared_ranks", lambda c: c["model"]["components"][0].update(declared_ranks=[1.5, 2])),
+    ("normalize", lambda c: c["model"].update(normalize="false")),
+    ("normalize", lambda c: c["model"].update(normalize=0)),
+])
+def test_config_decoding_refuses_coercions(field, edit):
+    # each value used to be truncated or coerced (1.7 -> 1, true -> 1,
+    # "false" -> True) and the run went ahead with a config nobody wrote
+    cfg = small_cfg().to_dict()
+    edit(cfg)
+    with pytest.raises(ConfigError, match=rf"\b{field}\b"):
+        asymlab.RateExperimentConfig.from_dict(cfg)
+
+
 def test_rate_experiment_structure_and_determinism():
     cfg = small_cfg()
     rep_a = asymlab.run_rate_experiment(cfg)

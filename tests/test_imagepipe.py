@@ -18,6 +18,29 @@ def gradient_images(w=96, h=64):
     return [ip.RgbImage.from_float(b) for b in blocks]
 
 
+def surface_sweep():
+    """Every quantized pixel on the six cube faces, the eight corners, and
+    1e5 seeded random pixels snapped onto the surface, as one image row."""
+    rng = np.random.default_rng(909)
+    grid = np.arange(256, dtype=np.uint8)
+    u, v = np.meshgrid(grid, grid, indexing="ij")
+    faces = []
+    for axis in range(3):
+        for value in (0, 255):
+            block = np.empty((256, 256, 3), dtype=np.uint8)
+            block[..., axis] = value
+            block[..., (axis + 1) % 3] = u
+            block[..., (axis + 2) % 3] = v
+            faces.append(block.reshape(-1, 3))
+    corners = np.array([[r, g, b] for r in (0, 255) for g in (0, 255) for b in (0, 255)],
+                       dtype=np.uint8)
+    random_px = ip.color_correct(ip.RgbImage(
+        width=100000, height=1,
+        pixels=rng.integers(0, 256, size=(1, 100000, 3)).astype(np.uint8))).pixels.reshape(-1, 3)
+    sweep = np.concatenate(faces + [corners, random_px], axis=0)
+    return ip.RgbImage(width=sweep.shape[0], height=1, pixels=sweep[None, :, :])
+
+
 def surface_pixels(rng, count):
     """Random quantized pixels snapped to the cube surface."""
     raw = rng.integers(0, 256, size=(1, count, 3)).astype(np.uint8)
@@ -48,6 +71,82 @@ def test_color_correct_output_is_on_surface(rng):
     out = ip.color_correct(ip.RgbImage(width=30, height=20, pixels=raw)).pixels
     on_surface = (out.min(axis=2) == 0) | (out.max(axis=2) == 255)
     assert bool(on_surface.all())
+
+
+@pytest.mark.parametrize("pixels", [[[[300, 0, 0]]], [[[-1, 0, 0]]], [[[0.7, 0, 0]]],
+                                    [[[np.nan, 0, 0]]], [[[True, False, True]]]])
+def test_rgb_image_refuses_values_it_would_wrap(pixels):
+    # a uint8 cast would store 300 as 44, -1 as 255 and 0.7 as 0
+    with pytest.raises(ConfigError):
+        ip.RgbImage(width=1, height=1, pixels=pixels)
+
+
+def test_rgb_image_accepts_integer_pixels():
+    img = ip.RgbImage(width=2, height=1, pixels=[[[0, 128, 255], [7, 8, 9]]])
+    assert img.pixels.dtype == np.uint8
+    np.testing.assert_array_equal(img.pixels, [[[0, 128, 255], [7, 8, 9]]])
+
+
+# the (..., 3) formulas the plane-wise chain must reproduce bit for bit
+
+def _reference_color_correct(pixels):
+    p = 2.0 * (pixels.astype(float) / 255.0) - 1.0
+    sel = np.argmax(np.abs(p), axis=-1)
+    rows, cols = np.indices(sel.shape)
+    p[rows, cols, sel] = np.where(p[rows, cols, sel] >= 0.0, 1.0, -1.0)
+    return _reference_quantize((p + 1.0) / 2.0)
+
+
+def _reference_quantize(c):
+    return np.clip(np.round(c * 255.0), 0, 255).astype(np.uint8)
+
+
+def _reference_rgb_to_complex(pixels):
+    p = 2.0 * (pixels.astype(float) / 255.0) - 1.0
+    assert np.all(np.abs(np.max(np.abs(p), axis=-1) - 1.0) <= 1e-9)
+    s = p / np.linalg.norm(p, axis=-1, keepdims=True)
+    plane_sq = s[..., 0] ** 2 + s[..., 1] ** 2
+    upper = s[..., 2] > 0.0
+    denom = np.where(upper, plane_sq / np.where(upper, 1.0 + s[..., 2], 1.0), 1.0 - s[..., 2])
+    return (s[..., 0] + 1j * s[..., 1]) / denom
+
+
+def _reference_stereographic_inverse(z):
+    sq = np.abs(z) ** 2
+    denom = sq + 1.0
+    out = np.empty(z.shape + (3,), dtype=float)
+    out[..., 0] = 2.0 * z.real / denom
+    out[..., 1] = 2.0 * z.imag / denom
+    out[..., 2] = (sq - 1.0) / denom
+    return out
+
+
+def _reference_complex_to_rgb(z):
+    s = _reference_stereographic_inverse(z)
+    p = s / np.max(np.abs(s), axis=-1, keepdims=True)
+    return _reference_quantize((p + 1.0) / 2.0)
+
+
+def test_chain_matches_reference_formulas():
+    # color_correct on all 2^24 pixels, 2^20 at a time
+    for red in range(0, 256, 16):
+        v = np.arange(red << 16, (red + 16) << 16, dtype=np.uint32)
+        block = np.stack([v >> 16, (v >> 8) & 255, v & 255], axis=-1).astype(np.uint8)
+        block = block.reshape(1024, 1024, 3)
+        got = ip.color_correct(ip.RgbImage(width=1024, height=1024, pixels=block)).pixels
+        assert got.tobytes() == _reference_color_correct(block).tobytes(), red
+
+    sweep = surface_sweep()
+    got = ip.rgb_to_complex(sweep)[0].values
+    assert got.tobytes() == _reference_rgb_to_complex(sweep.pixels).tobytes()
+
+    rng = np.random.default_rng(2024)
+    z = rng.standard_normal((500, 400)) + 1j * rng.standard_normal((500, 400))
+    z *= np.exp(rng.uniform(-8.0, 8.0, z.shape)) / np.abs(z)
+    assert ip.stereographic_inverse(z).tobytes() == _reference_stereographic_inverse(z).tobytes()
+    for values in (z, np.asfortranarray(z)):
+        got = ip.complex_to_rgb(ip.ComplexImage(width=400, height=500, values=values)).pixels
+        assert got.tobytes() == _reference_complex_to_rgb(values).tobytes()
 
 
 def test_cube_sphere_examples():
