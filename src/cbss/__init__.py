@@ -21,14 +21,7 @@ from .asymlab import (
     run_rate_experiment,
     write_report,
 )
-from .estimators import (
-    GaussianParams,
-    autocov_sym,
-    autocov_unsym,
-    gaussian_params,
-    realblock_to_complex,
-    sample_mean,
-)
+from .estimators import autocov_sym, autocov_unsym, sample_mean
 from .genproc import (
     Driver,
     LatentComponentSpec,

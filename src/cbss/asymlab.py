@@ -31,7 +31,7 @@ import json
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf
@@ -134,7 +134,6 @@ class RateExperimentReport:
     gaussianity: dict
     scale_diag: dict
     failures: int
-    config: RateExperimentConfig = field(repr=False, default=None)
 
     def to_dict(self) -> dict:
         return {
@@ -356,7 +355,6 @@ def run_rate_experiment(cfg: RateExperimentConfig) -> RateExperimentReport:
         gaussianity=gaussianity,
         scale_diag=scale_diag,
         failures=failures,
-        config=cfg,
     )
 
 

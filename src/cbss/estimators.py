@@ -7,8 +7,6 @@ mean; the divisor is ``T - 1`` at lag zero and ``T - tau`` otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionError, NonFiniteError
@@ -61,48 +59,3 @@ def autocov_sym(x, tau: int) -> np.ndarray:
     s = autocov_unsym(x, tau)
     return 0.5 * (s + s.conj().T)
 
-
-@dataclass(frozen=True)
-class GaussianParams:
-    """Location, covariance and relation matrix of a complex sample.
-
-    ``sigma`` is conjugate symmetric PSD; ``relation`` equals its plain
-    transpose (products use the transpose, not the conjugate transpose).
-    """
-
-    mu: np.ndarray
-    sigma: np.ndarray
-    relation: np.ndarray
-
-
-def gaussian_params(samples) -> GaussianParams:
-    """Sample estimates of the complex-Gaussian parameter triple."""
-    a = as_timeseries(samples)
-    t = a.shape[0]
-    mu = a.mean(axis=0)
-    centered = a - mu
-    sigma = (centered.T @ np.conj(centered)) / (t - 1)
-    relation = (centered.T @ centered) / (t - 1)
-    return GaussianParams(mu=mu, sigma=0.5 * (sigma + sigma.conj().T), relation=relation)
-
-
-def realblock_to_complex(sigma_x, sigma_y, sigma_xy) -> tuple[np.ndarray, np.ndarray]:
-    """Covariance and relation matrix of ``z = x + i y`` from real blocks.
-
-    Given the covariance blocks of the stacked real vector
-    ``(x^T, y^T)^T`` this returns::
-
-        sigma_z    = sigma_x + sigma_y + i (sigma_xy^T - sigma_xy)
-        relation_z = sigma_x - sigma_y + i (sigma_xy^T + sigma_xy)
-    """
-    sx = np.asarray(sigma_x, dtype=float)
-    sy = np.asarray(sigma_y, dtype=float)
-    sxy = np.asarray(sigma_xy, dtype=float)
-    if not (sx.shape == sy.shape == sxy.shape) or sx.ndim != 2 or sx.shape[0] != sx.shape[1]:
-        raise DimensionError(
-            f"blocks must be square and equally sized, got {sx.shape}, {sy.shape}, {sxy.shape}")
-    if np.max(np.abs(sx - sx.T)) > 1e-9 or np.max(np.abs(sy - sy.T)) > 1e-9:
-        raise ValueError("sigma_x and sigma_y must be symmetric")
-    sigma_z = sx + sy + 1j * (sxy.T - sxy)
-    relation_z = sx - sy + 1j * (sxy.T + sxy)
-    return sigma_z, relation_z

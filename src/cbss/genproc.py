@@ -19,13 +19,14 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import hermite_e
 
-from . import linalg
+from . import fourier, linalg
 from .errors import ConfigError, DimensionError, SingularMatrixError
 
 #: Largest Hermite degree handled by the double-precision recurrence.
@@ -72,6 +73,23 @@ def json_int(value, name: str) -> int:
     return int(value)
 
 
+def json_number(value, name: str) -> float:
+    """Decode a number config field: a finite int or float, never a bool or a string."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not abs(value) <= sys.float_info.max):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _json_complex(value: dict | None, name: str) -> np.ndarray | None:
+    """Decode ``{"re": ..., "im": ...}`` (lists of numbers) as ``re + 1j * im``; keep ``None``."""
+    if value is None:
+        return None
+    number = np.vectorize(lambda v: json_number(v, name), otypes=[float])
+    return number(np.asarray(value["re"], dtype=object)) + 1j * number(
+        np.asarray(value["im"], dtype=object))
+
+
 @dataclass(frozen=True)
 class Driver:
     """Stationary Gaussian driver with unit marginal variance.
@@ -114,9 +132,9 @@ class Driver:
     def from_dict(d: dict) -> "Driver":
         kind = d.get("kind")
         if kind == "ar1":
-            return Driver("ar1", float(d["phi"]))
+            return Driver("ar1", json_number(d["phi"], "phi"))
         if kind == "fgn":
-            return Driver("fgn", float(d["hurst"]))
+            return Driver("fgn", json_number(d["hurst"], "hurst"))
         if kind == "iid":
             return Driver("iid")
         raise ConfigError(f"unknown driver kind {kind!r}")
@@ -171,7 +189,7 @@ class Transform:
         if kind == "hermite":
             return Transform("hermite", degree=json_int(d["degree"], "degree"))
         if kind == "coeffs":
-            return Transform("coeffs", coeffs=tuple(float(c) for c in d["coeffs"]))
+            return Transform("coeffs", coeffs=tuple(json_number(c, "coeffs") for c in d["coeffs"]))
         return Transform(kind)
 
 
@@ -180,12 +198,19 @@ class LatentComponentSpec:
     """One subordinated scalar process: driver, transform, optional ranks.
 
     ``declared_ranks`` overrides the ranks ``(q1, q2)`` computed from the
-    transform and its centered square.
+    transform and its centered square; both must be integers >= 1.
     """
 
     driver: Driver
     transform: Transform = field(default_factory=Transform)
     declared_ranks: tuple | None = None
+
+    def __post_init__(self):
+        if self.declared_ranks is not None:
+            ranks = tuple(json_int(q, "declared_ranks") for q in self.declared_ranks)
+            if len(ranks) != 2 or min(ranks) < 1:
+                raise ConfigError(f"declared_ranks must be two integers >= 1, got {list(ranks)}")
+            object.__setattr__(self, "declared_ranks", ranks)
 
     def to_dict(self) -> dict:
         out = {"driver": self.driver.to_dict(), "transform": self.transform.to_dict()}
@@ -195,12 +220,10 @@ class LatentComponentSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "LatentComponentSpec":
-        ranks = d.get("declared_ranks")
         return LatentComponentSpec(
             driver=Driver.from_dict(d["driver"]),
             transform=Transform.from_dict(d.get("transform", {"kind": "identity"})),
-            declared_ranks=(tuple(json_int(q, "declared_ranks") for q in ranks)
-                            if ranks is not None else None),
+            declared_ranks=d.get("declared_ranks"),
         )
 
 
@@ -245,8 +268,8 @@ class ModelSpec:
             object.__setattr__(self, "mixing", a)
         if self.location is not None:
             loc = np.asarray(self.location, dtype=np.complex128).reshape(-1)
-            if loc.shape != (self.d,):
-                raise ConfigError(f"location must have length {self.d}")
+            if loc.shape != (self.d,) or not np.all(np.isfinite(loc)):
+                raise ConfigError(f"location must hold {self.d} finite values")
             object.__setattr__(self, "location", loc)
 
     def mixing_matrix(self) -> np.ndarray:
@@ -276,23 +299,14 @@ class ModelSpec:
     @staticmethod
     def from_dict(d: dict) -> "ModelSpec":
         try:
-            mixing = None
-            if d.get("mixing") is not None:
-                m = d["mixing"]
-                mixing = np.asarray(m["re"], dtype=float) + 1j * np.asarray(m["im"], dtype=float)
-            location = None
-            if d.get("location") is not None:
-                loc = d["location"]
-                location = (np.asarray(loc["re"], dtype=float)
-                            + 1j * np.asarray(loc["im"], dtype=float))
             normalize = d.get("normalize", True)
             if not isinstance(normalize, bool):
                 raise ConfigError(f"normalize must be true or false, got {normalize!r}")
             return ModelSpec(
                 d=json_int(d["d"], "d"),
                 components=tuple(LatentComponentSpec.from_dict(c) for c in d["components"]),
-                mixing=mixing,
-                location=location,
+                mixing=_json_complex(d.get("mixing"), "mixing"),
+                location=_json_complex(d.get("location"), "location"),
                 normalize=normalize,
                 centering=str(d.get("centering", "empirical")),
             )
@@ -325,8 +339,6 @@ def embedding_spectrum(autocov) -> np.ndarray:
     ``2(N-1)`` whose eigenvalues come out of a single FFT; they are real
     for a valid covariance and non-negative when the embedding is exact.
     """
-    from . import fourier
-
     r = np.asarray(autocov, dtype=float)
     if r.ndim != 1 or r.size < 2:
         raise DimensionError("need autocovariances at lags 0..N-1 with N >= 2")
@@ -408,10 +420,10 @@ def _sample_driver(driver: Driver, n: int, rng: np.random.Generator) -> np.ndarr
 # Transform moments and Hermite ranks
 # ---------------------------------------------------------------------------
 
-def hermite_coefficients(transform: Transform, max_degree: int = MAX_HERMITE_DEGREE) -> np.ndarray:
-    """Exact coefficients ``a_0..a_max_degree`` of the transform in the Hermite basis."""
-    a = transform.series()[:max_degree + 1]
-    return np.pad(a, (0, max_degree + 1 - a.size))
+def hermite_coefficients(transform: Transform) -> np.ndarray:
+    """Exact coefficients ``a_0..a_MAX_HERMITE_DEGREE`` of the transform in the Hermite basis."""
+    a = transform.series()
+    return np.pad(a, (0, MAX_HERMITE_DEGREE + 1 - a.size))
 
 
 def _term_variances(transform: Transform) -> np.ndarray:
@@ -451,8 +463,7 @@ def _first_nonzero(coeffs: np.ndarray) -> int:
 def component_ranks(spec: LatentComponentSpec) -> tuple[int, int]:
     """Declared ranks when present, else the ranks of the transform."""
     if spec.declared_ranks is not None:
-        q1, q2 = spec.declared_ranks
-        return int(q1), int(q2)
+        return spec.declared_ranks
     return hermite_rank(spec.transform)
 
 

@@ -33,8 +33,6 @@ from .unmixing import apply_unmixing, unmix
 
 #: How close to the north pole a sphere point may get before projecting.
 NORTH_POLE_TOL = 1e-12
-#: One 8-bit quantization step.
-QUANT_STEP = 1.0 / 255.0
 
 
 @dataclass(frozen=True)
@@ -140,9 +138,15 @@ def _stereographic(s0, s1, s2):
 
 
 def _stereographic_inverse(z) -> tuple:
-    sq = np.abs(z) ** 2
-    denom = sq + 1.0
-    return 2.0 * z.real / denom, 2.0 * z.imag / denom, (sq - 1.0) / denom
+    # |z|^2 overflows above about 1.3e154; such points map to the north pole
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.abs(z) ** 2
+        denom = sq + 1.0
+        s = 2.0 * z.real / denom, 2.0 * z.imag / denom, (sq - 1.0) / denom
+    pole = np.isinf(sq)
+    if not np.any(pole):
+        return s
+    return tuple(np.where(pole, v, sk) for v, sk in zip((0.0, 0.0, 1.0), s))
 
 
 def color_correct(img: RgbImage) -> RgbImage:
@@ -191,7 +195,7 @@ def stereographic(points: np.ndarray) -> np.ndarray:
 
 
 def stereographic_inverse(zeta: np.ndarray) -> np.ndarray:
-    """Map complex values back to the unit sphere (never the north pole)."""
+    """Map complex values back to the unit sphere; ``|z|^2`` overflowing maps to the pole."""
     return np.stack(_stereographic_inverse(np.asarray(zeta, dtype=np.complex128)), axis=-1)
 
 

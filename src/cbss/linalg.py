@@ -23,6 +23,8 @@ from .errors import (
 
 #: Eigenvalues below this fraction of the largest one count as non-positive.
 POSDEF_RTOL = 1e-12
+#: Largest entry of ``|m - m^H|`` that ``hermitian_eig`` accepts.
+HERMITIAN_TOL = 1e-9
 
 _GETRF, _GETRI = get_lapack_funcs(("getrf", "getri"), dtype=np.complex128)
 
@@ -63,23 +65,23 @@ class HermEig:
     vectors: np.ndarray
 
 
-def hermitian_eig(m, hermitian_tol: float = 1e-9) -> HermEig:
+def hermitian_eig(m) -> HermEig:
     """Eigendecomposition of a Hermitian matrix via ``numpy.linalg.eigh``.
 
-    The input is checked to be Hermitian to ``hermitian_tol`` and then
+    The input is checked to be Hermitian to ``HERMITIAN_TOL`` and then
     symmetrized exactly, so LAPACK reads the same matrix from either
     triangle.
 
     Raises
     ------
     DimensionError / ValueError
-        For non-square or non-Hermitian (to ``hermitian_tol``) input.
+        For non-square or non-Hermitian (to ``HERMITIAN_TOL``) input.
     NonConvergenceError
         If LAPACK's eigensolver does not converge.
     """
     a = as_cmatrix(m)
     _require_square(a)
-    if not is_hermitian(a, hermitian_tol):
+    if not is_hermitian(a, HERMITIAN_TOL):
         raise ValueError("input matrix is not Hermitian to tolerance")
     try:
         values, vectors = np.linalg.eigh(0.5 * (a + a.conj().T))

@@ -34,32 +34,30 @@ def solve_assignment(cost) -> np.ndarray:
     if not np.all(np.isfinite(c)):
         raise ValueError("cost matrix contains non-finite entries")
     d = c.shape[0]
-    rows, cols = linear_sum_assignment(c)
-    optimum = float(c[rows, cols].sum())
     tol = ASSIGNMENT_TIE_RTOL * max(1.0, float(np.sum(np.abs(c))))
 
     # refine to the lexicographically smallest optimal permutation: fix
-    # columns row by row, keeping only choices that still reach the optimum
+    # columns row by row, taking the first choice that still reaches the optimum
     perm = np.empty(d, dtype=np.intp)
     free = list(range(d))
-    remaining = optimum
+    remaining = _optimum(c)
     for row in range(d):
         for col in free:
-            rest_rows = np.arange(row + 1, d)
-            rest_cols = [f for f in free if f != col]
-            rest = 0.0
-            if rest_rows.size:
-                sub = c[np.ix_(rest_rows, rest_cols)]
-                r, k = linear_sum_assignment(sub)
-                rest = float(sub[r, k].sum())
-            if c[row, col] + rest <= remaining + tol:
-                perm[row] = col
-                free.remove(col)
-                remaining -= c[row, col]
+            rest = c[np.ix_(range(row + 1, d), [f for f in free if f != col])]
+            if c[row, col] + _optimum(rest) <= remaining + tol:
                 break
-        else:  # pragma: no cover - unreachable, optimum is always attainable
-            raise RuntimeError("assignment refinement failed")
+        perm[row] = col
+        free.remove(col)
+        remaining -= c[row, col]
     return perm
+
+
+def _optimum(block: np.ndarray) -> float:
+    """Minimum assignment total of a square cost block; 0 for an empty one."""
+    if not block.size:
+        return 0.0
+    rows, cols = linear_sum_assignment(block)
+    return float(block[rows, cols].sum())
 
 
 def md_index(gamma_hat, mixing) -> float:

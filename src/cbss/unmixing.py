@@ -10,7 +10,7 @@ real axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,10 +31,6 @@ class PhaseShift:
     def matrix(self) -> np.ndarray:
         return np.diag(np.exp(1j * self.phases))
 
-    def apply(self, gamma: np.ndarray) -> np.ndarray:
-        """Left-multiply: rotate row ``j`` by ``exp(i*theta_j)``."""
-        return np.exp(1j * self.phases)[:, None] * gamma
-
 
 @dataclass(frozen=True)
 class UnmixingResult:
@@ -54,7 +50,6 @@ class UnmixingResult:
     mu: np.ndarray
     tau: int
     eigen_gap: float
-    phase: PhaseShift = field(repr=False, default=None)
 
 
 def standardize_phase(gamma) -> tuple[np.ndarray, PhaseShift]:
@@ -114,12 +109,12 @@ def unmix_from_covariances(s0, s_tau, mu, tau: int) -> UnmixingResult:
     m = sig0 @ linalg.as_cmatrix(s_tau, "s_tau") @ sig0
     eig = linalg.hermitian_eig(0.5 * (m + m.conj().T))
     gamma = eig.vectors.conj().T @ sig0
-    gamma, phase = standardize_phase(gamma)
+    gamma, _ = standardize_phase(gamma)
     lam = eig.values
     gap = float(np.min(lam[:-1] - lam[1:])) if lam.size > 1 else float("inf")
     return UnmixingResult(gamma=gamma, lambdas=lam,
                           mu=np.asarray(mu, dtype=np.complex128).reshape(-1),
-                          tau=int(tau), eigen_gap=gap, phase=phase)
+                          tau=int(tau), eigen_gap=gap)
 
 
 def unmix(x, tau: int) -> UnmixingResult:

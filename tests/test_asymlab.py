@@ -1,7 +1,10 @@
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from cbss import asymlab, estimators, genproc, unmixing
@@ -83,9 +86,67 @@ def test_config_json_round_trip():
     assert back == cfg
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_DRIVERS = st.one_of(
+    st.just(genproc.Driver("iid")),
+    st.builds(genproc.Driver, st.just("ar1"),
+              st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)),
+    st.builds(genproc.Driver, st.just("fgn"), st.floats(0.5, 1.0, exclude_max=True)),
+)
+_TRANSFORMS = st.one_of(
+    st.sampled_from([genproc.Transform("identity"), genproc.Transform("square_centered")]),
+    st.builds(genproc.Transform, st.just("hermite"),
+              st.integers(1, genproc.MAX_HERMITE_DEGREE)),
+    st.builds(genproc.Transform, st.just("coeffs"),
+              coeffs=st.lists(_FINITE, min_size=1, max_size=genproc.MAX_HERMITE_DEGREE + 1)
+              .map(tuple)),
+)
+_PARTS = st.builds(genproc.LatentComponentSpec, _DRIVERS, _TRANSFORMS,
+                   st.none() | st.tuples(st.integers(1, 60), st.integers(1, 60)))
+
+
+@st.composite
+def _rate_configs(draw):
+    d = draw(st.integers(1, 3))
+    mixing = draw(st.none() | st.lists(st.floats(-1.0, 1.0), min_size=2 * d * d,
+                                       max_size=2 * d * d))
+    if mixing is not None:
+        # diagonally dominant, hence nonsingular
+        mixing = (np.reshape(mixing[:d * d], (d, d)) + 1j * np.reshape(mixing[d * d:], (d, d))
+                  + 3.0 * d * np.eye(d))
+    location = draw(st.none() | st.lists(_FINITE, min_size=2 * d, max_size=2 * d))
+    if location is not None:
+        location = np.array(location[:d]) + 1j * np.array(location[d:])
+    model = genproc.ModelSpec(
+        d=d, components=draw(st.lists(_PARTS, min_size=2 * d, max_size=2 * d)),
+        mixing=mixing, location=location, normalize=draw(st.booleans()),
+        centering=draw(st.sampled_from(["empirical", "population"])))
+    grid = sorted(draw(st.sets(st.integers(genproc.MIN_LENGTH, 1 << 20), min_size=3,
+                               max_size=6)))
+    metrics = asymlab.ERROR_METRICS if d > 1 else asymlab.ERROR_METRICS[1:]
+    return asymlab.RateExperimentConfig(
+        model=model, tau=draw(st.integers(1, grid[0] - 2)), t_grid=tuple(grid),
+        replications=draw(st.integers(50, 10 ** 6)), seed=draw(st.integers(0, 2 ** 63)),
+        error_metric=draw(st.sampled_from(metrics)))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(_rate_configs())
+def test_config_round_trip_through_json(cfg):
+    for config, from_dict in ((cfg, asymlab.RateExperimentConfig.from_dict),
+                              (cfg.model, genproc.ModelSpec.from_dict)):
+        as_dict = config.to_dict()
+        assert from_dict(json.loads(json.dumps(as_dict))).to_dict() == as_dict
+
+
 def _hermite_model(cfg):
     cfg["model"]["components"][0]["transform"] = {"kind": "hermite", "degree": 2}
     return cfg["model"]["components"][0]["transform"]
+
+
+def _declared_ranks(ranks):
+    return pytest.param("declared_ranks", lambda c: c["model"]["components"][0].update(
+        declared_ranks=ranks), id=f"declared_ranks-{ranks}")
 
 
 @pytest.mark.parametrize("field, edit", [
@@ -100,12 +161,27 @@ def _hermite_model(cfg):
     ("degree", lambda c: _hermite_model(c).update(degree=2.5)),
     ("degree", lambda c: _hermite_model(c).update(degree=True)),
     ("declared_ranks", lambda c: c["model"]["components"][0].update(declared_ranks=[1.5, 2])),
+    _declared_ranks([1, 2, 3]),
+    _declared_ranks([0, 0]),
+    _declared_ranks([-1, 2]),
+    ("phi", lambda c: c["model"]["components"][0]["driver"].update(phi=False)),
+    ("phi", lambda c: c["model"]["components"][0]["driver"].update(phi="0.3")),
+    ("phi", lambda c: c["model"]["components"][0]["driver"].update(phi=None)),
+    ("hurst", lambda c: c["model"]["components"][0].update(driver={"kind": "fgn", "hurst": "0.7"})),
+    ("coeffs", lambda c: c["model"]["components"][0].update(
+        transform={"kind": "coeffs", "coeffs": [True, "2"]})),
+    ("mixing", lambda c: c["model"].update(mixing={"re": [["1", 0], [0, 1]], "im": [[0, 0]] * 2})),
+    ("mixing", lambda c: c["model"].update(mixing={"re": [[True, 0], [0, 1]], "im": [[0, 0]] * 2})),
+    ("location", lambda c: c["model"].update(location={"re": ["1", 0], "im": [0, 0]})),
+    ("location", lambda c: c["model"].update(location={"re": [0, 0], "im": [True, 0]})),
+    ("location", lambda c: c["model"].update(location={"re": [float("nan"), 0], "im": [0, 0]})),
     ("normalize", lambda c: c["model"].update(normalize="false")),
     ("normalize", lambda c: c["model"].update(normalize=0)),
 ])
 def test_config_decoding_refuses_coercions(field, edit):
-    # each value used to be truncated or coerced (1.7 -> 1, true -> 1,
-    # "false" -> True) and the run went ahead with a config nobody wrote
+    # each value used to be truncated, coerced (1.7 -> 1, true -> 1,
+    # "false" -> True, "0.3" -> 0.3) or accepted out of range, and the run
+    # went ahead with a config nobody wrote
     cfg = small_cfg().to_dict()
     edit(cfg)
     with pytest.raises(ConfigError, match=rf"\b{field}\b"):

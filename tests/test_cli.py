@@ -202,6 +202,30 @@ def test_rate_rejects_zero_replications(tmp_path):
         assert not (tmp_path / "out").exists()
 
 
+def _longrange_config():
+    from importlib import resources
+    text = (resources.files("cbss") / "configs/longrange_h09.json").read_text()
+    return json.loads(text)
+
+
+@pytest.mark.parametrize("field, edit", [
+    # three ranks on the fGn part used to end in "too many values to unpack"
+    ("declared_ranks", lambda c: c["model"]["components"][1].update(declared_ranks=[1, 2, 3])),
+    # a NaN location used to run every replication and then exit 4
+    ("location", lambda c: c["model"].update(
+        location={"re": [float("nan"), 0, 0], "im": [0, 0, float("inf")]})),
+])
+def test_rate_rejects_bad_model_fields_before_generating(tmp_path, field, edit):
+    cfg = _longrange_config()
+    edit(cfg)
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    proc = run_cli("rate", "--config", "cfg.json", "--out", "out", cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert field in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("threads", ["abc", "-1", "1.5"])
 def test_rate_rejects_bad_thread_count(tmp_path, threads):
     cfg = {"model": short_range_model(phis=(0.8, 0.2)).to_dict(),
@@ -304,6 +328,9 @@ UNREADABLE = {
     "ragged-mixing": ({"model.json": _model_json(
                           mixing={"re": [[1, 0, 0], [0, 1]], "im": [[0] * 3] * 3})},
                       SIMULATE + ("--out", "x.csv"), "model.json"),
+    "location-nan": ({"model.json": _model_json(
+                         location={"re": [float("nan"), 0, 0], "im": [0, 0, float("inf")]})},
+                     SIMULATE + ("--out", "x.csv"), "location"),
     "simulate-negative-seed": ({"model.json": _model_json()},
                                SIMULATE[:-1] + ("-1", "--out", "x.csv"), "--seed"),
     "image-negative-seed": ({"in1.ppm": PPM_4X4, "in2.ppm": PPM_4X4, "in3.ppm": PPM_4X4},

@@ -102,49 +102,3 @@ def test_non_finite_series_is_a_numerical_error(bad):
     with pytest.raises(NonFiniteError):
         estimators.autocov_sym(np.array([1.0, bad, -1.0]), 0)
 
-
-def test_gaussian_params_real_samples(rng):
-    x = rng.standard_normal((25, 2)).astype(complex)
-    p = estimators.gaussian_params(x)
-    np.testing.assert_allclose(p.relation, p.sigma, atol=1e-12)
-    assert np.max(np.abs(p.sigma - p.sigma.conj().T)) < 1e-10
-    assert np.max(np.abs(p.relation - p.relation.T)) < 1e-10
-
-
-def test_gaussian_params_rotation_by_i(rng):
-    x = rng.standard_normal((25, 2)) + 1j * rng.standard_normal((25, 2))
-    base = estimators.gaussian_params(x)
-    rot = estimators.gaussian_params(1j * x)
-    np.testing.assert_allclose(rot.sigma, base.sigma, atol=1e-12)
-    np.testing.assert_allclose(rot.relation, -base.relation, atol=1e-12)
-
-
-def test_gaussian_params_two_points():
-    p = estimators.gaussian_params(np.array([0.0, 2.0]))
-    np.testing.assert_allclose(p.mu, [1.0], atol=0)
-    np.testing.assert_allclose(p.sigma, [[2.0]], atol=0)
-    np.testing.assert_allclose(p.relation, [[2.0]], atol=0)
-
-
-def test_realblock_to_complex():
-    eye = np.eye(2)
-    zero = np.zeros((2, 2))
-    sigma_z, rel_z = estimators.realblock_to_complex(eye, eye, zero)
-    np.testing.assert_allclose(sigma_z, 2 * eye, atol=0)
-    np.testing.assert_allclose(rel_z, zero, atol=0)
-
-    sigma_z, rel_z = estimators.realblock_to_complex(eye, zero, zero)
-    np.testing.assert_allclose(sigma_z, eye, atol=0)
-    np.testing.assert_allclose(rel_z, eye, atol=0)
-
-    k = np.array([[0.0, 0.7], [-0.7, 0.0]])
-    sigma_z, _ = estimators.realblock_to_complex(eye, eye, k)
-    np.testing.assert_allclose(sigma_z.imag, -2 * k, atol=1e-15)
-
-
-def test_realblock_validation():
-    with pytest.raises(DimensionError):
-        estimators.realblock_to_complex(np.eye(2), np.eye(3), np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        estimators.realblock_to_complex(np.array([[0.0, 1.0], [0.0, 0.0]]),
-                                        np.eye(2), np.zeros((2, 2)))

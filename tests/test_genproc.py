@@ -369,6 +369,13 @@ def test_model_spec_validation():
         genproc.ModelSpec(d=3, components=comps[:4])
     with pytest.raises(ConfigError):
         genproc.ModelSpec(d=3, components=comps, mixing=np.zeros((3, 3)))
+    with pytest.raises(ConfigError, match="location"):
+        genproc.ModelSpec(d=3, components=comps, location=[0.0, np.nan, 1j])
+    for ranks in ([1, 2, 3], (0, 2), (2, 1.0)):
+        with pytest.raises(ConfigError, match="declared_ranks"):
+            genproc.LatentComponentSpec(genproc.Driver("iid"), declared_ranks=ranks)
+    assert genproc.LatentComponentSpec(
+        genproc.Driver("iid"), declared_ranks=[np.int64(1), 2]).declared_ranks == (1, 2)
     with pytest.raises(ConfigError):
         genproc.Driver("ar1", 1.5)
     with pytest.raises(ConfigError):

@@ -149,6 +149,16 @@ def test_chain_matches_reference_formulas():
         assert got.tobytes() == _reference_complex_to_rgb(values).tobytes()
 
 
+def test_huge_values_render_the_north_pole_colour():
+    # |z|^2 overflows from about 1.3e154 on; such values used to render black
+    # with an overflow warning, while 1e100 already rendered the pole colour
+    values = np.array([[1e100, 1e155j, 1e200, -1.7e308 - 1.7e308j]])
+    np.testing.assert_array_equal(ip.stereographic_inverse(values[0, 1:]),
+                                  [[0.0, 0.0, 1.0]] * 3)
+    got = ip.complex_to_rgb(ip.ComplexImage(width=4, height=1, values=values)).pixels
+    assert got.tolist() == [[[128, 128, 255]] * 4]
+
+
 def test_cube_sphere_examples():
     np.testing.assert_allclose(ip.cube_to_sphere(np.array([1.0, 0.0, 0.0])),
                                [1.0, 0.0, 0.0], atol=1e-15)

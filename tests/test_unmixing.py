@@ -138,6 +138,18 @@ def test_unmix_from_covariances_plug_in_seam(rng):
     np.testing.assert_array_equal(via_seam.lambdas, direct.lambdas)
 
 
+def test_nearly_collinear_columns_fit(rng):
+    # cond(s0) ~ 1e10: well inside herm_inv_sqrt's range, but the whitened
+    # lag matrix carries a rounding asymmetry of order eps * cond(s0)
+    for _ in range(8):
+        z = rng.standard_normal((2048, 3)) + 1j * rng.standard_normal((2048, 3))
+        x = z.copy()
+        x[:, 2] = z[:, 0] + 3e-5 * z[:, 2]
+        x = x @ (np.eye(3) + 0.5j * np.ones((3, 3)))
+        assert 1e9 < np.linalg.cond(estimators.autocov_sym(x, 0)) < 1e11
+        res = unmixing.unmix(x, 1)
+        assert np.all(np.isfinite(res.gamma)) and np.all(np.diff(res.lambdas) <= 0)
+
 def test_known_mixing_recovery_large_sample(rng):
     mixing = random_mixing(rng, 3)
     x, _ = genproc.generate(short_range_model(mixing=mixing), 10000, seed=8)
