@@ -28,13 +28,12 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from . import linalg
 from .errors import ConfigError, DimensionError, ExperimentError, NumericalError, PhaseError
@@ -78,6 +77,8 @@ class RateExperimentConfig:
             raise ConfigError(f"error_metric must be one of {ERROR_METRICS}")
         if self.error_metric == "md" and self.model.d < 2:
             raise ConfigError("error_metric 'md' needs a model with at least 2 components")
+        # every experiment needs the rate regime: refuse an undeterminable rank now
+        theoretical_gamma(self.model)
 
     def to_dict(self) -> dict:
         return {
@@ -193,6 +194,8 @@ def _map_replications(cfg: RateExperimentConfig, score, extra=None):
     run = functools.partial(_run_task, cfg, score, extra)
     workers = _resolve_workers()
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             out = list(pool.map(run, tasks, chunksize=max(len(tasks) // (8 * workers), 1)))
     else:
@@ -310,7 +313,7 @@ def normality_diagnostic(samples, standardize: bool = True) -> KSResult:
     elif s.size < 1:
         raise DimensionError("need at least one sample")
     xs = np.sort(s)
-    cdf = 0.5 * (1.0 + erf(xs / np.sqrt(2.0)))
+    cdf = 0.5 * (1.0 + np.array([math.erf(v) for v in xs / np.sqrt(2.0)]))
     n = xs.size
     upper = float(np.max(np.arange(1, n + 1) / n - cdf))
     lower = float(np.max(cdf - np.arange(0, n) / n))

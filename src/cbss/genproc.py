@@ -448,12 +448,18 @@ def hermite_rank(transform: Transform) -> tuple[int, int]:
     """
     centered = transform.series()
     centered[0] = 0.0
-    return _first_nonzero(centered), _first_nonzero(hermite_e.hermemul(centered, centered))
+    # a series reaching 1 is scaled below it by a power of two, which is
+    # exact, and the square's threshold with it: the product cannot overflow
+    shift = max(math.frexp(float(np.max(np.abs(centered))))[1], 0)
+    unit = np.ldexp(centered, -shift)
+    square_tol = math.ldexp(RANK_COEFF_TOL, -2 * shift)
+    return (_first_nonzero(centered, RANK_COEFF_TOL),
+            _first_nonzero(hermite_e.hermemul(unit, unit), square_tol))
 
 
-def _first_nonzero(coeffs: np.ndarray) -> int:
+def _first_nonzero(coeffs: np.ndarray, tol: float) -> int:
     for k in range(1, coeffs.size):
-        if abs(coeffs[k]) > RANK_COEFF_TOL:
+        if abs(coeffs[k]) > tol:
             return k
     raise ValueError(
         f"all Hermite coefficients up to degree {MAX_HERMITE_DEGREE} fall below "
@@ -566,16 +572,18 @@ def theoretical_gamma(model: ModelSpec) -> RateInfo:
     Each part's ranks ``(q1, q2)`` are its ``declared_ranks`` when set,
     else the ranks of its transform.  Only long-range parts strictly need
     ranks: for short-range parts an undeterminable rank is recorded as
-    ``None`` instead of failing.
+    ``None`` instead of failing, and for a long-range part it raises
+    ``ConfigError``.
     """
     lr = tuple(i for i, spec in enumerate(model.components) if spec.driver.is_long_range())
     ranks = []
     for i, spec in enumerate(model.components):
         try:
             ranks.append(component_ranks(spec))
-        except ValueError:
+        except ValueError as exc:
             if i in lr:
-                raise
+                raise ConfigError(f"model.components[{i}]: {exc}; set declared_ranks "
+                                  "for this long-range part") from None
             ranks.append(None)
     ranks = tuple(ranks)
     if not lr:

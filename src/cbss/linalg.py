@@ -1,9 +1,10 @@
 """Dense complex matrix helpers: Hermitian eigendecomposition and friends.
 
 All routines operate on 2-D ``numpy`` arrays of ``complex128``.  They
-validate their input and hand the decompositions to LAPACK: the
-eigensolver is ``numpy.linalg.eigh`` and the inverse runs on LAPACK's LU
-(``getrf``/``getri`` from ``scipy.linalg``).
+validate their input and hand the decompositions to LAPACK through
+numpy: the eigensolver is ``numpy.linalg.eigh`` and the inverse is
+``numpy.linalg.inv``, refused when the matrix is singular to the
+scale-free rule ``s_min <= n * eps * s_max`` on its singular values.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .errors import (
     DimensionError,
@@ -25,8 +25,6 @@ from .errors import (
 POSDEF_RTOL = 1e-12
 #: Largest entry of ``|m - m^H|`` that ``hermitian_eig`` accepts.
 HERMITIAN_TOL = 1e-9
-
-_GETRF, _GETRI = get_lapack_funcs(("getrf", "getri"), dtype=np.complex128)
 
 
 def as_cmatrix(a, name: str = "matrix") -> np.ndarray:
@@ -109,20 +107,22 @@ def herm_inv_sqrt(m) -> np.ndarray:
 
 
 def inverse(m) -> np.ndarray:
-    """Matrix inverse from LAPACK's LU factorization with partial pivoting.
+    """Matrix inverse through ``numpy.linalg.inv``.
 
-    Raises ``SingularMatrixError`` if a pivot of ``U`` falls at or below
-    ``n * eps * max(1, max|m|)``.
+    Raises ``SingularMatrixError`` when the smallest singular value is at
+    or below ``n * eps`` times the largest, the zero matrix included.  The
+    rule is scale-free: ``c * m`` inverts exactly when ``m`` does.
     """
     a = as_cmatrix(m)
     _require_square(a)
     n = a.shape[0]
-    tol = n * np.finfo(float).eps * max(1.0, float(np.max(np.abs(a))))
-    # the raw LAPACK calls report an exactly zero pivot through ``info``
-    # rather than a LinAlgWarning; the pivot test below covers that case
-    lu, piv, _ = _GETRF(a)
-    pivot = float(np.min(np.abs(np.diag(lu))))
-    if pivot <= tol:
-        raise SingularMatrixError(f"pivot {pivot:.3e} below tolerance {tol:.3e}")
-    inv, _ = _GETRI(lu, piv, overwrite_lu=True)
-    return inv
+    if n == 0:
+        raise DimensionError("cannot invert an empty matrix")
+    s = np.linalg.svd(a, compute_uv=False)
+    if s[-1] <= n * np.finfo(float).eps * s[0]:
+        raise SingularMatrixError(
+            f"singular values span [{s[-1]:.3e}, {s[0]:.3e}]; singular to tolerance")
+    try:
+        return np.linalg.inv(a)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"LU factorization failed: {exc}") from None

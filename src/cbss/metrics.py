@@ -3,30 +3,46 @@
 The score is the normalized Frobenius distance from the gain matrix
 ``G = gamma_hat @ mixing`` to the class of matrices with exactly one
 nonzero complex entry per row and per column (phase/permutation/scale
-freedom).  Zero means perfect separation; values are clamped to [0, 1].
+freedom): the MD index of Ilmonen, Nordhausen, Oja & Ollila (2010).
+Zero means perfect separation; values are clamped to [0, 1].  The score
+depends on no row's scale; only an all-zero gain row leaves it undefined.
+
+The row-to-column pairing is found by enumerating all ``d!``
+permutations up to ``ENUMERATION_MAX_D``; above it, scipy's Hungarian
+solver is imported on first use.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import linalg
 from .errors import DimensionError, SingularMatrixError
 
-#: Row norms below this make the score undefined.
-ZERO_ROW_TOL = 1e-14
 #: Relative slack when deciding that two assignment totals tie.
 ASSIGNMENT_TIE_RTOL = 1e-12
+#: Largest size solved by enumerating every permutation (4! = 24 totals).
+ENUMERATION_MAX_D = 4
+
+
+def linear_sum_assignment(cost):
+    """``scipy.optimize.linear_sum_assignment``, importing scipy on the first call."""
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(cost)
 
 
 def solve_assignment(cost) -> np.ndarray:
     """Exact minimum-cost row-to-column assignment.
 
     Returns ``perm`` with ``perm[row] = column`` minimizing
-    ``sum(cost[row, perm[row]])``.  Among optimal assignments the
-    lexicographically smallest permutation is returned, so ties resolve
-    deterministically.
+    ``sum(cost[row, perm[row]])``.  Among assignments whose totals tie
+    with the optimum to ``ASSIGNMENT_TIE_RTOL`` the lexicographically
+    smallest permutation is returned, so ties resolve deterministically.
+    Up to ``ENUMERATION_MAX_D`` rows every permutation is enumerated;
+    above it ``linear_sum_assignment`` fixes the columns row by row.
     """
     c = np.asarray(cost, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
@@ -35,6 +51,12 @@ def solve_assignment(cost) -> np.ndarray:
         raise ValueError("cost matrix contains non-finite entries")
     d = c.shape[0]
     tol = ASSIGNMENT_TIE_RTOL * max(1.0, float(np.sum(np.abs(c))))
+    if d <= ENUMERATION_MAX_D:
+        # permutations() yields in lexicographic order: the first total
+        # within the tie slack of the minimum is the answer
+        perms = np.array(list(itertools.permutations(range(d))), dtype=np.intp)
+        totals = c[np.arange(d), perms].sum(axis=1)
+        return perms[np.argmax(totals <= totals.min() + tol)]
 
     # refine to the lexicographically smallest optimal permutation: fix
     # columns row by row, taking the first choice that still reaches the optimum
@@ -66,7 +88,9 @@ def md_index(gamma_hat, mixing) -> float:
     For each candidate pairing of gain row ``j`` with latent slot ``k``
     the best one-entry scaling has residual ``1 - |G_jk|^2 / ||row_j||^2``;
     the pairing itself is optimized exactly, and the total is normalized
-    by ``d - 1`` before the square root.
+    by ``d - 1`` before the square root.  Each row is first divided by the
+    smallest power of two above its largest modulus, which is exact, so
+    the squares neither overflow nor underflow at any row scale.
     """
     g = linalg.as_cmatrix(gamma_hat, "gamma_hat")
     a = linalg.as_cmatrix(mixing, "mixing")
@@ -80,9 +104,10 @@ def md_index(gamma_hat, mixing) -> float:
     except SingularMatrixError:
         raise SingularMatrixError("mixing matrix is singular to tolerance") from None
     gain = g @ a
-    sq = np.abs(gain) ** 2
+    _, exponent = np.frexp(np.max(np.abs(gain), axis=1, keepdims=True))
+    sq = np.abs(np.ldexp(gain.view(np.float64), -exponent).view(np.complex128)) ** 2
     row_norms = sq.sum(axis=1)
-    if np.any(np.sqrt(row_norms) <= ZERO_ROW_TOL):
+    if np.any(row_norms == 0.0):
         raise SingularMatrixError("gain matrix has a zero row; score undefined")
     cost = 1.0 - sq / row_norms[:, None]
     perm = solve_assignment(cost)

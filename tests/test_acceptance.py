@@ -12,6 +12,7 @@ import time
 from importlib import resources
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 import conftest
 from cbss import asymlab, estimators, genproc, linalg, metrics, unmixing
@@ -107,7 +108,8 @@ def test_criterion_3_linear_algebra_oracles():
             total = float(cost[np.arange(d), perm].sum())
             best = min(sum(cost[j, p[j]] for j in range(d))
                        for p in itertools.permutations(range(d)))
-            if abs(total - best) > 1e-12:
+            rows, cols = linear_sum_assignment(cost)
+            if abs(total - best) > 1e-12 or abs(total - cost[rows, cols].sum()) > 1e-12:
                 assign_ok = False
     ok = worst_eig < 1e-10 and worst_fft < 1e-10 and assign_ok
     verdict(3, ok, f"oracles (eig recon {worst_eig:.2e}, fft vs dft {worst_fft:.2e}, "

@@ -214,6 +214,9 @@ def _longrange_config():
     # a NaN location used to run every replication and then exit 4
     ("location", lambda c: c["model"].update(
         location={"re": [float("nan"), 0, 0], "im": [0, 0, float("inf")]})),
+    # an fGn part whose rank no coefficient determines used to end in a traceback
+    pytest.param("declared_ranks", lambda c: c["model"]["components"][1].update(
+        transform={"kind": "coeffs", "coeffs": [0, 1e-10]}), id="undeterminable-rank"),
 ])
 def test_rate_rejects_bad_model_fields_before_generating(tmp_path, field, edit):
     cfg = _longrange_config()

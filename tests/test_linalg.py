@@ -128,3 +128,15 @@ def test_inverse_rejects_singular():
         warnings.simplefilter("error")
         with pytest.raises(SingularMatrixError):
             linalg.inverse(np.array([[1.0, 2.0], [2.0, 4.0]]))
+
+
+@pytest.mark.parametrize("exponent", [-600, 600])
+def test_inverse_at_extreme_scales(exponent):
+    scale = 2.0 ** exponent
+    np.testing.assert_array_equal(linalg.inverse(np.eye(3) * scale), np.eye(3) / scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for singular in ([[1.0, 2.0], [2.0, 4.0]], [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
+                         np.zeros((3, 3))):
+            with pytest.raises(SingularMatrixError):
+                linalg.inverse(np.array(singular) * scale)

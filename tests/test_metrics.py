@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from cbss import metrics
 from cbss.errors import DimensionError, SingularMatrixError
@@ -118,3 +121,39 @@ def test_assignment_rejects_bad_input():
         metrics.solve_assignment(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         metrics.solve_assignment(np.array([[np.nan, 1.0], [1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("cap", [0, 8], ids=["refinement", "enumeration"])
+def test_assignment_paths_match_brute_force_and_scipy(monkeypatch, rng, cap):
+    # cap 0 sends every size through the refinement, cap 8 through enumeration
+    monkeypatch.setattr(metrics, "ENUMERATION_MAX_D", cap)
+    for d in range(1, 9):
+        perms = np.array(list(itertools.permutations(range(d))))
+        for trial in range(10):
+            # small integer costs tie often and exactly; uniform ones almost never
+            if trial % 2:
+                cost = rng.integers(0, 3, (d, d)).astype(float)
+            else:
+                cost = rng.uniform(0, 1, (d, d))
+            totals = cost[np.arange(d), perms].sum(axis=1)
+            perm = metrics.solve_assignment(cost)
+            total = float(cost[np.arange(d), perm].sum())
+            rows, cols = linear_sum_assignment(cost)
+            assert abs(total - totals.min()) < 1e-12
+            assert abs(total - cost[rows, cols].sum()) < 1e-12
+            # the lexicographically first optimum: argmin takes the first in order
+            np.testing.assert_array_equal(perm, perms[np.argmin(totals)])
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_md_index_ignores_row_scale_phase_and_order(data):
+    d = data.draw(st.integers(2, 6))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    mixing, gamma = random_mixing(rng, d), random_mixing(rng, d)
+    exponents = data.draw(st.lists(st.integers(-600, 600), min_size=d, max_size=d))
+    phases = data.draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=d, max_size=d))
+    order = data.draw(st.permutations(range(d)))
+    rows = np.ldexp(1.0, exponents) * np.exp(1j * np.array(phases))
+    moved = (rows[:, None] * gamma)[list(order)]
+    assert abs(metrics.md_index(moved, mixing) - metrics.md_index(gamma, mixing)) <= 1e-12
