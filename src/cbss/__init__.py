@@ -36,10 +36,9 @@ from .genproc import (
     sample_stationary_gaussian,
     theoretical_gamma,
 )
-from .linalg import HermEig, herm_inv_sqrt, hermitian_eig, inverse, is_hermitian
+from .linalg import herm_inv_sqrt, hermitian_eig, inverse, is_hermitian
 from .metrics import md_index, solve_assignment
 from .unmixing import (
-    PhaseShift,
     UnmixingResult,
     align_phase_to,
     apply_unmixing,

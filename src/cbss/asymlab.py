@@ -16,8 +16,9 @@ matrix, and aggregates alignment errors across a grid of sample lengths:
 Replications are independent work items, seeded by ``(grid index,
 replication index)`` spawn keys, so reports are bit-identical no matter
 how many workers run them (``CBSS_THREADS`` caps the pool; unset means
-serial, ``0`` means all cores).  Each replication is reduced to a short
-vector of floats by a score function.  A replication that fails with a
+serial, ``0`` means all cores, and no value goes past the core count or
+the task count).  Each replication is reduced to a short vector of
+floats by a score function.  A replication that fails with a
 numerical error (``NumericalError`` or ``PhaseError``) is dropped from
 every statistic and counted in the report's ``failures``; when more than
 ``FAILURE_BUDGET`` of all replications fail, the experiment raises
@@ -60,7 +61,9 @@ class RateExperimentConfig:
     error_metric: str = "frobenius_after_alignment"
 
     def __post_init__(self):
-        object.__setattr__(self, "t_grid", tuple(int(t) for t in self.t_grid))
+        object.__setattr__(self, "t_grid", tuple(json_int(t, "t_grid entry") for t in self.t_grid))
+        for name in ("tau", "replications", "seed"):
+            object.__setattr__(self, name, json_int(getattr(self, name), name))
         if len(self.t_grid) < 3:
             raise ConfigError("t_grid needs at least 3 points")
         if any(b <= a for a, b in zip(self.t_grid, self.t_grid[1:])):
@@ -95,11 +98,10 @@ class RateExperimentConfig:
         try:
             return RateExperimentConfig(
                 model=ModelSpec.from_dict(d["model"]),
-                tau=json_int(d.get("tau", 1), "tau"),
-                t_grid=tuple(json_int(t, "t_grid entry")
-                             for t in d.get("t_grid", (1024, 2048, 4096, 8192, 16384))),
-                replications=json_int(d.get("replications", 200), "replications"),
-                seed=json_int(d.get("seed", 0), "seed"),
+                tau=d.get("tau", 1),
+                t_grid=d.get("t_grid", (1024, 2048, 4096, 8192, 16384)),
+                replications=d.get("replications", 200),
+                seed=d.get("seed", 0),
                 error_metric=str(d.get("error_metric", "frobenius_after_alignment")),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -155,16 +157,18 @@ class RateExperimentReport:
 # replication plumbing
 # ---------------------------------------------------------------------------
 
-def _resolve_workers() -> int:
+def _resolve_workers(tasks: int) -> int:
+    """Pool size: ``CBSS_THREADS`` (unset 1, ``0`` all cores), at most cores and tasks.
+
+    The pool starts all its workers at once, so the request is capped.
+    """
     raw = os.environ.get("CBSS_THREADS", "").strip()
     if not raw:
         return 1
     if not (raw.isascii() and raw.isdigit()):
         raise ConfigError(f"CBSS_THREADS must be a non-negative integer, got {raw!r}")
-    count = int(raw)
-    if count == 0:
-        return os.cpu_count() or 1
-    return count
+    cores = os.cpu_count() or 1
+    return min(int(raw) or cores, cores, tasks)
 
 
 def _seed_for(cfg: RateExperimentConfig, t_index: int, rep: int) -> np.random.SeedSequence:
@@ -192,7 +196,7 @@ def _map_replications(cfg: RateExperimentConfig, score, extra=None):
     tasks = [(t_index, rep) for t_index in range(len(cfg.t_grid))
              for rep in range(cfg.replications)]
     run = functools.partial(_run_task, cfg, score, extra)
-    workers = _resolve_workers()
+    workers = _resolve_workers(len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -240,12 +244,11 @@ def _truth(cfg: RateExperimentConfig):
     return mixing, linalg.inverse(mixing)
 
 
-def _residual_score(cfg: RateExperimentConfig, x, lambdas):
+def _residual_score(cfg: RateExperimentConfig, x, lam):
     s0 = autocov_sym(x, 0)
     st = autocov_sym(x, cfg.tau)
     res = unmix_from_covariances(s0, st, sample_mean(x), cfg.tau)
     gain = res.gamma  # trivial mixing: the gain is the standardized estimate
-    lam = res.lambdas if lambdas is None else lambdas
     d = gain.shape[0]
     r_diag = float(np.max(np.abs((np.diag(gain) - 1.0) - 0.5 * (1.0 - np.diag(s0)))))
     r_off = 0.0
@@ -258,10 +261,7 @@ def _residual_score(cfg: RateExperimentConfig, x, lambdas):
     return (r_diag, float(r_off))
 
 
-def _mu_score(cfg: RateExperimentConfig, x, extra):
-    exponent, known_mean = extra
-    if known_mean:
-        return (0.0, 0.0)
+def _mu_score(cfg: RateExperimentConfig, x, exponent):
     d = cfg.model.d
     mu_err = sample_mean(x) - cfg.model.location_vector()
     outer = np.outer(mu_err, np.conj(mu_err)) * (x.shape[0] ** exponent)
@@ -440,33 +440,25 @@ class ResidualFragment:
     off_ratios: tuple
 
 
-def expansion_residual_check(cfg: RateExperimentConfig,
-                             lambdas: str = "population") -> ResidualFragment:
+def expansion_residual_check(cfg: RateExperimentConfig) -> ResidualFragment:
     """Measure how fast the first-order expansion residuals decay.
 
     Requires trivial mixing.  The diagonal residual is
     ``|(G_jj - 1) - (1 - S0_jj)/2|`` and the off-diagonal one
     ``|(lam_k - lam_j) G_jk - (lam_j S0_jk - Stau_jk)|`` with ``G`` the
-    phase-standardized estimate.  Both are second-order quantities: with
-    a short-range design their medians shrink roughly fourfold per 4x
-    length step, while the leading terms only halve.
-
-    ``lambdas`` selects population values (default) or the per-replication
-    sample eigenvalues (fallback when the truth is unknown).
+    phase-standardized estimate and ``lam`` the population lag spectrum.
+    Both are second-order quantities: with a short-range design their
+    medians shrink roughly fourfold per 4x length step, while the leading
+    terms only halve.
     """
     mixing = cfg.model.mixing_matrix()
     if float(np.max(np.abs(mixing - np.eye(cfg.model.d)))) > 1e-12:
         raise ConfigError("expansion residuals are defined under trivial mixing only")
-    if lambdas == "population":
-        lam = population_lambdas(cfg.model, cfg.tau)
-        if np.any(lam[:-1] <= lam[1:]):
-            raise ConfigError(
-                "list the model components in strictly decreasing lag-autocovariance "
-                "order so estimate entries line up with the raw autocovariances")
-    elif lambdas == "sample":
-        lam = None
-    else:
-        raise ConfigError("lambdas must be 'population' or 'sample'")
+    lam = population_lambdas(cfg.model, cfg.tau)
+    if np.any(lam[:-1] <= lam[1:]):
+        raise ConfigError(
+            "list the model components in strictly decreasing lag-autocovariance "
+            "order so estimate entries line up with the raw autocovariances")
     rows, _ = _map_replications(cfg, _residual_score, lam)
     diag_medians, off_medians = _medians(rows, 0), _medians(rows, 1)
     diag_ratios = tuple(b / a for a, b in zip(diag_medians, diag_medians[1:]) if a > 0)
@@ -490,14 +482,12 @@ class MeanContributionFragment:
     decreasing: bool
 
 
-def mu_contribution_check(cfg: RateExperimentConfig,
-                          known_mean: bool = False) -> MeanContributionFragment:
+def mu_contribution_check(cfg: RateExperimentConfig) -> MeanContributionFragment:
     """Track the scaled outer product of the location-estimate error.
 
     Off-diagonal entries of ``T^gamma * mu_err mu_err^H`` must vanish
     along the grid (the diagonal may contribute to the limit and is
-    reported, not asserted).  With ``known_mean`` the error is forced to
-    zero, the degenerate baseline.  Requires a long-range model; note
+    reported, not asserted).  Requires a long-range model; note
     that empirically centered generation pins the sample mean and makes
     the statistic vanish identically, so population centering is the
     meaningful setting here.
@@ -505,10 +495,10 @@ def mu_contribution_check(cfg: RateExperimentConfig,
     info = theoretical_gamma(cfg.model)
     if info.regime != "long-range":
         raise ConfigError("the location-error check applies to long-range models")
-    if cfg.model.normalize and cfg.model.centering == "empirical" and not known_mean:
+    if cfg.model.normalize and cfg.model.centering == "empirical":
         warnings.warn("empirically centered generation makes the location error "
                       "identically zero; use centering='population'", stacklevel=2)
-    rows, _ = _map_replications(cfg, _mu_score, (info.exponent, known_mean))
+    rows, _ = _map_replications(cfg, _mu_score, info.exponent)
     off_medians, diag_medians = _medians(rows, 0), _medians(rows, 1)
     return MeanContributionFragment(
         lengths=cfg.t_grid,

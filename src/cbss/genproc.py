@@ -156,8 +156,10 @@ class Transform:
     def __post_init__(self):
         if self.kind not in ("identity", "hermite", "square_centered", "coeffs"):
             raise ConfigError(f"unknown transform kind {self.kind!r}")
-        if self.kind == "hermite" and not (0 < self.degree <= MAX_HERMITE_DEGREE):
-            raise ConfigError(f"hermite degree must lie in [1, {MAX_HERMITE_DEGREE}]")
+        if self.kind == "hermite":
+            object.__setattr__(self, "degree", json_int(self.degree, "degree"))
+            if not 0 < self.degree <= MAX_HERMITE_DEGREE:
+                raise ConfigError(f"hermite degree must lie in [1, {MAX_HERMITE_DEGREE}]")
         if self.kind == "coeffs":
             if not self.coeffs or len(self.coeffs) > MAX_HERMITE_DEGREE + 1:
                 raise ConfigError("coefficient list must have 1..61 entries")
@@ -187,7 +189,7 @@ class Transform:
     def from_dict(d: dict) -> "Transform":
         kind = d.get("kind", "identity")
         if kind == "hermite":
-            return Transform("hermite", degree=json_int(d["degree"], "degree"))
+            return Transform("hermite", degree=d["degree"])
         if kind == "coeffs":
             return Transform("coeffs", coeffs=tuple(json_number(c, "coeffs") for c in d["coeffs"]))
         return Transform(kind)
@@ -248,6 +250,7 @@ class ModelSpec:
     centering: str = "empirical"
 
     def __post_init__(self):
+        object.__setattr__(self, "d", json_int(self.d, "d"))
         if self.d < 1:
             raise ConfigError("dimension must be at least 1")
         object.__setattr__(self, "components", tuple(self.components))
@@ -303,7 +306,7 @@ class ModelSpec:
             if not isinstance(normalize, bool):
                 raise ConfigError(f"normalize must be true or false, got {normalize!r}")
             return ModelSpec(
-                d=json_int(d["d"], "d"),
+                d=d["d"],
                 components=tuple(LatentComponentSpec.from_dict(c) for c in d["components"]),
                 mixing=_json_complex(d.get("mixing"), "mixing"),
                 location=_json_complex(d.get("location"), "location"),
@@ -419,12 +422,6 @@ def _sample_driver(driver: Driver, n: int, rng: np.random.Generator) -> np.ndarr
 # ---------------------------------------------------------------------------
 # Transform moments and Hermite ranks
 # ---------------------------------------------------------------------------
-
-def hermite_coefficients(transform: Transform) -> np.ndarray:
-    """Exact coefficients ``a_0..a_MAX_HERMITE_DEGREE`` of the transform in the Hermite basis."""
-    a = transform.series()
-    return np.pad(a, (0, MAX_HERMITE_DEGREE + 1 - a.size))
-
 
 def _term_variances(transform: Transform) -> np.ndarray:
     """``k! a_k^2``: the variance of each Hermite term of the transform."""
@@ -559,7 +556,6 @@ class RateInfo:
 
     exponent: float
     regime: str
-    long_range_indices: tuple = ()
     ranks: tuple = ()
     cross_terms_dominated: bool = True
     mean_term_compatible: bool = True
@@ -606,7 +602,6 @@ def theoretical_gamma(model: ModelSpec) -> RateInfo:
     return RateInfo(
         exponent=float(gamma),
         regime="long-range",
-        long_range_indices=lr,
         ranks=ranks,
         cross_terms_dominated=bool(dominated),
         mean_term_compatible=bool(mean_ok),

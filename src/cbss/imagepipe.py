@@ -9,8 +9,7 @@ mapped back for display.
 
 The chain runs on the three channel planes, never reducing over a
 length-3 pixel axis, and reads the centered coordinate of an 8-bit
-channel and its modulus from 256-entry tables.  Each public
-``(..., 3)`` map wraps the same plane helpers.  Every expression keeps
+channel and its modulus from 256-entry tables.  Every expression keeps
 the operation order of the plain ``(..., 3)`` formulas, so the results
 are bitwise the same as theirs.
 
@@ -105,13 +104,6 @@ def _planes(points: np.ndarray) -> tuple:
     return points[..., 0], points[..., 1], points[..., 2]
 
 
-def _as_points(points) -> np.ndarray:
-    p = np.asarray(points, dtype=float)
-    if p.shape[-1] != 3:
-        raise DimensionError("expected (..., 3) points")
-    return p
-
-
 def _max_modulus(s0, s1, s2):
     return np.maximum(np.maximum(np.abs(s0), np.abs(s1)), np.abs(s2))
 
@@ -127,6 +119,7 @@ def _cube_to_sphere(p0, p1, p2) -> tuple:
 
 
 def _stereographic(s0, s1, s2):
+    """``zeta = (s1 + i s2) / (1 - s3)``; the north pole is rejected."""
     if np.any(s2 >= 1.0 - NORTH_POLE_TOL):
         raise ValueError("north-pole point cannot be projected")
     # for s3 near 1 the plain difference cancels; on the unit sphere
@@ -167,49 +160,16 @@ def color_correct(img: RgbImage) -> RgbImage:
     return RgbImage(width=img.width, height=img.height, pixels=out)
 
 
-def cube_to_sphere(points: np.ndarray) -> np.ndarray:
-    """Radial projection of cube-surface points onto the unit sphere.
+def rgb_to_complex(img: RgbImage) -> ComplexImage:
+    """Full forward chain for a surface image.
 
-    ``points`` is (..., 3) with ``max|p_i| = 1`` on the last axis; the map
-    is ``p / ||p||`` and is a bijection between the two surfaces.
-    """
-    p = _planes(_as_points(points))
-    _check_surface(*p)
-    return np.stack(_cube_to_sphere(*p), axis=-1)
-
-
-def sphere_to_cube(points: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`cube_to_sphere`: scale out to the cube surface."""
-    s = _planes(_as_points(points))
-    m = _max_modulus(*s)
-    return np.stack([sk / m for sk in s], axis=-1)
-
-
-def stereographic(points: np.ndarray) -> np.ndarray:
-    """Stereographic projection of unit-sphere points to the complex plane.
-
-    ``zeta = (s1 + i s2) / (1 - s3)``; the north pole is rejected
-    (``s3 >= 1 - NORTH_POLE_TOL``).
-    """
-    return _stereographic(*_planes(_as_points(points)))
-
-
-def stereographic_inverse(zeta: np.ndarray) -> np.ndarray:
-    """Map complex values back to the unit sphere; ``|z|^2`` overflowing maps to the pole."""
-    return np.stack(_stereographic_inverse(np.asarray(zeta, dtype=np.complex128)), axis=-1)
-
-
-def rgb_to_complex(img: RgbImage) -> tuple[ComplexImage, int]:
-    """Full forward chain for a surface image; counts perturbed pixels.
-
-    The count is of pixels that would have to be nudged off the north
-    pole before projecting.  It is zero for every 8-bit image: the pole
-    needs ``p = (0, 0, 1)``, and no 8-bit level has ``p = 2c - 1 = 0``.
+    No 8-bit pixel lands on the north pole: the pole needs
+    ``p = (0, 0, 1)``, and no 8-bit level has ``p = 2c - 1 = 0``.
     """
     p = [np.take(_CENTERED, plane) for plane in _planes(img.pixels)]
     _check_surface(*p)
     zeta = _stereographic(*_cube_to_sphere(*p))
-    return ComplexImage(width=img.width, height=img.height, values=zeta), 0
+    return ComplexImage(width=img.width, height=img.height, values=zeta)
 
 
 def complex_to_rgb(img: ComplexImage) -> RgbImage:
@@ -218,7 +178,7 @@ def complex_to_rgb(img: ComplexImage) -> RgbImage:
     m = _max_modulus(*s)
     out = np.empty(img.values.shape + (3,), dtype=np.uint8)
     for plane, sk in zip(_planes(out), s):
-        # sphere_to_cube, then from_float's quantization of (p + 1) / 2
+        # scale out to the cube surface, then from_float's quantization of (p + 1) / 2
         c = sk / m
         c += 1.0
         c /= 2.0
@@ -228,16 +188,6 @@ def complex_to_rgb(img: ComplexImage) -> RgbImage:
         # pays for the transposing copy in bytes rather than in floats
         plane[...] = c.astype(np.uint8)
     return RgbImage(width=img.width, height=img.height, pixels=out)
-
-
-def phase_rotate(img: ComplexImage, theta: float) -> ComplexImage:
-    """Rotate every value by ``exp(i*theta)``: same shapes, recolored.
-
-    The map is a bijection of the plane, so distinct angles give distinct
-    recolorings while pixel moduli (shape content) are untouched.
-    """
-    return ComplexImage(width=img.width, height=img.height,
-                        values=np.exp(1j * float(theta)) * img.values)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +222,6 @@ class SeparationResult:
     md: float
     mixing: np.ndarray
     gamma: np.ndarray | None
-    perturbed_pixels: int
 
 
 def separate_images(images, tau: int = 1, mixing="random", seed: int = 0) -> SeparationResult:
@@ -291,20 +240,13 @@ def separate_images(images, tau: int = 1, mixing="random", seed: int = 0) -> Sep
     if any(im.width != w or im.height != h for im in images):
         raise DimensionError("images must share dimensions")
 
-    corrected = [color_correct(im) for im in images]
-    complex_imgs = []
-    perturbed = 0
-    for im in corrected:
-        ci, count = rgb_to_complex(im)
-        complex_imgs.append(ci)
-        perturbed += count
+    complex_imgs = [rgb_to_complex(color_correct(im)) for im in images]
 
     if isinstance(mixing, str) and mixing == "identity":
         rendered = [complex_to_rgb(ci) for ci in complex_imgs]
         return SeparationResult(mixed=rendered, unmixed=list(rendered),
                                 md=0.0, mixing=np.eye(3, dtype=np.complex128),
-                                gamma=np.eye(3, dtype=np.complex128),
-                                perturbed_pixels=perturbed)
+                                gamma=np.eye(3, dtype=np.complex128))
     if isinstance(mixing, str) and mixing == "random":
         a = random_mixing(seed)
     else:
@@ -320,7 +262,7 @@ def separate_images(images, tau: int = 1, mixing="random", seed: int = 0) -> Sep
     unmixed_imgs = [complex_to_rgb(ci) for ci in _unvectorize(recovered, w, h)]
     score = md_index(result.gamma, a)
     return SeparationResult(mixed=mixed_imgs, unmixed=unmixed_imgs, md=score,
-                            mixing=a, gamma=result.gamma, perturbed_pixels=perturbed)
+                            mixing=a, gamma=result.gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -23,16 +23,6 @@ PHASE_TOL = 1e-14
 
 
 @dataclass(frozen=True)
-class PhaseShift:
-    """Diagonal unitary matrix ``diag(exp(i*theta_j))``, phases in [0, 2*pi)."""
-
-    phases: np.ndarray
-
-    def matrix(self) -> np.ndarray:
-        return np.diag(np.exp(1j * self.phases))
-
-
-@dataclass(frozen=True)
 class UnmixingResult:
     """Fitted unmixing matrix with its diagonalized lag spectrum.
 
@@ -52,12 +42,11 @@ class UnmixingResult:
     eigen_gap: float
 
 
-def standardize_phase(gamma) -> tuple[np.ndarray, PhaseShift]:
+def standardize_phase(gamma) -> np.ndarray:
     """Rotate each row so the diagonal entry is real and non-negative.
 
-    Returns the rotated matrix and the phase-shift applied.  Raises
-    ``PhaseError`` when a diagonal entry has modulus below ``PHASE_TOL``
-    (the canonical representative is undefined there).
+    Raises ``PhaseError`` when a diagonal entry has modulus below
+    ``PHASE_TOL`` (the canonical representative is undefined there).
     """
     g = linalg.as_cmatrix(gamma)
     if g.shape[0] != g.shape[1]:
@@ -67,12 +56,10 @@ def standardize_phase(gamma) -> tuple[np.ndarray, PhaseShift]:
     if np.any(mod <= PHASE_TOL):
         bad = int(np.argmin(mod))
         raise PhaseError(f"diagonal entry {bad} has modulus {mod[bad]:.3e}; phase undefined")
-    rot = np.conj(diag) / mod
-    theta = np.mod(np.angle(rot), 2.0 * np.pi)
-    out = rot[:, None] * g
+    out = (np.conj(diag) / mod)[:, None] * g
     # pin the diagonal exactly onto the real axis, preserving the modulus
     out[np.diag_indices_from(out)] = mod
-    return out, PhaseShift(phases=theta)
+    return out
 
 
 def align_phase_to(gamma_hat, gamma_ref) -> np.ndarray:
@@ -108,8 +95,7 @@ def unmix_from_covariances(s0, s_tau, mu, tau: int) -> UnmixingResult:
     sig0 = linalg.herm_inv_sqrt(s0)
     m = sig0 @ linalg.as_cmatrix(s_tau, "s_tau") @ sig0
     eig = linalg.hermitian_eig(0.5 * (m + m.conj().T))
-    gamma = eig.vectors.conj().T @ sig0
-    gamma, _ = standardize_phase(gamma)
+    gamma = standardize_phase(eig.vectors.conj().T @ sig0)
     lam = eig.values
     gap = float(np.min(lam[:-1] - lam[1:])) if lam.size > 1 else float("inf")
     return UnmixingResult(gamma=gamma, lambdas=lam,

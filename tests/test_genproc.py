@@ -149,9 +149,8 @@ def test_rank_pure_hermite():
         assert genproc.hermite_rank(transform) == (k, 2), k
         assert genproc.transform_moments(transform) == (0.0, float(math.factorial(k))), k
     top = genproc.MAX_HERMITE_DEGREE
-    np.testing.assert_array_equal(
-        genproc.hermite_coefficients(genproc.Transform("hermite", degree=top)),
-        np.eye(top + 1)[top])
+    np.testing.assert_array_equal(genproc.Transform("hermite", degree=top).series(),
+                                  np.eye(top + 1)[top])
 
 
 def test_rank_cubic():

@@ -137,13 +137,14 @@ def test_chain_matches_reference_formulas():
         assert got.tobytes() == _reference_color_correct(block).tobytes(), red
 
     sweep = surface_sweep()
-    got = ip.rgb_to_complex(sweep)[0].values
+    got = ip.rgb_to_complex(sweep).values
     assert got.tobytes() == _reference_rgb_to_complex(sweep.pixels).tobytes()
 
     rng = np.random.default_rng(2024)
     z = rng.standard_normal((500, 400)) + 1j * rng.standard_normal((500, 400))
     z *= np.exp(rng.uniform(-8.0, 8.0, z.shape)) / np.abs(z)
-    assert ip.stereographic_inverse(z).tobytes() == _reference_stereographic_inverse(z).tobytes()
+    got = np.stack(ip._stereographic_inverse(z), axis=-1)
+    assert got.tobytes() == _reference_stereographic_inverse(z).tobytes()
     for values in (z, np.asfortranarray(z)):
         got = ip.complex_to_rgb(ip.ComplexImage(width=400, height=500, values=values)).pixels
         assert got.tobytes() == _reference_complex_to_rgb(values).tobytes()
@@ -153,56 +154,56 @@ def test_huge_values_render_the_north_pole_colour():
     # |z|^2 overflows from about 1.3e154 on; such values used to render black
     # with an overflow warning, while 1e100 already rendered the pole colour
     values = np.array([[1e100, 1e155j, 1e200, -1.7e308 - 1.7e308j]])
-    np.testing.assert_array_equal(ip.stereographic_inverse(values[0, 1:]),
-                                  [[0.0, 0.0, 1.0]] * 3)
+    np.testing.assert_array_equal(ip._stereographic_inverse(values[0, 1:]),
+                                  [[0.0] * 3, [0.0] * 3, [1.0] * 3])
     got = ip.complex_to_rgb(ip.ComplexImage(width=4, height=1, values=values)).pixels
     assert got.tolist() == [[[128, 128, 255]] * 4]
 
 
 def test_cube_sphere_examples():
-    np.testing.assert_allclose(ip.cube_to_sphere(np.array([1.0, 0.0, 0.0])),
-                               [1.0, 0.0, 0.0], atol=1e-15)
-    np.testing.assert_allclose(ip.cube_to_sphere(np.array([1.0, 1.0, 1.0])),
+    np.testing.assert_allclose(ip._cube_to_sphere(1.0, 0.0, 0.0), [1.0, 0.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(ip._cube_to_sphere(1.0, 1.0, 1.0),
                                np.ones(3) / np.sqrt(3), atol=1e-15)
 
 
 def test_cube_sphere_round_trip(rng):
     pixels = surface_pixels(rng, 500)
     p = 2.0 * pixels.as_float()[0] - 1.0
-    back = ip.sphere_to_cube(ip.cube_to_sphere(p))
+    s = ip._cube_to_sphere(*ip._planes(p))
+    back = np.stack([sk / ip._max_modulus(*s) for sk in s], axis=-1)
     assert np.max(np.abs(back - p)) < 1e-12
 
 
 def test_cube_to_sphere_rejects_off_surface():
-    with pytest.raises(ValueError):
-        ip.cube_to_sphere(np.array([0.5, 0.0, 0.0]))
+    # an interior pixel, not snapped by color_correct
+    img = ip.RgbImage(width=1, height=1, pixels=[[[191, 128, 128]]])
+    with pytest.raises(ValueError, match="cube surface"):
+        ip.rgb_to_complex(img)
 
 
 def test_stereographic_examples():
-    np.testing.assert_allclose(ip.stereographic(np.array([0.0, 0.0, -1.0])), 0.0, atol=1e-15)
-    np.testing.assert_allclose(ip.stereographic(np.array([1.0, 0.0, 0.0])), 1.0, atol=1e-15)
-    np.testing.assert_allclose(ip.stereographic(np.array([0.0, 1.0, 0.0])), 1j, atol=1e-15)
+    np.testing.assert_allclose(ip._stereographic(0.0, 0.0, -1.0), 0.0, atol=1e-15)
+    np.testing.assert_allclose(ip._stereographic(1.0, 0.0, 0.0), 1.0, atol=1e-15)
+    np.testing.assert_allclose(ip._stereographic(0.0, 1.0, 0.0), 1j, atol=1e-15)
 
 
 def test_stereographic_rejects_north_pole():
     with pytest.raises(ValueError):
-        ip.stereographic(np.array([0.0, 0.0, 1.0]))
+        ip._stereographic(0.0, 0.0, 1.0)
 
 
 def test_stereographic_plane_round_trip(rng):
     z = (rng.standard_normal(2000) + 1j * rng.standard_normal(2000))
     z *= np.exp(rng.uniform(0, 12, 2000))
     z = z[np.abs(z) <= 1e6]
-    back = ip.stereographic(ip.stereographic_inverse(z))
+    back = ip._stereographic(*ip._stereographic_inverse(z))
     rel = np.abs(back - z) / np.maximum(np.abs(z), 1e-12)
     assert np.max(rel) < 1e-9
 
 
 def test_rgb_complex_round_trip(rng):
     img = surface_pixels(rng, 100000)
-    ci, perturbed = ip.rgb_to_complex(img)
-    assert perturbed == 0
-    back = ip.complex_to_rgb(ci)
+    back = ip.complex_to_rgb(ip.rgb_to_complex(img))
     diff = np.abs(back.pixels.astype(int) - img.pixels.astype(int))
     assert diff.max() <= 1
 
@@ -211,8 +212,7 @@ def test_corner_pixels_round_trip():
     corners = np.array([[[r, g, b] for r in (0, 255) for g in (0, 255) for b in (0, 255)]],
                        dtype=np.uint8)
     img = ip.RgbImage(width=8, height=1, pixels=corners)
-    ci, _ = ip.rgb_to_complex(img)
-    back = ip.complex_to_rgb(ci)
+    back = ip.complex_to_rgb(ip.rgb_to_complex(img))
     diff = np.abs(back.pixels.astype(int) - img.pixels.astype(int))
     assert diff.max() <= 1
 
@@ -254,17 +254,13 @@ def test_separate_images_dimension_mismatch():
 
 
 def test_phase_rotation_recolors_bijectively():
+    # a phase rotation keeps the moduli (the shape content); each angle
+    # must render in its own colours
     imgs = gradient_images(w=32, h=24)
-    ci, _ = ip.rgb_to_complex(ip.color_correct(imgs[0]))
-    renders = []
-    for theta in (np.pi / 4, 3 * np.pi / 4, 5 * np.pi / 4):
-        rotated = ip.phase_rotate(ci, theta)
-        # moduli (the shape content) are untouched
-        np.testing.assert_allclose(np.abs(rotated.values), np.abs(ci.values), rtol=1e-12)
-        # the rotation is invertible
-        back = ip.phase_rotate(rotated, -theta)
-        np.testing.assert_allclose(back.values, ci.values, atol=1e-12)
-        renders.append(ip.complex_to_rgb(rotated).pixels)
+    ci = ip.rgb_to_complex(ip.color_correct(imgs[0]))
+    renders = [ip.complex_to_rgb(ip.ComplexImage(width=32, height=24,
+                                                 values=np.exp(1j * theta) * ci.values)).pixels
+               for theta in (np.pi / 4, 3 * np.pi / 4, 5 * np.pi / 4)]
     assert not np.array_equal(renders[0], renders[1])
     assert not np.array_equal(renders[1], renders[2])
     assert not np.array_equal(renders[0], renders[2])
@@ -273,7 +269,7 @@ def test_phase_rotation_recolors_bijectively():
 def test_lag_sweep_prefers_spatial_lags():
     imgs = gradient_images(w=48, h=40)
     corrected = [ip.color_correct(im) for im in imgs]
-    series = np.stack([ip.rgb_to_complex(im)[0].values.flatten(order="F")
+    series = np.stack([ip.rgb_to_complex(im).values.flatten(order="F")
                        for im in corrected], axis=1)
     height = 40
     rows = unmixing.lag_sweep(series, [1, height, height + 1, 977])
