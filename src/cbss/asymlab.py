@@ -13,16 +13,20 @@ matrix, and aggregates alignment errors across a grid of sample lengths:
 * ``mu_contribution_check`` - the off-diagonal entries of the scaled
   outer product of the location-estimate error vanish.
 
-Replications are independent work items, seeded by ``(grid index,
-replication index)`` spawn keys, so reports are bit-identical no matter
-how many workers run them (``CBSS_THREADS`` caps the pool; unset means
+Replications are seeded by ``(grid index, replication index)`` spawn
+keys.  Each grid length's replications are drawn, fitted and scored in
+stacked blocks of ``BLOCK_SAMPLES // T`` series (at least one, at most
+all), validated once per block; a score function reduces each series of
+a block to a short vector of floats.  A replication's row does not
+depend on its block, so reports are bit-identical no matter how many
+workers run the blocks (``CBSS_THREADS`` caps the pool; unset means
 serial, ``0`` means all cores, and no value goes past the core count or
-the task count).  Each replication is reduced to a short vector of
-floats by a score function.  A replication that fails with a
-numerical error (``NumericalError`` or ``PhaseError``) is dropped from
-every statistic and counted in the report's ``failures``; when more than
-``FAILURE_BUDGET`` of all replications fail, the experiment raises
-``ExperimentError``.  Any other exception propagates.
+the block count).  A block that fails with a numerical error
+(``NumericalError`` or ``PhaseError``) is re-run one replication at a
+time, and each failing replication is dropped from every statistic and
+counted in the report's ``failures``; when more than ``FAILURE_BUDGET``
+of all replications fail, the experiment raises ``ExperimentError``.
+Any other exception propagates.
 """
 
 from __future__ import annotations
@@ -47,6 +51,8 @@ from .unmixing import align_phase_to, unmix, unmix_from_covariances
 ERROR_METRICS = ("md", "frobenius_after_alignment", "elementwise")
 #: Replication failure fraction above which an experiment aborts.
 FAILURE_BUDGET = 0.01
+#: Samples (replications times length) drawn and fitted as one block.
+BLOCK_SAMPLES = 8192
 
 
 @dataclass(frozen=True)
@@ -168,47 +174,64 @@ def _resolve_workers(tasks: int) -> int:
     if not (raw.isascii() and raw.isdigit()):
         raise ConfigError(f"CBSS_THREADS must be a non-negative integer, got {raw!r}")
     cores = os.cpu_count() or 1
-    return min(int(raw) or cores, cores, tasks)
+    digits = raw.lstrip("0")
+    # more digits than the core count means more than the cores: int() of
+    # thousands of digits would raise
+    requested = cores if len(digits) > len(str(cores)) else int(digits or "0")
+    return min(requested or cores, cores, tasks)
 
 
 def _seed_for(cfg: RateExperimentConfig, t_index: int, rep: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(cfg.seed, spawn_key=(t_index, rep))
 
 
-def _run_task(cfg, score, extra, task):
-    """Score one replication; a numerical failure comes back as its message."""
-    t_index, rep = task
+def _run_block(cfg, score, extra, task) -> list:
+    """Score replications ``start..stop-1`` of one length as one stacked block.
+
+    Returns one score row per replication, or a failed replication's
+    message in its place: a block that fails numerically is re-run one
+    replication at a time.
+    """
+    t_index, start, stop = task
     try:
-        x, _ = generate(cfg.model, cfg.t_grid[t_index], _seed_for(cfg, t_index, rep))
-        return score(cfg, x, extra)
+        seeds = [_seed_for(cfg, t_index, rep) for rep in range(start, stop)]
+        x = generate(cfg.model, cfg.t_grid[t_index], seeds)[0]
+        return list(score(cfg, x, extra))
     except (NumericalError, PhaseError) as exc:
-        return f"{type(exc).__name__}: {exc}"
+        if stop - start == 1:
+            return [f"{type(exc).__name__}: {exc}"]
+    return [out for rep in range(start, stop)
+            for out in _run_block(cfg, score, extra, (t_index, rep, rep + 1))]
 
 
 def _map_replications(cfg: RateExperimentConfig, score, extra=None):
     """Run ``score(cfg, x, extra)`` on every replication of every grid length.
 
-    Returns ``(rows, failures)``: ``rows[t_index]`` stacks the score
-    vectors of that length's successful replications in replication
-    order, and ``failures`` counts the dropped ones.  Raises
+    ``x`` is a stacked ``(B, T, d)`` block and ``score`` returns one row
+    per series.  Returns ``(rows, failures)``: ``rows[t_index]`` stacks
+    the score rows of that length's successful replications in
+    replication order, and ``failures`` counts the dropped ones.  Raises
     ``ExperimentError`` when more than ``FAILURE_BUDGET`` of them failed.
     """
-    tasks = [(t_index, rep) for t_index in range(len(cfg.t_grid))
-             for rep in range(cfg.replications)]
-    run = functools.partial(_run_task, cfg, score, extra)
+    reps = cfg.replications
+    tasks = []
+    for t_index, length in enumerate(cfg.t_grid):
+        size = max(1, min(reps, BLOCK_SAMPLES // length))
+        tasks += [(t_index, start, min(start + size, reps)) for start in range(0, reps, size)]
+    run = functools.partial(_run_block, cfg, score, extra)
     workers = _resolve_workers(len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            out = list(pool.map(run, tasks, chunksize=max(len(tasks) // (8 * workers), 1)))
+            blocks = list(pool.map(run, tasks, chunksize=max(len(tasks) // (8 * workers), 1)))
     else:
-        out = [run(task) for task in tasks]
+        blocks = [run(task) for task in tasks]
+    out = [row for block in blocks for row in block]
     failures = [o for o in out if isinstance(o, str)]
-    if len(failures) > FAILURE_BUDGET * len(tasks):
+    if len(failures) > FAILURE_BUDGET * len(out):
         raise ExperimentError(
-            f"{len(failures)} of {len(tasks)} replications failed; first: {failures[0]}")
-    reps = cfg.replications
+            f"{len(failures)} of {len(out)} replications failed; first: {failures[0]}")
     rows = [np.array([o for o in out[i:i + reps] if not isinstance(o, str)])
             for i in range(0, len(out), reps)]
     return rows, len(failures)
@@ -218,7 +241,7 @@ def _medians(rows, column: int) -> list:
     return [float(np.median(r[:, column])) for r in rows]
 
 
-# per-replication scores ------------------------------------------------------
+# per-replication scores, one row per series of a stacked block ----------------
 
 def _gain_score(cfg: RateExperimentConfig, x, extra):
     """``(error, diag_err, off_err, *gain as float pairs)`` against the truth."""
@@ -226,16 +249,16 @@ def _gain_score(cfg: RateExperimentConfig, x, extra):
     res = unmix(x, cfg.tau)
     aligned = align_phase_to(res.gamma, gamma_ref)
     gain = aligned @ mixing
-    d = gain.shape[0]
-    diag_err = float(np.max(np.abs(np.diag(gain) - 1.0)))
-    off_err = float(np.max(np.abs(gain[~np.eye(d, dtype=bool)]))) if d > 1 else 0.0
+    b, d = gain.shape[:2]
+    diag_err = np.max(np.abs(np.diagonal(gain, axis1=1, axis2=2) - 1.0), axis=1)
+    off_err = np.max(np.abs(gain[:, ~np.eye(d, dtype=bool)]), axis=1, initial=0.0)
     if cfg.error_metric == "md":
         err = md_index(res.gamma, mixing)
     elif cfg.error_metric == "frobenius_after_alignment":
-        err = float(np.sqrt(np.sum(np.abs(aligned - gamma_ref) ** 2)))
+        err = np.sqrt(np.sum((np.abs(aligned - gamma_ref) ** 2).reshape(b, -1), axis=1))
     else:
-        err = float(np.max(np.abs(aligned - gamma_ref)))
-    return np.concatenate(([err, diag_err, off_err], gain.reshape(-1).view(float)))
+        err = np.max(np.abs(aligned - gamma_ref).reshape(b, -1), axis=1)
+    return np.column_stack((err, diag_err, off_err, gain.reshape(b, -1).view(float)))
 
 
 def _truth(cfg: RateExperimentConfig):
@@ -247,27 +270,25 @@ def _truth(cfg: RateExperimentConfig):
 def _residual_score(cfg: RateExperimentConfig, x, lam):
     s0 = autocov_sym(x, 0)
     st = autocov_sym(x, cfg.tau)
-    res = unmix_from_covariances(s0, st, sample_mean(x), cfg.tau)
-    gain = res.gamma  # trivial mixing: the gain is the standardized estimate
-    d = gain.shape[0]
-    r_diag = float(np.max(np.abs((np.diag(gain) - 1.0) - 0.5 * (1.0 - np.diag(s0)))))
-    r_off = 0.0
-    for j in range(d):
-        for k in range(d):
-            if j == k:
-                continue
-            resid = (lam[k] - lam[j]) * gain[j, k] - (lam[j] * s0[j, k] - st[j, k])
-            r_off = max(r_off, abs(resid))
-    return (r_diag, float(r_off))
+    gain = unmix_from_covariances(s0, st, sample_mean(x), cfg.tau).gamma
+    # trivial mixing: the gain is the standardized estimate
+    diag = np.diagonal(gain, axis1=1, axis2=2)
+    r_diag = np.max(np.abs((diag - 1.0) - 0.5 * (1.0 - np.diagonal(s0, axis1=1, axis2=2))),
+                    axis=1)
+    resid = (lam[None, :] - lam[:, None]) * gain - (lam[:, None] * s0 - st)
+    off = resid[:, ~np.eye(len(lam), dtype=bool)]
+    # hypot, as abs() of one complex number: numpy's vectorized abs rounds differently
+    r_off = np.max(np.hypot(off.real, off.imag), axis=1, initial=0.0)
+    return np.column_stack((r_diag, r_off))
 
 
 def _mu_score(cfg: RateExperimentConfig, x, exponent):
     d = cfg.model.d
     mu_err = sample_mean(x) - cfg.model.location_vector()
-    outer = np.outer(mu_err, np.conj(mu_err)) * (x.shape[0] ** exponent)
-    diag_max = float(np.max(np.abs(np.diag(outer))))
-    off_max = float(np.max(np.abs(outer[~np.eye(d, dtype=bool)]))) if d > 1 else 0.0
-    return (off_max, diag_max)
+    outer = mu_err[:, :, None] * np.conj(mu_err)[:, None, :] * (x.shape[1] ** exponent)
+    diag_max = np.max(np.abs(np.diagonal(outer, axis1=1, axis2=2)), axis=1)
+    off_max = np.max(np.abs(outer[:, ~np.eye(d, dtype=bool)]), axis=1, initial=0.0)
+    return np.column_stack((off_max, diag_max))
 
 
 # ---------------------------------------------------------------------------

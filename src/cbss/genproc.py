@@ -373,18 +373,36 @@ def _sqrt_spectrum(autocov) -> np.ndarray:
     return np.sqrt(np.clip(eigs, 0.0, None))
 
 
-def _draw_from_embedding(sqrt_eigs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    # the embedding eigenvalues are symmetric, so scaling the half spectrum
-    # of a Hermitian white noise gives the full path through a real inverse FFT
-    m = sqrt_eigs.size
+def _normals(rngs, n: int) -> np.ndarray:
+    """``(B, n)`` standard normals, row ``b`` drawn by ``rngs[b]``."""
+    out = np.empty((len(rngs), n))
+    for row, rng in zip(out, rngs):
+        rng.standard_normal(out=row)
+    return out
+
+
+def _embedding_paths(sqrt_eigs: np.ndarray, n: int, rngs) -> np.ndarray:
+    """Exact draws ``(B, n)`` from the half spectrum of embedding eigenvalue roots.
+
+    The eigenvalues are symmetric, so scaling the half spectrum of a
+    Hermitian white noise gives the full path through a real inverse FFT.
+    Each row's ``m`` normals are the two real frequencies, then the real
+    and the imaginary halves of the complex ones.
+    """
+    m = 2 * (sqrt_eigs.size - 1)
     half = m // 2
-    spectrum = np.empty(half + 1, dtype=np.complex128)
-    spectrum[0] = rng.standard_normal()
-    spectrum[half] = rng.standard_normal()
-    re = rng.standard_normal(half - 1)
-    im = rng.standard_normal(half - 1)
-    spectrum[1:half] = (re + 1j * im) / np.sqrt(2.0)
-    return np.fft.irfft(sqrt_eigs[:half + 1] * spectrum, m)[:n] * np.sqrt(m)
+    normals = _normals(rngs, m)
+    spectrum = np.empty((len(rngs), half + 1), dtype=np.complex128)
+    spectrum[:, 0] = normals[:, 0]
+    spectrum[:, half] = normals[:, 1]
+    # unit-variance complex normals: real and imaginary parts times 1/sqrt(2)
+    np.multiply(normals[:, 2:half + 1], 1.0 / np.sqrt(2.0), out=spectrum.real[:, 1:half])
+    np.multiply(normals[:, half + 1:], 1.0 / np.sqrt(2.0), out=spectrum.imag[:, 1:half])
+    del normals
+    spectrum *= sqrt_eigs
+    paths = np.fft.irfft(spectrum, m)[:, :n]
+    paths *= np.sqrt(m)
+    return paths
 
 
 def sample_stationary_gaussian(autocov, n: int, seed) -> np.ndarray:
@@ -404,7 +422,7 @@ def sample_stationary_gaussian(autocov, n: int, seed) -> np.ndarray:
         raise DimensionError(f"need autocovariances at lags 0..N-1 with N >= max(n, 2) = {max(n, 2)}")
     if abs(r[0] - 1.0) > 1e-12:
         raise ValueError(f"autocov must be normalized to r(0) = 1, got {r[0]}")
-    return _draw_from_embedding(_sqrt_spectrum(r), n, _rng_from(seed))
+    return _embedding_paths(_sqrt_spectrum(r)[:r.size], n, [_rng_from(seed)])[0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -412,11 +430,12 @@ def _driver_sqrt_spectrum(driver: Driver, length: int) -> np.ndarray:
     return _sqrt_spectrum(driver.autocov(np.arange(length + 1)))
 
 
-def _sample_driver(driver: Driver, n: int, rng: np.random.Generator) -> np.ndarray:
+def _sample_driver(driver: Driver, n: int, rngs) -> np.ndarray:
+    """Stacked draws ``(B, n)`` of the driver, one row per generator in ``rngs``."""
     if driver.kind == "iid":
-        return rng.standard_normal(n)
+        return _normals(rngs, n)
     length = 1 << max(int(np.ceil(np.log2(max(n - 1, 8)))), 3)
-    return _draw_from_embedding(_driver_sqrt_spectrum(driver, length), n, rng)
+    return _embedding_paths(_driver_sqrt_spectrum(driver, length)[:length + 1], n, rngs)
 
 
 # ---------------------------------------------------------------------------
@@ -483,27 +502,36 @@ def generate(model: ModelSpec, length: int, seed) -> tuple[np.ndarray, np.ndarra
     Deterministic per seed: every part consumes an independent child of
     the seed sequence, so adding parts or reordering evaluation cannot
     shift other draws.
+
+    ``seed`` is an int or a ``SeedSequence``.  A list of them draws a
+    stacked block instead: ``x`` and ``z`` are then ``(B, T, d)``, and
+    block row ``b`` equals the single draw from ``seed[b]``.
     """
     t = int(length)
     if t < MIN_LENGTH:
         raise DimensionError(f"need at least {MIN_LENGTH} observations, got {t}")
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = ss.spawn(2 * model.d)
-    parts = np.empty((2 * model.d, t))
+    stacked = isinstance(seed, list)
+    seeds = [s if isinstance(s, np.random.SeedSequence) else np.random.SeedSequence(s)
+             for s in (seed if stacked else [seed])]
+    d = model.d
+    children = [ss.spawn(2 * d) for ss in seeds]
+    # time-major memory: means over time then run along contiguous rows
+    z = np.empty((t, len(seeds), d), dtype=np.complex128).transpose(1, 0, 2)
     for idx, spec in enumerate(model.components):
-        raw = _sample_driver(spec.driver, t, np.random.default_rng(children[idx]))
+        raw = _sample_driver(spec.driver, t, [np.random.default_rng(kids[idx])
+                                              for kids in children])
         mean, var = transform_moments(spec.transform)
         y = spec.transform.apply(raw) - mean
         if model.normalize:
             if var <= 0:
                 raise ConfigError("transform has zero variance; cannot normalize")
-            y = y / np.sqrt(2.0 * var)
-        parts[idx] = y
-    z = (parts[:model.d] + 1j * parts[model.d:]).T.copy()
+            y /= np.sqrt(2.0 * var)
+        (z.real if idx < d else z.imag)[:, :, idx % d] = y
     if model.normalize and model.centering == "empirical":
-        z -= z.mean(axis=0)
-    x = z @ model.mixing_matrix().T + model.location_vector()
-    return x, z
+        z -= z.mean(axis=1, keepdims=True)
+    x = np.matmul(z, model.mixing_matrix().T, out=np.empty_like(z))
+    x += model.location_vector()
+    return (x, z) if stacked else (x[0], z[0])
 
 
 def population_lambdas(model: ModelSpec, tau: int) -> np.ndarray:

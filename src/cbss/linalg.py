@@ -1,14 +1,17 @@
 """Dense complex matrix helpers: Hermitian eigendecomposition and friends.
 
-All routines operate on 2-D ``numpy`` arrays of ``complex128``.  They
-validate their input and hand the decompositions to LAPACK through
-numpy: the eigensolver is ``numpy.linalg.eigh`` and the inverse is
-``numpy.linalg.inv``, refused when the matrix is singular to the
-scale-free rule ``s_min <= n * eps * s_max`` on its singular values.
+The routines take a 2-D ``complex128`` matrix or, except ``inverse``, a
+stack of them along leading axes, validate it once and hand the
+decompositions to LAPACK through numpy: the eigensolver is
+``numpy.linalg.eigh`` and the inverse is ``numpy.linalg.inv``, refused
+when the matrix is singular to the scale-free rule
+``s_min <= n * eps * s_max`` on its singular values.  The underscored
+helpers trust their input.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,33 +29,59 @@ POSDEF_RTOL = 1e-12
 #: Largest entry of ``|m - m^H|`` that ``hermitian_eig`` accepts.
 HERMITIAN_TOL = 1e-9
 
+#: ``v ** -0.5`` from the C library's ``pow``, one value at a time: numpy's
+#: vectorized ``power`` rounds differently, and differently by memory layout,
+#: so a stacked fit would not reproduce the fit of each matrix alone.
+_pow_minus_half = np.vectorize(lambda v: math.pow(v, -0.5), otypes=[float])
+
 
 def as_cmatrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce ``a`` to a finite 2-D complex128 array."""
+    """Coerce ``a`` to a finite complex128 matrix, or stack of matrices."""
     m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2:
+    if m.ndim < 2:
         raise DimensionError(f"{name} must be 2-D, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise NonFiniteError(f"{name} contains non-finite entries")
     return m
 
 
 def _require_square(m: np.ndarray, name: str = "matrix") -> None:
-    if m.shape[0] != m.shape[1]:
+    if m.shape[-2] != m.shape[-1]:
         raise DimensionError(f"{name} must be square, got shape {m.shape}")
+
+
+def _conj_t(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return np.swapaxes(m.conj(), -1, -2)
+
+
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """``(m + m^H) / 2``: exactly conjugate symmetric."""
+    return 0.5 * (m + _conj_t(m))
+
+
+def _hermitian_error(m: np.ndarray) -> float:
+    return float(np.max(np.abs(m - _conj_t(m)))) if m.size else 0.0
+
+
+def _checked_hermitian(m) -> np.ndarray:
+    """Validate a square matrix (or stack), Hermitian to ``HERMITIAN_TOL``; symmetrize it."""
+    a = as_cmatrix(m)
+    _require_square(a)
+    if _hermitian_error(a) > HERMITIAN_TOL:
+        raise ValueError("input matrix is not Hermitian to tolerance")
+    return _hermitian_part(a)
 
 
 def is_hermitian(m, tol: float = 1e-10) -> bool:
     """True if the largest entry of ``|m - m^H|`` is at most ``tol``."""
     m = as_cmatrix(m)
-    if m.shape[0] != m.shape[1]:
-        return False
-    return float(np.max(np.abs(m - m.conj().T))) <= tol if m.size else True
+    return m.shape[-2] == m.shape[-1] and _hermitian_error(m) <= tol
 
 
 @dataclass(frozen=True)
 class HermEig:
-    """Eigendecomposition of a conjugate-symmetric matrix.
+    """Eigendecomposition of a conjugate-symmetric matrix (or stack).
 
     ``values`` are real and sorted in non-increasing order; the columns of
     the unitary ``vectors`` are the matching eigenvectors, so that
@@ -61,6 +90,15 @@ class HermEig:
 
     values: np.ndarray
     vectors: np.ndarray
+
+
+def _eigh(a: np.ndarray) -> HermEig:
+    """``numpy.linalg.eigh`` of exactly Hermitian input, values non-increasing."""
+    try:
+        values, vectors = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergenceError(f"Hermitian eigensolver failed: {exc}") from None
+    return HermEig(values=values[..., ::-1], vectors=vectors[..., ::-1])
 
 
 def hermitian_eig(m) -> HermEig:
@@ -77,15 +115,23 @@ def hermitian_eig(m) -> HermEig:
     NonConvergenceError
         If LAPACK's eigensolver does not converge.
     """
-    a = as_cmatrix(m)
-    _require_square(a)
-    if not is_hermitian(a, HERMITIAN_TOL):
-        raise ValueError("input matrix is not Hermitian to tolerance")
-    try:
-        values, vectors = np.linalg.eigh(0.5 * (a + a.conj().T))
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergenceError(f"Hermitian eigensolver failed: {exc}") from None
-    return HermEig(values=values[::-1], vectors=vectors[:, ::-1])
+    return _eigh(_checked_hermitian(m))
+
+
+def _inv_sqrt(a: np.ndarray) -> np.ndarray:
+    """``herm_inv_sqrt`` of exactly Hermitian input."""
+    eig = _eigh(a)
+    vals = eig.values
+    top = vals[..., :1]
+    bad = np.any((top <= 0.0) | (vals <= POSDEF_RTOL * top), axis=-1)
+    if np.any(bad):
+        lo, hi = vals[bad][0][[-1, 0]]
+        raise NotPositiveDefiniteError(
+            "matrix is not positive definite to tolerance "
+            f"(eigenvalue range [{lo:.3e}, {hi:.3e}])")
+    p = (eig.vectors * _pow_minus_half(vals)[..., None, :]) @ _conj_t(eig.vectors)
+    # symmetrize to pin conjugate symmetry against roundoff
+    return _hermitian_part(p)
 
 
 def herm_inv_sqrt(m) -> np.ndarray:
@@ -94,16 +140,7 @@ def herm_inv_sqrt(m) -> np.ndarray:
     Raises ``NotPositiveDefiniteError`` when any eigenvalue is at or below
     ``POSDEF_RTOL`` times the largest eigenvalue.
     """
-    eig = hermitian_eig(m)
-    vals = eig.values
-    top = vals[0]
-    if top <= 0.0 or np.any(vals <= POSDEF_RTOL * top):
-        raise NotPositiveDefiniteError(
-            "matrix is not positive definite to tolerance "
-            f"(eigenvalue range [{vals[-1]:.3e}, {top:.3e}])")
-    p = (eig.vectors * (vals ** -0.5)) @ eig.vectors.conj().T
-    # symmetrize to pin conjugate symmetry against roundoff
-    return 0.5 * (p + p.conj().T)
+    return _inv_sqrt(_checked_hermitian(m))
 
 
 def inverse(m) -> np.ndarray:
@@ -114,6 +151,8 @@ def inverse(m) -> np.ndarray:
     rule is scale-free: ``c * m`` inverts exactly when ``m`` does.
     """
     a = as_cmatrix(m)
+    if a.ndim != 2:
+        raise DimensionError(f"matrix must be 2-D, got shape {a.shape}")
     _require_square(a)
     n = a.shape[0]
     if n == 0:

@@ -49,17 +49,31 @@ def solve_assignment(cost) -> np.ndarray:
         raise DimensionError(f"cost matrix must be square, got {c.shape}")
     if not np.all(np.isfinite(c)):
         raise ValueError("cost matrix contains non-finite entries")
-    d = c.shape[0]
-    tol = ASSIGNMENT_TIE_RTOL * max(1.0, float(np.sum(np.abs(c))))
+    return _assign(c)
+
+
+def _assign(c: np.ndarray) -> np.ndarray:
+    """``solve_assignment`` of a finite square cost matrix or of each in a stack."""
+    d = c.shape[-1]
+    flat = c.reshape(-1, d, d)
+    tol = ASSIGNMENT_TIE_RTOL * np.maximum(1.0, np.abs(flat).reshape(len(flat), -1).sum(axis=1))
     if d <= ENUMERATION_MAX_D:
         # permutations() yields in lexicographic order: the first total
         # within the tie slack of the minimum is the answer
         perms = np.array(list(itertools.permutations(range(d))), dtype=np.intp)
-        totals = c[np.arange(d), perms].sum(axis=1)
-        return perms[np.argmax(totals <= totals.min() + tol)]
+        totals = flat[:, np.arange(d), perms].sum(axis=-1)
+        best = np.argmax(totals <= totals.min(axis=1, keepdims=True) + tol[:, None], axis=1)
+        return perms[best].reshape(c.shape[:-1])
+    return np.array([_refine(m, t) for m, t in zip(flat, tol)]).reshape(c.shape[:-1])
 
-    # refine to the lexicographically smallest optimal permutation: fix
-    # columns row by row, taking the first choice that still reaches the optimum
+
+def _refine(c: np.ndarray, tol: float) -> np.ndarray:
+    """The lexicographically smallest optimal permutation, via the Hungarian solver.
+
+    Fixes columns row by row, taking the first choice that still reaches
+    the optimum.
+    """
+    d = c.shape[0]
     perm = np.empty(d, dtype=np.intp)
     free = list(range(d))
     remaining = _optimum(c)
@@ -82,7 +96,7 @@ def _optimum(block: np.ndarray) -> float:
     return float(block[rows, cols].sum())
 
 
-def md_index(gamma_hat, mixing) -> float:
+def md_index(gamma_hat, mixing):
     """Minimum-distance index of ``gamma_hat`` against the mixing matrix.
 
     For each candidate pairing of gain row ``j`` with latent slot ``k``
@@ -90,13 +104,14 @@ def md_index(gamma_hat, mixing) -> float:
     the pairing itself is optimized exactly, and the total is normalized
     by ``d - 1`` before the square root.  Each row is first divided by the
     smallest power of two above its largest modulus, which is exact, so
-    the squares neither overflow nor underflow at any row scale.
+    the squares neither overflow nor underflow at any row scale.  A stack
+    of estimates scores each against the same mixing and returns an array.
     """
     g = linalg.as_cmatrix(gamma_hat, "gamma_hat")
     a = linalg.as_cmatrix(mixing, "mixing")
-    if g.shape != a.shape or g.shape[0] != g.shape[1]:
+    if a.ndim != 2 or g.shape[-2:] != a.shape or a.shape[0] != a.shape[1]:
         raise DimensionError(f"expected equal square shapes, got {g.shape} and {a.shape}")
-    d = g.shape[0]
+    d = a.shape[0]
     if d < 2:
         raise DimensionError("the score is undefined for d < 2")
     try:
@@ -104,14 +119,15 @@ def md_index(gamma_hat, mixing) -> float:
     except SingularMatrixError:
         raise SingularMatrixError("mixing matrix is singular to tolerance") from None
     gain = g @ a
-    _, exponent = np.frexp(np.max(np.abs(gain), axis=1, keepdims=True))
+    _, exponent = np.frexp(np.max(np.abs(gain), axis=-1, keepdims=True))
     sq = np.abs(np.ldexp(gain.view(np.float64), -exponent).view(np.complex128)) ** 2
-    row_norms = sq.sum(axis=1)
+    row_norms = sq.sum(axis=-1)
     if np.any(row_norms == 0.0):
         raise SingularMatrixError("gain matrix has a zero row; score undefined")
-    cost = 1.0 - sq / row_norms[:, None]
-    perm = solve_assignment(cost)
-    total = float(cost[np.arange(d), perm].sum())
-    raw = np.sqrt(max(total, 0.0) / (d - 1))
-    assert raw <= 1.0 + 1e-9, f"unclamped score {raw} exceeds 1"
-    return float(min(max(raw, 0.0), 1.0))
+    cost = 1.0 - sq / row_norms[..., None]
+    perm = _assign(cost)
+    total = np.take_along_axis(cost, perm[..., None], axis=-1)[..., 0].sum(axis=-1)
+    raw = np.sqrt(np.maximum(total, 0.0) / (d - 1))
+    assert np.all(raw <= 1.0 + 1e-9), f"unclamped score {np.max(raw)} exceeds 1"
+    score = np.clip(raw, 0.0, 1.0)
+    return float(score) if score.ndim == 0 else score

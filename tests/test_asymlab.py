@@ -227,28 +227,35 @@ def test_rate_experiment_structure_and_determinism():
     assert rep_a.theoretical_exponent == -0.5
 
 
-def test_rate_experiment_parallel_matches_serial(monkeypatch):
-    # every public operation, so the pool runs each score function
-    runs = [(asymlab.run_rate_experiment, small_cfg()),
-            (asymlab.diagonal_limit_check, small_cfg(model=long_range_model())),
-            (asymlab.expansion_residual_check, small_cfg()),
-            (asymlab.mu_contribution_check,
-             small_cfg(model=long_range_model(centering="population")))]
-    for operation, cfg in runs:
-        monkeypatch.delenv("CBSS_THREADS", raising=False)
-        serial = operation(cfg)
-        assert getattr(serial, "applicable", True), operation.__name__
-        monkeypatch.setenv("CBSS_THREADS", "3")
-        assert operation(cfg) == serial, operation.__name__
+@pytest.mark.parametrize("operation, cfg", [
+    (asymlab.run_rate_experiment, small_cfg()),
+    (asymlab.diagonal_limit_check, small_cfg(model=long_range_model())),
+    (asymlab.expansion_residual_check, small_cfg()),
+    (asymlab.mu_contribution_check, small_cfg(model=long_range_model(centering="population"))),
+], ids=["rate", "diagonal", "residual", "mu"])
+def test_reports_do_not_depend_on_workers_or_block_size(monkeypatch, operation, cfg):
+    # one replication per block, the default, and every replication in one block
+    monkeypatch.delenv("CBSS_THREADS", raising=False)
+    serial = operation(cfg)
+    assert getattr(serial, "applicable", True)
+    for block_samples in (1, asymlab.BLOCK_SAMPLES, cfg.replications * cfg.t_grid[-1]):
+        monkeypatch.setattr(asymlab, "BLOCK_SAMPLES", block_samples)
+        for threads in (None, "2"):
+            if threads is None:
+                monkeypatch.delenv("CBSS_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("CBSS_THREADS", threads)
+            assert operation(cfg) == serial, (block_samples, threads)
 
 
 def test_worker_count_is_capped_by_cores_and_tasks(monkeypatch):
     # resolves the count only: no pool is started
     monkeypatch.setattr(asymlab.os, "cpu_count", lambda: 4)
     for raw, tasks, want in [("", 150, 1), ("1", 150, 1), ("3", 150, 3), ("0", 150, 4),
-                             ("100000", 150, 4), ("100000", 2, 2), ("0", 3, 3)]:
+                             ("100000", 150, 4), ("100000", 2, 2), ("0", 3, 3),
+                             ("9" * 5000, 150, 4), ("0" * 5000 + "3", 150, 3)]:
         monkeypatch.setenv("CBSS_THREADS", raw)
-        assert asymlab._resolve_workers(tasks) == want, (raw, tasks)
+        assert asymlab._resolve_workers(tasks) == want, (raw[:8], tasks)
 
 
 def test_failed_replication_is_dropped_from_every_statistic(monkeypatch):
@@ -256,24 +263,32 @@ def test_failed_replication_is_dropped_from_every_statistic(monkeypatch):
     monkeypatch.delenv("CBSS_THREADS", raising=False)
     full = asymlab.run_rate_experiment(cfg)
     truth = asymlab._truth(cfg)
+    # the rows of one replication per block are the reference
+    monkeypatch.setattr(asymlab, "BLOCK_SAMPLES", 1)
+    single, _ = asymlab._map_replications(cfg, asymlab._gain_score, truth)
+    monkeypatch.undo()
+    monkeypatch.delenv("CBSS_THREADS", raising=False)
+    scores = np.delete(single[1], 3, axis=0)
 
-    def score(rep):
-        seed = np.random.SeedSequence(cfg.seed, spawn_key=(1, rep))
-        x, _ = genproc.generate(cfg.model, cfg.t_grid[1], seed)
-        return asymlab._gain_score(cfg, x, truth)
-
-    scores = np.array([score(rep) for rep in range(cfg.replications) if rep != 3])
     real_generate = asymlab.generate
+    poisoned_blocks = []
 
-    def failing(model, length, seed):
-        if seed.spawn_key == (1, 3):
-            raise NumericalError("injected failure")
-        return real_generate(model, length, seed)
+    def poisoning(model, length, seeds):
+        # one non-finite value in replication 3 of the middle length
+        x, z = real_generate(model, length, seeds)
+        for row, seed in zip(x, seeds):
+            if seed.spawn_key == (1, 3):
+                row[5, 0] = np.nan
+                poisoned_blocks.append(len(seeds))
+        return x, z
 
-    monkeypatch.setattr(asymlab, "generate", failing)
+    monkeypatch.setattr(asymlab, "generate", poisoning)
     rows, failures = asymlab._map_replications(cfg, asymlab._gain_score, truth)
+    # refused at the entry check of a block of several replications, then alone
+    assert poisoned_blocks[0] > 1 and poisoned_blocks[1:] == [1]
     assert failures == 1
     np.testing.assert_array_equal(rows[1], scores)
+    np.testing.assert_array_equal(rows[0], single[0])
     report = asymlab.run_rate_experiment(cfg)
     assert report.failures == 1
     q25, q50, q75 = np.quantile(scores[:, 0], [0.25, 0.5, 0.75])

@@ -228,6 +228,26 @@ def test_generate_matches_dense_dft_draw():
     assert np.max(np.abs(z - expected)) < 1e-12
 
 
+@pytest.mark.parametrize("length", [16, 100, 1024])
+def test_generate_block_rows_equal_single_draws(length):
+    # every driver kind, a non-identity transform, mixing and location
+    parts = [genproc.LatentComponentSpec(genproc.Driver("ar1", 0.6)),
+             genproc.LatentComponentSpec(genproc.Driver("fgn", 0.8),
+                                         genproc.Transform("square_centered")),
+             genproc.LatentComponentSpec(genproc.Driver("iid")),
+             genproc.LatentComponentSpec(genproc.Driver("fgn", 0.7))]
+    model = genproc.ModelSpec(d=2, components=parts, mixing=[[1.0, 0.5j], [0.2, 1.0]],
+                              location=[1.0 - 2.0j, 0.5])
+    seeds = [np.random.SeedSequence(11, spawn_key=(2, rep)) for rep in range(4)]
+    x, z = genproc.generate(model, length, seeds)
+    assert x.shape == z.shape == (4, length, 2)
+    for rep in range(4):
+        one_x, one_z = genproc.generate(model, length,
+                                        np.random.SeedSequence(11, spawn_key=(2, rep)))
+        np.testing.assert_array_equal(x[rep], one_x)
+        np.testing.assert_array_equal(z[rep], one_z)
+
+
 def test_generate_deterministic_and_seed_sensitive():
     model = short_range_model()
     a, _ = genproc.generate(model, 256, seed=5)

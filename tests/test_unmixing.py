@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cbss import estimators, genproc, metrics, unmixing
-from cbss.errors import DimensionError, PhaseError
+from cbss import estimators, genproc, linalg, metrics, unmixing
+from cbss.errors import DimensionError, NonFiniteError, PhaseError
 
 from conftest import random_mixing, short_range_model
 
@@ -192,3 +192,55 @@ def test_lag_sweep_ranks_separating_lag_first():
     x, _ = genproc.generate(short_range_model(), 8192, seed=7)
     rows = unmixing.lag_sweep(x, [1, 6])
     assert rows[0]["tau"] == 1
+
+
+def stacked_block(d, reps=6, length=300):
+    """A ``(reps, length, d)`` block of mixed AR(1) series and its mixing."""
+    rng = np.random.default_rng(40 + d)
+    mixing = random_mixing(rng, d)
+    model = short_range_model(phis=tuple(np.linspace(0.9, 0.1, d)), mixing=mixing)
+    seeds = [np.random.SeedSequence(d, spawn_key=(rep,)) for rep in range(reps)]
+    return genproc.generate(model, length, seeds)[0], mixing
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_stacked_calls_equal_per_matrix_calls(monkeypatch, d):
+    x, mixing = stacked_block(d)
+    refined = []
+    real_lsa = metrics.linear_sum_assignment
+    monkeypatch.setattr(metrics, "linear_sum_assignment",
+                        lambda cost: refined.append(1) or real_lsa(cost))
+    res = unmixing.unmix(x, 1)
+    aligned = unmixing.align_phase_to(res.gamma, linalg.inverse(mixing))
+    scores = metrics.md_index(res.gamma, mixing)
+    # above ENUMERATION_MAX_D the assignment is refined by the Hungarian solver
+    assert bool(refined) == (d > metrics.ENUMERATION_MAX_D)
+    for tau in (0, 2):
+        stacked = estimators.autocov_sym(x, tau)
+        for rep, series in enumerate(x):
+            np.testing.assert_array_equal(stacked[rep], estimators.autocov_sym(series, tau))
+    for rep, series in enumerate(x):
+        one = unmixing.unmix(series, 1)
+        np.testing.assert_array_equal(res.gamma[rep], one.gamma)
+        np.testing.assert_array_equal(res.lambdas[rep], one.lambdas)
+        np.testing.assert_array_equal(res.mu[rep], one.mu)
+        assert res.eigen_gap[rep] == one.eigen_gap
+        np.testing.assert_array_equal(
+            aligned[rep], unmixing.align_phase_to(one.gamma, linalg.inverse(mixing)))
+        assert scores[rep] == metrics.md_index(one.gamma, mixing)
+
+
+def test_stacked_block_is_validated_once(monkeypatch):
+    x, _ = stacked_block(3)
+    checks = []
+    real_check = unmixing.as_timeseries
+    monkeypatch.setattr(unmixing, "as_timeseries", lambda a: checks.append(1) or real_check(a))
+    unmixing.unmix(x, 1)
+    assert len(checks) == 1
+    # one non-finite value in one series refuses the whole block at that check
+    x[4, 17, 2] = complex(np.nan, 0.0)
+    with pytest.raises(NonFiniteError):
+        unmixing.unmix(x, 1)
+    assert len(checks) == 2
+    with pytest.raises(NonFiniteError):
+        estimators.autocov_sym(x, 1)
