@@ -43,8 +43,8 @@ import numpy as np
 from . import linalg
 from .errors import ConfigError, DimensionError, ExperimentError, NumericalError, PhaseError
 from .estimators import autocov_sym, sample_mean
-from .genproc import (MIN_LENGTH, ModelSpec, RateInfo, generate, json_int, population_lambdas,
-                      theoretical_gamma)
+from .genproc import (MIN_LENGTH, ModelSpec, RateInfo, generate, json_int, json_object,
+                      population_lambdas, theoretical_gamma)
 from .metrics import md_index
 from .unmixing import align_phase_to, unmix, unmix_from_covariances
 
@@ -101,6 +101,8 @@ class RateExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "RateExperimentConfig":
+        json_object(d, "config", ("model", "tau", "t_grid", "replications", "seed",
+                                  "error_metric"))
         try:
             return RateExperimentConfig(
                 model=ModelSpec.from_dict(d["model"]),
@@ -110,6 +112,8 @@ class RateExperimentConfig:
                 seed=d.get("seed", 0),
                 error_metric=str(d.get("error_metric", "frobenius_after_alignment")),
             )
+        except ConfigError:
+            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid experiment config: {exc}") from exc
 

@@ -2,7 +2,8 @@
 
 Each real or imaginary part of a latent component is a transformed
 stationary Gaussian driver: white noise, AR(1), or fractional Gaussian
-noise (fGn).  Drivers are sampled exactly with circulant embedding and a
+noise (fGn).  Drivers are sampled exactly: AR(1) by its stationary
+recursion on one normal per sample, fGn with circulant embedding and a
 real inverse FFT.  Every transform is a finite series in the
 probabilists' Hermite basis, so its mean, variance and Hermite ranks are
 exact functions of the coefficients.  Components are mixed with a fixed
@@ -37,6 +38,8 @@ RANK_COEFF_TOL = 1e-9
 CLAMP_REPORT_TOL = 1e-8
 #: Shortest series ``generate`` draws.
 MIN_LENGTH = 16
+#: Samples per block of the AR(1) recursion: one matmul inside, a scan across.
+AR1_BLOCK = 64
 #: ``k!`` for ``k <= MAX_HERMITE_DEGREE``, each correctly rounded: ``E[H_k(X)^2]``.
 _FACTORIALS = np.array([math.factorial(k) for k in range(MAX_HERMITE_DEGREE + 1)], dtype=float)
 
@@ -81,13 +84,48 @@ def json_number(value, name: str) -> float:
     return float(value)
 
 
+def json_object(value, path: str, keys) -> dict:
+    """Decode a config object: a JSON object whose keys all lie in ``keys``.
+
+    ``path`` is the object's dotted place in the config, for example
+    ``model.components[0].driver``; the error for a key outside ``keys``
+    names it.
+    """
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path} must be a JSON object, got {type(value).__name__}")
+    unknown = [key for key in value if key not in keys]
+    if unknown:
+        raise ConfigError(f"{path}: unknown key {unknown[0]!r}")
+    return value
+
+
+def _json_kind(value, path: str, params: dict, default=None) -> tuple[str, str | None]:
+    """``(kind, key)`` of a config object holding ``kind`` and that kind's parameter ``key``.
+
+    ``params`` maps each kind to the key of its parameter, or to ``None``.
+    """
+    kind = json_object(value, path, ("kind", *params.values())).get("kind", default)
+    if kind not in params:
+        raise ConfigError(f"{path}: unknown kind {kind!r}")
+    json_object(value, path, ("kind", params[kind]))
+    return kind, params[kind]
+
+
 def _json_complex(value: dict | None, name: str) -> np.ndarray | None:
     """Decode ``{"re": ..., "im": ...}`` (lists of numbers) as ``re + 1j * im``; keep ``None``."""
     if value is None:
         return None
+    json_object(value, name, ("re", "im"))
     number = np.vectorize(lambda v: json_number(v, name), otypes=[float])
     return number(np.asarray(value["re"], dtype=object)) + 1j * number(
         np.asarray(value["im"], dtype=object))
+
+
+#: Driver kind -> the config key of its parameter (None: no parameter).
+_DRIVER_PARAMS = {"iid": None, "ar1": "phi", "fgn": "hurst"}
+#: Transform kind -> the config key of its parameter (None: no parameter).
+_TRANSFORM_PARAMS = {"identity": None, "hermite": "degree", "square_centered": None,
+                     "coeffs": "coeffs"}
 
 
 @dataclass(frozen=True)
@@ -102,7 +140,7 @@ class Driver:
     param: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("iid", "ar1", "fgn"):
+        if self.kind not in _DRIVER_PARAMS:
             raise ConfigError(f"unknown driver kind {self.kind!r}")
         if self.kind == "ar1" and not abs(self.param) < 1:
             raise ConfigError(f"ar1 coefficient must satisfy |phi| < 1, got {self.param}")
@@ -121,23 +159,15 @@ class Driver:
         return self.kind == "fgn" and self.param > 0.5
 
     def to_dict(self) -> dict:
-        out = {"kind": self.kind}
-        if self.kind == "ar1":
-            out["phi"] = self.param
-        elif self.kind == "fgn":
-            out["hurst"] = self.param
-        return out
+        name = _DRIVER_PARAMS[self.kind]
+        return {"kind": self.kind} if name is None else {"kind": self.kind, name: self.param}
 
     @staticmethod
-    def from_dict(d: dict) -> "Driver":
-        kind = d.get("kind")
-        if kind == "ar1":
-            return Driver("ar1", json_number(d["phi"], "phi"))
-        if kind == "fgn":
-            return Driver("fgn", json_number(d["hurst"], "hurst"))
-        if kind == "iid":
-            return Driver("iid")
-        raise ConfigError(f"unknown driver kind {kind!r}")
+    def from_dict(d: dict, path: str = "driver") -> "Driver":
+        kind, name = _json_kind(d, path, _DRIVER_PARAMS)
+        if name is None:
+            return Driver(kind)
+        return Driver(kind, json_number(d[name], f"{path}.{name}"))
 
 
 @dataclass(frozen=True)
@@ -154,7 +184,7 @@ class Transform:
     coeffs: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in ("identity", "hermite", "square_centered", "coeffs"):
+        if self.kind not in _TRANSFORM_PARAMS:
             raise ConfigError(f"unknown transform kind {self.kind!r}")
         if self.kind == "hermite":
             object.__setattr__(self, "degree", json_int(self.degree, "degree"))
@@ -186,12 +216,13 @@ class Transform:
         return {"kind": self.kind}
 
     @staticmethod
-    def from_dict(d: dict) -> "Transform":
-        kind = d.get("kind", "identity")
+    def from_dict(d: dict, path: str = "transform") -> "Transform":
+        kind, _ = _json_kind(d, path, _TRANSFORM_PARAMS, default="identity")
         if kind == "hermite":
             return Transform("hermite", degree=d["degree"])
         if kind == "coeffs":
-            return Transform("coeffs", coeffs=tuple(json_number(c, "coeffs") for c in d["coeffs"]))
+            return Transform("coeffs", coeffs=tuple(json_number(c, f"{path}.coeffs")
+                                                    for c in d["coeffs"]))
         return Transform(kind)
 
 
@@ -221,10 +252,12 @@ class LatentComponentSpec:
         return out
 
     @staticmethod
-    def from_dict(d: dict) -> "LatentComponentSpec":
+    def from_dict(d: dict, path: str = "component") -> "LatentComponentSpec":
+        json_object(d, path, ("driver", "transform", "declared_ranks"))
         return LatentComponentSpec(
-            driver=Driver.from_dict(d["driver"]),
-            transform=Transform.from_dict(d.get("transform", {"kind": "identity"})),
+            driver=Driver.from_dict(d["driver"], f"{path}.driver"),
+            transform=Transform.from_dict(d.get("transform", {"kind": "identity"}),
+                                          f"{path}.transform"),
             declared_ranks=d.get("declared_ranks"),
         )
 
@@ -300,19 +333,24 @@ class ModelSpec:
         return out
 
     @staticmethod
-    def from_dict(d: dict) -> "ModelSpec":
+    def from_dict(d: dict, path: str = "model") -> "ModelSpec":
         try:
+            json_object(d, path, ("d", "components", "mixing", "location", "normalize",
+                                  "centering"))
             normalize = d.get("normalize", True)
             if not isinstance(normalize, bool):
-                raise ConfigError(f"normalize must be true or false, got {normalize!r}")
+                raise ConfigError(f"{path}.normalize must be true or false, got {normalize!r}")
             return ModelSpec(
                 d=d["d"],
-                components=tuple(LatentComponentSpec.from_dict(c) for c in d["components"]),
-                mixing=_json_complex(d.get("mixing"), "mixing"),
-                location=_json_complex(d.get("location"), "location"),
+                components=tuple(LatentComponentSpec.from_dict(c, f"{path}.components[{i}]")
+                                 for i, c in enumerate(d["components"])),
+                mixing=_json_complex(d.get("mixing"), f"{path}.mixing"),
+                location=_json_complex(d.get("location"), f"{path}.location"),
                 normalize=normalize,
                 centering=str(d.get("centering", "empirical")),
             )
+        except ConfigError:
+            raise
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid model spec: {exc}") from exc
 
@@ -426,6 +464,46 @@ def sample_stationary_gaussian(autocov, n: int, seed) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
+def _ar1_block_response(phi: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(P, p)``: ``P[j, i] = phi^(i-j)`` for ``i >= j`` (else 0) and ``p[i] = phi^(i+1)``."""
+    lags = np.arange(AR1_BLOCK)
+    response = np.triu(phi ** np.abs(lags[None, :] - lags[:, None]))
+    carry = phi ** (lags + 1)
+    response.setflags(write=False)
+    carry.setflags(write=False)
+    return response, carry
+
+
+def _ar1_paths(phi: float, n: int, rngs) -> np.ndarray:
+    """Exact stationary AR(1) draws ``(B, n)`` from ``n`` normals ``e`` per row.
+
+    ``x_0 = e_0`` and ``x_t = phi x_{t-1} + sqrt(1 - phi^2) e_t``.  The
+    recursion runs in blocks of ``AR1_BLOCK`` samples: one matmul with the
+    block's impulse response gives every block's path from a zero start,
+    the block ends then follow an AR(1) with coefficient ``phi^AR1_BLOCK``,
+    summed by a doubling scan, and each block adds its predecessor's end
+    times ``phi^(i+1)``.  Every step is elementwise or one matmul per row,
+    so a row does not depend on the others.
+    """
+    response, carry = _ar1_block_response(phi)
+    blocks = -(-n // AR1_BLOCK)
+    innov = np.zeros((len(rngs), blocks * AR1_BLOCK))
+    for row, rng in zip(innov, rngs):
+        rng.standard_normal(out=row[:n])
+    innov[:, 1:n] *= math.sqrt(1.0 - phi * phi)
+    paths = innov.reshape(len(rngs), blocks, AR1_BLOCK) @ response
+    del innov
+    # true block ends: ends[k] += a^s ends[k - s] for s = 1, 2, 4, ...
+    ends = paths[:, :, -1].copy()
+    step, coeff = 1, float(carry[-1])
+    while step < blocks:
+        ends[:, step:] += coeff * ends[:, :-step]
+        step, coeff = 2 * step, coeff * coeff
+    paths[:, 1:] += ends[:, :-1, None] * carry
+    return paths.reshape(len(rngs), -1)[:, :n]
+
+
+@functools.lru_cache(maxsize=None)
 def _driver_sqrt_spectrum(driver: Driver, length: int) -> np.ndarray:
     return _sqrt_spectrum(driver.autocov(np.arange(length + 1)))
 
@@ -434,6 +512,8 @@ def _sample_driver(driver: Driver, n: int, rngs) -> np.ndarray:
     """Stacked draws ``(B, n)`` of the driver, one row per generator in ``rngs``."""
     if driver.kind == "iid":
         return _normals(rngs, n)
+    if driver.kind == "ar1":
+        return _ar1_paths(driver.param, n, rngs)
     length = 1 << max(int(np.ceil(np.log2(max(n - 1, 8)))), 3)
     return _embedding_paths(_driver_sqrt_spectrum(driver, length)[:length + 1], n, rngs)
 

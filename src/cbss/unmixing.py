@@ -19,7 +19,8 @@ from .errors import DimensionError, PhaseError
 from .estimators import _centered, _cross_products, as_timeseries, autocov_sym, sample_mean
 from .linalg import _conj_t, _eigh, _hermitian_part, _inv_sqrt
 
-#: Diagonal or inner-product moduli below this are treated as phase-undefined.
+#: Diagonal or inner-product moduli at or below this, relative to the scale
+#: of their rows, are treated as phase-undefined.
 PHASE_TOL = 1e-14
 
 
@@ -48,10 +49,12 @@ class UnmixingResult:
 def _standardize(g: np.ndarray) -> np.ndarray:
     diag = np.diagonal(g, axis1=-2, axis2=-1)
     mod = np.abs(diag)
-    if np.any(mod <= PHASE_TOL):
-        bad = int(np.argmin(mod))
+    # relative to the row's largest modulus, so that the test is scale-free
+    small = mod <= PHASE_TOL * np.max(np.abs(g), axis=-1)
+    if np.any(small):
+        bad = int(np.argmax(small))
         raise PhaseError(f"diagonal entry {bad % mod.shape[-1]} has modulus "
-                         f"{mod.flat[bad]:.3e}; phase undefined")
+                         f"{mod.flat[bad]:.3e}, small against its row; phase undefined")
     out = (np.conj(diag) / mod)[..., None] * g
     # pin the diagonal exactly onto the real axis, preserving the modulus
     idx = np.arange(g.shape[-1])
@@ -63,8 +66,8 @@ def standardize_phase(gamma) -> np.ndarray:
     """Rotate each row so the diagonal entry is real and non-negative.
 
     Takes a square matrix or a stack of them.  Raises ``PhaseError`` when
-    a diagonal entry has modulus below ``PHASE_TOL`` (the canonical
-    representative is undefined there).
+    a diagonal entry's modulus is at most ``PHASE_TOL`` times the largest
+    modulus in its row (the canonical representative is undefined there).
     """
     g = linalg.as_cmatrix(gamma)
     if g.shape[-2] != g.shape[-1]:
@@ -79,7 +82,8 @@ def align_phase_to(gamma_hat, gamma_ref) -> np.ndarray:
     Frobenius distance to the reference row, i.e. ``conj(u)/|u|`` with
     ``u = <row_j(gamma_hat), row_j(gamma_ref)>``.  ``gamma_hat`` may be a
     stack of matrices, each aligned to the same reference.  Raises
-    ``PhaseError`` when some row pair is orthogonal (alignment undefined).
+    ``PhaseError`` when some row pair is orthogonal (alignment undefined):
+    ``|u|`` is at most ``PHASE_TOL`` times the product of the two row norms.
     """
     g = linalg.as_cmatrix(gamma_hat)
     ref = linalg.as_cmatrix(gamma_ref)
@@ -87,8 +91,9 @@ def align_phase_to(gamma_hat, gamma_ref) -> np.ndarray:
         raise DimensionError(f"shape mismatch: {g.shape} vs {ref.shape}")
     u = np.sum(g * np.conj(ref), axis=-1)
     mod = np.abs(u)
-    if np.any(mod <= PHASE_TOL):
-        bad = int(np.argmin(mod)) % mod.shape[-1]
+    small = mod <= PHASE_TOL * np.linalg.norm(g, axis=-1) * np.linalg.norm(ref, axis=-1)
+    if np.any(small):
+        bad = int(np.argmax(small)) % mod.shape[-1]
         raise PhaseError(f"row {bad} is orthogonal to its reference; alignment undefined")
     return (np.conj(u) / mod)[..., None] * g
 

@@ -199,6 +199,38 @@ def test_config_decoding_refuses_coercions(field, edit):
         asymlab.RateExperimentConfig.from_dict(cfg)
 
 
+@pytest.mark.parametrize("message, edit", [
+    ("config: unknown key 'repetitions'", lambda c: c.update(repetitions=60)),
+    ("model: unknown key 'dim'", lambda c: c["model"].update(dim=2)),
+    ("model.mixing: unknown key 'imag'",
+     lambda c: c["model"].update(mixing={"re": [[1, 0], [0, 1]], "imag": [[0, 0]] * 2})),
+    ("model.location: unknown key 'real'",
+     lambda c: c["model"].update(location={"real": [0, 0], "im": [0, 0]})),
+    ("model.components[2]: unknown key 'ranks'",
+     lambda c: c["model"]["components"][2].update(ranks=[1, 2])),
+    ("model.components[0].driver: unknown key 'hurst'",
+     lambda c: c["model"]["components"][0]["driver"].update(hurst=0.7)),
+    ("model.components[1].driver: unknown key 'phi'",
+     lambda c: c["model"]["components"][1].update(driver={"kind": "iid", "phi": 0.5})),
+    ("model.components[3].driver: unknown key 'phi'",
+     lambda c: c["model"]["components"][3].update(driver={"kind": "fgn", "hurst": 0.7,
+                                                           "phi": 0.5})),
+    ("model.components[0].transform: unknown key 'degree'",
+     lambda c: c["model"]["components"][0]["transform"].update(degree=2)),
+    ("model.components[0].transform: unknown key 'coeffs'",
+     lambda c: _hermite_model(c).update(coeffs=[0, 1])),
+    ("model.components[0].transform must be a JSON object",
+     lambda c: c["model"]["components"][0].update(transform="identity")),
+])
+def test_config_decoding_refuses_unknown_keys(message, edit):
+    # a key outside its object's kind used to be ignored without a word
+    cfg = small_cfg().to_dict()
+    edit(cfg)
+    with pytest.raises(ConfigError) as info:
+        asymlab.RateExperimentConfig.from_dict(cfg)
+    assert str(info.value).startswith(message)
+
+
 @pytest.mark.parametrize("field, build", [
     ("tau", lambda: small_cfg(tau=1.5)),
     ("tau", lambda: small_cfg(tau=True)),

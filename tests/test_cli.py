@@ -229,6 +229,32 @@ def test_rate_rejects_bad_model_fields_before_generating(tmp_path, field, edit):
     assert not (tmp_path / "out").exists()
 
 
+def _rename_key(obj, old, new):
+    obj[new] = obj.pop(old)
+
+
+@pytest.mark.parametrize("where, edit", [
+    ("config: unknown key 'replicatons'", lambda c: _rename_key(c, "replications", "replicatons")),
+    ("config: unknown key 'error_metic'", lambda c: c.update(error_metic="md")),
+    ("model: unknown key 'normalise'", lambda c: c["model"].update(normalise=False)),
+    ("model.components[1]: unknown key 'transfrom'",
+     lambda c: _rename_key(c["model"]["components"][1], "transform", "transfrom")),
+    ("model.components[0].driver: unknown key 'hurst'",
+     lambda c: c["model"]["components"][0]["driver"].update(hurst=0.9)),
+])
+def test_rate_refuses_unknown_config_keys(tmp_path, where, edit):
+    # each key used to be ignored: the run went ahead with defaults
+    cfg = {"model": short_range_model(phis=(0.8, 0.2)).to_dict(), "error_metric": "md",
+           "t_grid": [64, 128, 256], "replications": 50, "seed": 5}
+    edit(cfg)
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    proc = run_cli("rate", "--config", "cfg.json", "--out", "out", cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert where in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("threads", ["abc", "-1", "1.5"])
 def test_rate_rejects_bad_thread_count(tmp_path, threads):
     cfg = {"model": short_range_model(phis=(0.8, 0.2)).to_dict(),

@@ -188,14 +188,25 @@ def dense_dft_matrix(m, sign):
     return np.exp(sign * 2j * np.pi * (np.outer(k, k) % m) / m)
 
 
+def recursion_draw(phi, n, rng):
+    """Stationary AR(1) path from ``n`` normals by the plain recursion.
+
+    ``x_0 = e_0`` and ``x_t = phi x_{t-1} + sqrt(1 - phi^2) e_t``.
+    """
+    e = rng.standard_normal(n)
+    scale = math.sqrt(1.0 - phi * phi)
+    path = [float(e[0])]
+    for t in range(1, n):
+        path.append(phi * path[-1] + scale * float(e[t]))
+    return np.array(path)
+
+
 def dense_embedding_draw(driver, n, rng):
     """Circulant-embedding draw of one driver path using O(N^2) dense DFTs.
 
     Consumes ``rng`` in the sampler's order: the two real frequencies,
     then the real and the imaginary halves of the complex ones.
     """
-    if driver.kind == "iid":
-        return rng.standard_normal(n)
     length = 1 << max(int(np.ceil(np.log2(max(n - 1, 8)))), 3)
     r = driver.autocov(np.arange(length + 1))
     circ = np.concatenate([r, r[-2:0:-1]])
@@ -213,22 +224,53 @@ def dense_embedding_draw(driver, n, rng):
     return sample.real[:n]
 
 
-def test_generate_matches_dense_dft_draw():
-    # seeded draws depend on the seed stream only, not on the FFT kernel
-    drivers = [genproc.Driver("ar1", 0.6), genproc.Driver("fgn", 0.8),
-               genproc.Driver("fgn", 0.7), genproc.Driver("iid")]
+def reference_draw(driver, n, rng):
+    """One driver path from ``rng`` without the sampler's fast kernels."""
+    if driver.kind == "iid":
+        return rng.standard_normal(n)
+    if driver.kind == "ar1":
+        return recursion_draw(driver.param, n, rng)
+    return dense_embedding_draw(driver, n, rng)
+
+
+def assert_generate_matches_reference(drivers, n, seed):
     model = genproc.ModelSpec(d=2, components=[genproc.LatentComponentSpec(dv) for dv in drivers],
                               normalize=False)
-    n, seed = 64, 2024
     _, z = genproc.generate(model, n, seed)
     children = np.random.SeedSequence(seed).spawn(len(drivers))
-    parts = [dense_embedding_draw(dv, n, np.random.default_rng(ch))
+    parts = [reference_draw(dv, n, np.random.default_rng(ch))
              for dv, ch in zip(drivers, children)]
     expected = np.column_stack([parts[0] + 1j * parts[2], parts[1] + 1j * parts[3]])
     assert np.max(np.abs(z - expected)) < 1e-12
 
 
-@pytest.mark.parametrize("length", [16, 100, 1024])
+def test_generate_matches_dense_dft_draw():
+    # seeded draws depend on the seed stream only, not on the FFT kernel:
+    # fGn against the dense-DFT embedding, AR(1) against its plain recursion
+    drivers = [genproc.Driver("ar1", 0.6), genproc.Driver("fgn", 0.8),
+               genproc.Driver("fgn", 0.7), genproc.Driver("iid")]
+    assert_generate_matches_reference(drivers, 64, 2024)
+
+
+def test_generate_ar1_matches_recursion():
+    # more than 64 blocks of 64 samples, the last one partial
+    drivers = [genproc.Driver("ar1", 0.0), genproc.Driver("ar1", -0.7),
+               genproc.Driver("ar1", 0.999), genproc.Driver("iid")]
+    assert_generate_matches_reference(drivers, 4097, 31)
+
+
+@pytest.mark.parametrize("kind, param", [("iid", 0.0), ("ar1", 0.0), ("ar1", -0.7),
+                                         ("ar1", 0.999)])
+def test_part_draws_one_normal_per_sample(kind, param):
+    # the child generator moves on by exactly T normals
+    for n in (16, 64, 4097):
+        rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+        genproc._sample_driver(genproc.Driver(kind, param), n, [rng])
+        ref.standard_normal(n)
+        assert rng.standard_normal() == ref.standard_normal()
+
+
+@pytest.mark.parametrize("length", [16, 100, 1024, 4097])
 def test_generate_block_rows_equal_single_draws(length):
     # every driver kind, a non-identity transform, mixing and location
     parts = [genproc.LatentComponentSpec(genproc.Driver("ar1", 0.6)),

@@ -107,6 +107,24 @@ def test_align_phase_scalar():
     np.testing.assert_allclose(unmixing.align_phase_to([[1j]], [[1.0]]), [[1.0]], atol=1e-15)
 
 
+@pytest.mark.parametrize("k", [50, 300, 450])
+def test_unmix_is_scale_free(k):
+    # the phase tolerances are relative: 2^50 used to raise PhaseError
+    x, _ = genproc.generate(short_range_model(), 4096, seed=3)
+    base = unmixing.unmix(x, 1).gamma
+    scaled = unmixing.unmix(x * 2.0 ** k, 1).gamma * 2.0 ** k
+    assert np.max(np.abs(scaled - base)) <= 1e-12 * np.max(np.abs(base))
+
+
+def test_phase_tolerances_follow_the_row_scale():
+    tiny = 1e-20 * np.array([[1j, 2.0], [0.5, -1.0]])
+    np.testing.assert_allclose(unmixing.standardize_phase(tiny),
+                               1e-20 * np.array([[1.0, -2j], [-0.5, 1.0]]), rtol=1e-15)
+    np.testing.assert_allclose(unmixing.align_phase_to(tiny, tiny / 1e-20), tiny, rtol=1e-15)
+    with pytest.raises(PhaseError):
+        unmixing.standardize_phase(np.array([[1e-15, 1.0], [0.0, 1.0]]))
+
+
 def test_align_phase_orthogonal_rows():
     with pytest.raises(PhaseError):
         unmixing.align_phase_to(np.array([[1.0, 0.0], [0.0, 1.0]]),
