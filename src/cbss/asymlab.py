@@ -42,9 +42,11 @@ import numpy as np
 
 from . import linalg
 from .errors import ConfigError, DimensionError, ExperimentError, NumericalError, PhaseError
-from .estimators import autocov_sym, sample_mean
+# ``autocov_sym`` is unused here but stays bound: bench/layers.py traces it
+from .estimators import _centered, _cross_products, as_timeseries, autocov_sym, sample_mean
 from .genproc import (MIN_LENGTH, ModelSpec, RateInfo, generate, json_int, json_object,
                       population_lambdas, theoretical_gamma)
+from .linalg import _hermitian_part
 from .metrics import md_index
 from .unmixing import align_phase_to, unmix, unmix_from_covariances
 
@@ -102,7 +104,7 @@ class RateExperimentConfig:
     @staticmethod
     def from_dict(d: dict) -> "RateExperimentConfig":
         json_object(d, "config", ("model", "tau", "t_grid", "replications", "seed",
-                                  "error_metric"))
+                                  "error_metric"), ("model",))
         try:
             return RateExperimentConfig(
                 model=ModelSpec.from_dict(d["model"]),
@@ -227,8 +229,14 @@ def _map_replications(cfg: RateExperimentConfig, score, extra=None):
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        # longest blocks first, one per message, so no worker idles behind
+        # a long last block; the rows go back in replication order
+        order = sorted(range(len(tasks)), reverse=True,
+                       key=lambda i: cfg.t_grid[tasks[i][0]] * (tasks[i][2] - tasks[i][1]))
+        blocks = [None] * len(tasks)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(run, tasks, chunksize=max(len(tasks) // (8 * workers), 1)))
+            for i, block in zip(order, pool.map(run, [tasks[i] for i in order])):
+                blocks[i] = block
     else:
         blocks = [run(task) for task in tasks]
     out = [row for block in blocks for row in block]
@@ -272,9 +280,10 @@ def _truth(cfg: RateExperimentConfig):
 
 
 def _residual_score(cfg: RateExperimentConfig, x, lam):
-    s0 = autocov_sym(x, 0)
-    st = autocov_sym(x, cfg.tau)
-    gain = unmix_from_covariances(s0, st, sample_mean(x), cfg.tau).gamma
+    # one validation and one centering, as in ``unmix``
+    c, mu = _centered(as_timeseries(x))
+    s0, st = (_hermitian_part(s) for s in _cross_products(c, (0, cfg.tau)))
+    gain = unmix_from_covariances(s0, st, mu, cfg.tau).gamma
     # trivial mixing: the gain is the standardized estimate
     diag = np.diagonal(gain, axis1=1, axis2=2)
     r_diag = np.max(np.abs((diag - 1.0) - 0.5 * (1.0 - np.diagonal(s0, axis1=1, axis2=2))),

@@ -29,6 +29,10 @@ class NonFiniteError(NumericalError, ValueError):
     """Input or intermediate array holds a NaN or an infinity."""
 
 
+class NotHermitianError(CbssError, ValueError):
+    """Matrix is not conjugate symmetric to working tolerance."""
+
+
 class PhaseError(CbssError, ValueError):
     """Row phase is undefined (zero diagonal entry or orthogonal reference row)."""
 

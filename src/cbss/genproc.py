@@ -84,18 +84,22 @@ def json_number(value, name: str) -> float:
     return float(value)
 
 
-def json_object(value, path: str, keys) -> dict:
-    """Decode a config object: a JSON object whose keys all lie in ``keys``.
+def json_object(value, path: str, keys, required=()) -> dict:
+    """Decode a config object: a JSON object whose keys all lie in ``keys``
+    and include every key of ``required``.
 
     ``path`` is the object's dotted place in the config, for example
     ``model.components[0].driver``; the error for a key outside ``keys``
-    names it.
+    or a missing required one names it.
     """
     if not isinstance(value, dict):
         raise ConfigError(f"{path} must be a JSON object, got {type(value).__name__}")
     unknown = [key for key in value if key not in keys]
     if unknown:
         raise ConfigError(f"{path}: unknown key {unknown[0]!r}")
+    missing = [key for key in required if key not in value]
+    if missing:
+        raise ConfigError(f"{path}: missing key {missing[0]!r}")
     return value
 
 
@@ -103,11 +107,15 @@ def _json_kind(value, path: str, params: dict, default=None) -> tuple[str, str |
     """``(kind, key)`` of a config object holding ``kind`` and that kind's parameter ``key``.
 
     ``params`` maps each kind to the key of its parameter, or to ``None``.
+    ``kind`` may be left out only when ``default`` is given; the kind's
+    parameter must be present.
     """
-    kind = json_object(value, path, ("kind", *params.values())).get("kind", default)
+    kind = json_object(value, path, ("kind", *params.values()),
+                       ("kind",) if default is None else ()).get("kind", default)
     if kind not in params:
         raise ConfigError(f"{path}: unknown kind {kind!r}")
-    json_object(value, path, ("kind", params[kind]))
+    own = () if params[kind] is None else (params[kind],)
+    json_object(value, path, ("kind", *own), own)
     return kind, params[kind]
 
 
@@ -115,7 +123,7 @@ def _json_complex(value: dict | None, name: str) -> np.ndarray | None:
     """Decode ``{"re": ..., "im": ...}`` (lists of numbers) as ``re + 1j * im``; keep ``None``."""
     if value is None:
         return None
-    json_object(value, name, ("re", "im"))
+    json_object(value, name, ("re", "im"), ("re", "im"))
     number = np.vectorize(lambda v: json_number(v, name), otypes=[float])
     return number(np.asarray(value["re"], dtype=object)) + 1j * number(
         np.asarray(value["im"], dtype=object))
@@ -253,7 +261,7 @@ class LatentComponentSpec:
 
     @staticmethod
     def from_dict(d: dict, path: str = "component") -> "LatentComponentSpec":
-        json_object(d, path, ("driver", "transform", "declared_ranks"))
+        json_object(d, path, ("driver", "transform", "declared_ranks"), ("driver",))
         return LatentComponentSpec(
             driver=Driver.from_dict(d["driver"], f"{path}.driver"),
             transform=Transform.from_dict(d.get("transform", {"kind": "identity"}),
@@ -336,7 +344,7 @@ class ModelSpec:
     def from_dict(d: dict, path: str = "model") -> "ModelSpec":
         try:
             json_object(d, path, ("d", "components", "mixing", "location", "normalize",
-                                  "centering"))
+                                  "centering"), ("d", "components"))
             normalize = d.get("normalize", True)
             if not isinstance(normalize, bool):
                 raise ConfigError(f"{path}.normalize must be true or false, got {normalize!r}")
@@ -585,7 +593,9 @@ def generate(model: ModelSpec, length: int, seed) -> tuple[np.ndarray, np.ndarra
 
     ``seed`` is an int or a ``SeedSequence``.  A list of them draws a
     stacked block instead: ``x`` and ``z`` are then ``(B, T, d)``, and
-    block row ``b`` equals the single draw from ``seed[b]``.
+    block row ``b`` equals the single draw from ``seed[b]``.  Either way
+    the time axis is contiguous: each component's path ``x[..., j]`` is
+    one run of memory.
     """
     t = int(length)
     if t < MIN_LENGTH:
@@ -595,8 +605,10 @@ def generate(model: ModelSpec, length: int, seed) -> tuple[np.ndarray, np.ndarra
              for s in (seed if stacked else [seed])]
     d = model.d
     children = [ss.spawn(2 * d) for ss in seeds]
-    # time-major memory: means over time then run along contiguous rows
-    z = np.empty((t, len(seeds), d), dtype=np.complex128).transpose(1, 0, 2)
+    # component-major memory behind the (B, T, d) view: every series owns a
+    # contiguous (d, T) slab, so means, centerings and lag products over time
+    # run along contiguous memory
+    z = np.empty((len(seeds), d, t), dtype=np.complex128).transpose(0, 2, 1)
     for idx, spec in enumerate(model.components):
         raw = _sample_driver(spec.driver, t, [np.random.default_rng(kids[idx])
                                               for kids in children])
@@ -609,7 +621,7 @@ def generate(model: ModelSpec, length: int, seed) -> tuple[np.ndarray, np.ndarra
         (z.real if idx < d else z.imag)[:, :, idx % d] = y
     if model.normalize and model.centering == "empirical":
         z -= z.mean(axis=1, keepdims=True)
-    x = np.matmul(z, model.mixing_matrix().T, out=np.empty_like(z))
+    x = np.swapaxes(model.mixing_matrix() @ np.swapaxes(z, 1, 2), 1, 2)
     x += model.location_vector()
     return (x, z) if stacked else (x[0], z[0])
 

@@ -20,13 +20,15 @@ from .errors import (
     DimensionError,
     NonConvergenceError,
     NonFiniteError,
+    NotHermitianError,
     NotPositiveDefiniteError,
     SingularMatrixError,
 )
 
 #: Eigenvalues below this fraction of the largest one count as non-positive.
 POSDEF_RTOL = 1e-12
-#: Largest entry of ``|m - m^H|`` that ``hermitian_eig`` accepts.
+#: Largest entry of ``|m - m^H|`` that ``hermitian_eig`` accepts, relative
+#: to the matrix's largest modulus.
 HERMITIAN_TOL = 1e-9
 
 #: ``v ** -0.5`` from the C library's ``pow``, one value at a time: numpy's
@@ -65,11 +67,20 @@ def _hermitian_error(m: np.ndarray) -> float:
 
 
 def _checked_hermitian(m) -> np.ndarray:
-    """Validate a square matrix (or stack), Hermitian to ``HERMITIAN_TOL``; symmetrize it."""
+    """Validate a square matrix (or stack), Hermitian to ``HERMITIAN_TOL``; symmetrize it.
+
+    The bound is relative to each matrix's largest modulus, so that ``c * m``
+    passes exactly when ``m`` does.
+    """
     a = as_cmatrix(m)
     _require_square(a)
-    if _hermitian_error(a) > HERMITIAN_TOL:
-        raise ValueError("input matrix is not Hermitian to tolerance")
+    error = np.max(np.abs(a - _conj_t(a)), axis=(-2, -1), initial=0.0)
+    scale = np.max(np.abs(a), axis=(-2, -1), initial=0.0)
+    bad = error > HERMITIAN_TOL * scale
+    if np.any(bad):
+        raise NotHermitianError(
+            f"input matrix is not Hermitian to tolerance: |m - m^H| reaches "
+            f"{error[bad][0]:.3e} against a largest modulus of {scale[bad][0]:.3e}")
     return _hermitian_part(a)
 
 
@@ -104,13 +115,13 @@ def _eigh(a: np.ndarray) -> HermEig:
 def hermitian_eig(m) -> HermEig:
     """Eigendecomposition of a Hermitian matrix via ``numpy.linalg.eigh``.
 
-    The input is checked to be Hermitian to ``HERMITIAN_TOL`` and then
-    symmetrized exactly, so LAPACK reads the same matrix from either
-    triangle.
+    The input is checked to be Hermitian to ``HERMITIAN_TOL`` times its
+    largest modulus and then symmetrized exactly, so LAPACK reads the same
+    matrix from either triangle.
 
     Raises
     ------
-    DimensionError / ValueError
+    DimensionError / NotHermitianError
         For non-square or non-Hermitian (to ``HERMITIAN_TOL``) input.
     NonConvergenceError
         If LAPACK's eigensolver does not converge.

@@ -280,6 +280,78 @@ def test_reports_do_not_depend_on_workers_or_block_size(monkeypatch, operation, 
             assert operation(cfg) == serial, (block_samples, threads)
 
 
+def test_pool_rows_equal_serial_rows_with_longest_length_last(monkeypatch):
+    cfg = small_cfg(t_grid=(64, 128, 1024))
+    truth = asymlab._truth(cfg)
+    monkeypatch.delenv("CBSS_THREADS", raising=False)
+    serial, _ = asymlab._map_replications(cfg, asymlab._gain_score, truth)
+    monkeypatch.setattr(asymlab.os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("CBSS_THREADS", "2")
+    pooled, _ = asymlab._map_replications(cfg, asymlab._gain_score, truth)
+    assert len(pooled) == len(serial)
+    for got, want in zip(pooled, serial):
+        assert np.array_equal(got, want)
+
+
+def test_pool_hands_out_longest_blocks_first_one_per_message(monkeypatch):
+    import concurrent.futures
+
+    handed = []
+
+    class RecordingPool:
+        # runs in this process and records the order of the tasks it is given
+        def __init__(self, max_workers):
+            assert max_workers == 2
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            assert chunksize == 1
+            handed.extend(tasks)
+            return map(fn, tasks)
+
+    cfg = small_cfg()
+    truth = asymlab._truth(cfg)
+    # blocks of 8, 4 and 2 series, each length with a short last block
+    monkeypatch.setattr(asymlab, "BLOCK_SAMPLES", 512)
+    monkeypatch.delenv("CBSS_THREADS", raising=False)
+    serial, _ = asymlab._map_replications(cfg, asymlab._gain_score, truth)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(asymlab.os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("CBSS_THREADS", "2")
+    pooled, _ = asymlab._map_replications(cfg, asymlab._gain_score, truth)
+    work = [cfg.t_grid[t_index] * (stop - start) for t_index, start, stop in handed]
+    assert work == sorted(work, reverse=True)
+    # 7 blocks at T = 64, 13 at 128 and 25 at 256, each handed out once
+    assert len(set(handed)) == len(handed) == 7 + 13 + 25
+    assert work[0] == 512 and work[-1] == 128
+    for got, want in zip(pooled, serial):
+        assert np.array_equal(got, want)
+
+
+def test_residual_score_matches_three_estimator_calls():
+    # one validation and centering: the same operations as autocov_sym twice
+    # plus sample_mean, so the rows are bitwise equal
+    cfg = small_cfg(tau=2)
+    lam = genproc.population_lambdas(cfg.model, cfg.tau)
+    x = genproc.generate(cfg.model, 256, [np.random.SeedSequence(9, spawn_key=(0, r))
+                                          for r in range(4)])[0]
+    s0, st = estimators.autocov_sym(x, 0), estimators.autocov_sym(x, cfg.tau)
+    gain = unmixing.unmix_from_covariances(s0, st, estimators.sample_mean(x), cfg.tau).gamma
+    diag = np.diagonal(gain, axis1=1, axis2=2)
+    r_diag = np.max(np.abs((diag - 1.0) - 0.5 * (1.0 - np.diagonal(s0, axis1=1, axis2=2))),
+                    axis=1)
+    resid = (lam[None, :] - lam[:, None]) * gain - (lam[:, None] * s0 - st)
+    off = resid[:, ~np.eye(len(lam), dtype=bool)]
+    r_off = np.max(np.hypot(off.real, off.imag), axis=1, initial=0.0)
+    got = asymlab._residual_score(cfg, x, lam)
+    assert np.array_equal(got, np.column_stack((r_diag, r_off)))
+
+
 def test_worker_count_is_capped_by_cores_and_tasks(monkeypatch):
     # resolves the count only: no pool is started
     monkeypatch.setattr(asymlab.os, "cpu_count", lambda: 4)

@@ -255,6 +255,25 @@ def test_rate_refuses_unknown_config_keys(tmp_path, where, edit):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("where, edit", [
+    ("model: missing key 'd'", lambda c: c["model"].pop("d")),
+    ("model.components[2]: missing key 'driver'",
+     lambda c: c["model"]["components"][2].pop("driver")),
+    ("config: missing key 'model'", lambda c: c.pop("model")),
+])
+def test_rate_names_missing_config_keys(tmp_path, where, edit):
+    # these used to read "invalid model spec: 'd'", without the place
+    cfg = {"model": short_range_model(phis=(0.8, 0.2)).to_dict(), "error_metric": "md",
+           "t_grid": [64, 128, 256], "replications": 50, "seed": 5}
+    edit(cfg)
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    proc = run_cli("rate", "--config", "cfg.json", "--out", "out", cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert where in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("threads", ["abc", "-1", "1.5"])
 def test_rate_rejects_bad_thread_count(tmp_path, threads):
     cfg = {"model": short_range_model(phis=(0.8, 0.2)).to_dict(),

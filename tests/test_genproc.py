@@ -290,6 +290,16 @@ def test_generate_block_rows_equal_single_draws(length):
         np.testing.assert_array_equal(z[rep], one_z)
 
 
+@pytest.mark.parametrize("seed", [3, [3], [3, 4, 5]], ids=["single", "B=1", "B=3"])
+def test_generate_time_axis_is_contiguous_per_component(seed):
+    # component-major memory: each component's path is one contiguous run
+    model = genproc.ModelSpec(d=2, components=short_range_model((0.8, 0.2)).components,
+                              mixing=[[1.0, 0.5j], [0.2, 1.0]], location=[1.0, -1.0j])
+    for a in genproc.generate(model, 100, seed):
+        assert a.strides[-2] == a.itemsize
+        assert a.strides[-1] == 100 * a.itemsize
+
+
 def test_generate_deterministic_and_seed_sensitive():
     model = short_range_model()
     a, _ = genproc.generate(model, 256, seed=5)

@@ -5,8 +5,10 @@ import pytest
 
 from cbss import linalg
 from cbss.errors import (
+    CbssError,
     DimensionError,
     NonFiniteError,
+    NotHermitianError,
     NotPositiveDefiniteError,
     SingularMatrixError,
 )
@@ -65,6 +67,22 @@ def test_eig_rejects_non_hermitian():
         linalg.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(DimensionError):
         linalg.hermitian_eig(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("exponent", [-500, -300, -40, 0, 40, 300, 500])
+def test_hermitian_check_is_relative_to_scale(rng, exponent):
+    # rounding-level asymmetry passes at any scale, a real one fails at any scale
+    base = random_hermitian(rng, 3)
+    noise = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    scale = 2.0 ** exponent
+    eig = linalg.hermitian_eig((base + 1e-14 * noise) * scale)
+    np.testing.assert_allclose(eig.values, linalg.hermitian_eig(base).values * scale,
+                               rtol=1e-12)
+    linalg.herm_inv_sqrt((np.eye(3) + 1e-14 * noise) * scale)
+    for bad in (base + 1e-6 * noise, np.array([[0.0, 1.0], [0.0, 0.0]])):
+        with pytest.raises(NotHermitianError) as info:
+            linalg.hermitian_eig(bad * scale)
+        assert isinstance(info.value, CbssError) and isinstance(info.value, ValueError)
 
 
 def test_eig_rejects_non_finite():

@@ -153,6 +153,20 @@ def test_unmix_from_covariances_plug_in_seam(rng):
     np.testing.assert_array_equal(via_seam.lambdas, direct.lambdas)
 
 
+@pytest.mark.parametrize("exponent", [-500, -40, 40, 500])
+def test_unmix_from_unsymmetrized_covariances_at_any_scale(exponent):
+    # autocov_unsym(x, 0) is Hermitian up to rounding; scaled by 2^40 that
+    # rounding used to exceed an absolute tolerance
+    x, _ = genproc.generate(short_range_model(), 1024, seed=4)
+    s0, st = estimators.autocov_unsym(x, 0), estimators.autocov_sym(x, 1)
+    mu = estimators.sample_mean(x)
+    base = unmixing.unmix_from_covariances(s0, st, mu, 1)
+    scale = 2.0 ** exponent
+    scaled = unmixing.unmix_from_covariances(s0 * scale, st * scale, mu, 1)
+    np.testing.assert_allclose(scaled.gamma * 2.0 ** (exponent // 2), base.gamma, rtol=1e-12)
+    np.testing.assert_allclose(scaled.lambdas, base.lambdas, rtol=1e-12)
+
+
 def test_nearly_collinear_columns_fit(rng):
     # cond(s0) ~ 1e10: well inside herm_inv_sqrt's range, but the whitened
     # lag matrix carries a rounding asymmetry of order eps * cond(s0)
