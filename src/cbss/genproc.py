@@ -10,9 +10,11 @@ exact functions of the coefficients.  Components are mixed with a fixed
 nonsingular matrix to produce the observed series.
 
 A model lists ``2d`` part specifications: the ``d`` real parts first,
-then the ``d`` imaginary parts, one scalar driver per part.  All
-randomness flows through ``numpy.random.SeedSequence`` so that draws are
-reproducible bit for bit regardless of scheduling.
+then the ``d`` imaginary parts, one scalar driver per part.  Each series
+draws from one generator seeded by its ``numpy.random.SeedSequence``:
+the parts take their normals from it in model order, each exactly its
+own count, so draws are reproducible bit for bit regardless of
+scheduling.
 """
 
 from __future__ import annotations
@@ -120,13 +122,17 @@ def _json_kind(value, path: str, params: dict, default=None) -> tuple[str, str |
 
 
 def _json_complex(value: dict | None, name: str) -> np.ndarray | None:
-    """Decode ``{"re": ..., "im": ...}`` (lists of numbers) as ``re + 1j * im``; keep ``None``."""
+    """Decode ``{"re": ..., "im": ...}`` (lists of numbers of one shape) as
+    ``re + 1j * im``; keep ``None``."""
     if value is None:
         return None
     json_object(value, name, ("re", "im"), ("re", "im"))
+    re, im = (np.asarray(value[key], dtype=object) for key in ("re", "im"))
+    if re.shape != im.shape:
+        raise ConfigError(f"{name}: re and im must have the same shape, "
+                          f"got {re.shape} and {im.shape}")
     number = np.vectorize(lambda v: json_number(v, name), otypes=[float])
-    return number(np.asarray(value["re"], dtype=object)) + 1j * number(
-        np.asarray(value["im"], dtype=object))
+    return number(re) + 1j * number(im)
 
 
 #: Driver kind -> the config key of its parameter (None: no parameter).
@@ -184,7 +190,8 @@ class Transform:
 
     ``identity`` maps to ``x``, ``hermite`` to ``H_degree``,
     ``square_centered`` to ``x^2 - 1`` and ``coeffs`` to
-    ``sum_k coeffs[k] H_k(x)``.
+    ``sum_k coeffs[k] H_k(x)``.  ``degree`` is stored as an int and
+    ``coeffs`` as a tuple of floats, so every transform is hashable.
     """
 
     kind: str = "identity"
@@ -194,15 +201,12 @@ class Transform:
     def __post_init__(self):
         if self.kind not in _TRANSFORM_PARAMS:
             raise ConfigError(f"unknown transform kind {self.kind!r}")
-        if self.kind == "hermite":
-            object.__setattr__(self, "degree", json_int(self.degree, "degree"))
-            if not 0 < self.degree <= MAX_HERMITE_DEGREE:
-                raise ConfigError(f"hermite degree must lie in [1, {MAX_HERMITE_DEGREE}]")
-        if self.kind == "coeffs":
-            if not self.coeffs or len(self.coeffs) > MAX_HERMITE_DEGREE + 1:
-                raise ConfigError("coefficient list must have 1..61 entries")
-            if not np.all(np.isfinite(self.coeffs)):
-                raise ConfigError("coefficient list contains non-finite values")
+        object.__setattr__(self, "degree", json_int(self.degree, "degree"))
+        object.__setattr__(self, "coeffs", tuple(json_number(c, "coeffs") for c in self.coeffs))
+        if self.kind == "hermite" and not 0 < self.degree <= MAX_HERMITE_DEGREE:
+            raise ConfigError(f"hermite degree must lie in [1, {MAX_HERMITE_DEGREE}]")
+        if self.kind == "coeffs" and not 0 < len(self.coeffs) <= MAX_HERMITE_DEGREE + 1:
+            raise ConfigError("coefficient list must have 1..61 entries")
 
     def series(self) -> np.ndarray:
         """Hermite coefficients ``a_0, a_1, ...`` of the transform."""
@@ -311,9 +315,10 @@ class ModelSpec:
                 raise ConfigError(f"mixing must be nonsingular: {exc}") from exc
             object.__setattr__(self, "mixing", a)
         if self.location is not None:
-            loc = np.asarray(self.location, dtype=np.complex128).reshape(-1)
+            loc = np.asarray(self.location, dtype=np.complex128)
             if loc.shape != (self.d,) or not np.all(np.isfinite(loc)):
-                raise ConfigError(f"location must hold {self.d} finite values")
+                raise ConfigError(f"location must be a vector of {self.d} finite values, "
+                                  f"got shape {loc.shape}")
             object.__setattr__(self, "location", loc)
 
     def mixing_matrix(self) -> np.ndarray:
@@ -395,14 +400,6 @@ def embedding_spectrum(autocov) -> np.ndarray:
     return fourier.fft(circ).real
 
 
-def _rng_from(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.default_rng(seed)
-    return np.random.default_rng(np.random.SeedSequence(seed))
-
-
 def _sqrt_spectrum(autocov) -> np.ndarray:
     """Square roots of the embedding eigenvalues, negative ones clamped at zero.
 
@@ -468,7 +465,7 @@ def sample_stationary_gaussian(autocov, n: int, seed) -> np.ndarray:
         raise DimensionError(f"need autocovariances at lags 0..N-1 with N >= max(n, 2) = {max(n, 2)}")
     if abs(r[0] - 1.0) > 1e-12:
         raise ValueError(f"autocov must be normalized to r(0) = 1, got {r[0]}")
-    return _embedding_paths(_sqrt_spectrum(r)[:r.size], n, [_rng_from(seed)])[0]
+    return _embedding_paths(_sqrt_spectrum(r)[:r.size], n, [np.random.default_rng(seed)])[0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -536,6 +533,7 @@ def _term_variances(transform: Transform) -> np.ndarray:
     return _FACTORIALS[:a.size] * a ** 2
 
 
+@functools.lru_cache(maxsize=None)
 def transform_moments(transform: Transform) -> tuple[float, float]:
     """Mean ``a_0`` and variance ``sum_{k>=1} k! a_k^2`` under a standard Gaussian."""
     return float(transform.series()[0]), float(_term_variances(transform)[1:].sum())
@@ -587,9 +585,13 @@ def generate(model: ModelSpec, length: int, seed) -> tuple[np.ndarray, np.ndarra
     ``z`` stacks the ``2d`` subordinated parts into ``d`` complex
     components; every part is centered with its Hermite mean ``a_0``, and
     rescaled under ``normalize``.  ``x = z A^T + location`` rowwise.
-    Deterministic per seed: every part consumes an independent child of
-    the seed sequence, so adding parts or reordering evaluation cannot
-    shift other draws.
+    Deterministic per seed: a series draws from one generator seeded by
+    its seed, and the parts take their normals from it in model order
+    (the ``d`` real parts, then the ``d`` imaginary ones), each exactly
+    its own count: ``T`` for ``iid`` and ``ar1``, the embedding size
+    ``m`` for ``fgn``.  Adding or removing a part, or switching one
+    between ``fgn`` and another kind, shifts the draws of the parts after
+    it.
 
     ``seed`` is an int or a ``SeedSequence``.  A list of them draws a
     stacked block instead: ``x`` and ``z`` are then ``(B, T, d)``, and
@@ -601,17 +603,14 @@ def generate(model: ModelSpec, length: int, seed) -> tuple[np.ndarray, np.ndarra
     if t < MIN_LENGTH:
         raise DimensionError(f"need at least {MIN_LENGTH} observations, got {t}")
     stacked = isinstance(seed, list)
-    seeds = [s if isinstance(s, np.random.SeedSequence) else np.random.SeedSequence(s)
-             for s in (seed if stacked else [seed])]
+    rngs = [np.random.default_rng(s) for s in (seed if stacked else [seed])]
     d = model.d
-    children = [ss.spawn(2 * d) for ss in seeds]
     # component-major memory behind the (B, T, d) view: every series owns a
     # contiguous (d, T) slab, so means, centerings and lag products over time
     # run along contiguous memory
-    z = np.empty((len(seeds), d, t), dtype=np.complex128).transpose(0, 2, 1)
+    z = np.empty((len(rngs), d, t), dtype=np.complex128).transpose(0, 2, 1)
     for idx, spec in enumerate(model.components):
-        raw = _sample_driver(spec.driver, t, [np.random.default_rng(kids[idx])
-                                              for kids in children])
+        raw = _sample_driver(spec.driver, t, rngs)
         mean, var = transform_moments(spec.transform)
         y = spec.transform.apply(raw) - mean
         if model.normalize:

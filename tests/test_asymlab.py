@@ -186,6 +186,11 @@ def _declared_ranks(ranks):
     ("location", lambda c: c["model"].update(location={"re": ["1", 0], "im": [0, 0]})),
     ("location", lambda c: c["model"].update(location={"re": [0, 0], "im": [True, 0]})),
     ("location", lambda c: c["model"].update(location={"re": [float("nan"), 0], "im": [0, 0]})),
+    # a scalar or shorter im was broadcast, and a column location flattened
+    ("mixing", lambda c: c["model"].update(mixing={"re": [[1, 0], [0, 1]], "im": 0.0})),
+    ("mixing", lambda c: c["model"].update(mixing={"re": [[1, 0], [0, 1]], "im": [[0, 0]]})),
+    ("location", lambda c: c["model"].update(location={"re": [1, 2], "im": [0]})),
+    ("location", lambda c: c["model"].update(location={"re": [[1], [2]], "im": [[0], [0.5]]})),
     ("normalize", lambda c: c["model"].update(normalize="false")),
     ("normalize", lambda c: c["model"].update(normalize=0)),
 ])

@@ -274,6 +274,25 @@ def test_rate_names_missing_config_keys(tmp_path, where, edit):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("where, change", [
+    ("model.mixing: re and im must have the same shape",
+     {"mixing": {"re": [[1, 0], [0, 1]], "im": 0.0}}),
+    ("model.location: re and im must have the same shape",
+     {"location": {"re": [1, 2], "im": [0]}}),
+    ("location must be a vector of 2 finite values",
+     {"location": {"re": [[1], [2]], "im": [[0], [0.5]]}}),
+], ids=["mixing-scalar-im", "location-short-im", "location-column"])
+def test_simulate_refuses_misshapen_complex_fields(tmp_path, where, change):
+    # each used to be broadcast or flattened into a model nobody wrote
+    model = {**short_range_model(phis=(0.8, 0.2)).to_dict(), **change}
+    (tmp_path / "model.json").write_text(json.dumps(model))
+    proc = run_cli(*SIMULATE, "--out", "x.csv", cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert where in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("threads", ["abc", "-1", "1.5"])
 def test_rate_rejects_bad_thread_count(tmp_path, threads):
     cfg = {"model": short_range_model(phis=(0.8, 0.2)).to_dict(),

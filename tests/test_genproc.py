@@ -153,6 +153,22 @@ def test_rank_pure_hermite():
                                   np.eye(top + 1)[top])
 
 
+def test_transform_coeffs_normalize_to_a_tuple_of_floats():
+    # a list or an array used to be kept as given: unhashable, or ambiguous
+    # in the emptiness check
+    forms = [genproc.Transform("coeffs", coeffs=c)
+             for c in ([0.0, 1, 0.5], (0, 1.0, 0.5), np.array([0.0, 1.0, 0.5]))]
+    assert all(f == forms[0] and hash(f) == hash(forms[0]) for f in forms)
+    assert forms[0].coeffs == (0.0, 1.0, 0.5)
+    assert all(type(c) is float for c in forms[2].coeffs)
+    assert {genproc.transform_moments(f) for f in forms} == {(0.0, 1.5)}
+    for bad in ([], [0.0, np.inf], [0.0, True], ["1"]):
+        with pytest.raises(ConfigError, match="coeff"):
+            genproc.Transform("coeffs", coeffs=bad)
+    with pytest.raises(ConfigError, match="degree"):
+        genproc.Transform("identity", degree=[1])
+
+
 def test_rank_cubic():
     cubic = genproc.Transform("coeffs", coeffs=(0.0, 3.0, 0.0, 1.0))  # x^3
     q1, q2 = genproc.hermite_rank(cubic)
@@ -234,12 +250,12 @@ def reference_draw(driver, n, rng):
 
 
 def assert_generate_matches_reference(drivers, n, seed):
+    # the parts draw from one stream of the seed, in model order
     model = genproc.ModelSpec(d=2, components=[genproc.LatentComponentSpec(dv) for dv in drivers],
                               normalize=False)
     _, z = genproc.generate(model, n, seed)
-    children = np.random.SeedSequence(seed).spawn(len(drivers))
-    parts = [reference_draw(dv, n, np.random.default_rng(ch))
-             for dv, ch in zip(drivers, children)]
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    parts = [reference_draw(dv, n, rng) for dv in drivers]
     expected = np.column_stack([parts[0] + 1j * parts[2], parts[1] + 1j * parts[3]])
     assert np.max(np.abs(z - expected)) < 1e-12
 
@@ -257,6 +273,23 @@ def test_generate_ar1_matches_recursion():
     drivers = [genproc.Driver("ar1", 0.0), genproc.Driver("ar1", -0.7),
                genproc.Driver("ar1", 0.999), genproc.Driver("iid")]
     assert_generate_matches_reference(drivers, 4097, 31)
+
+
+def test_generate_fgn_parts_advance_the_stream_by_their_embedding_size():
+    # an fGn part between others: T = 100 embeds in m = 256 normals
+    drivers = [genproc.Driver("fgn", 0.8), genproc.Driver("ar1", 0.5),
+               genproc.Driver("iid"), genproc.Driver("fgn", 0.6)]
+    assert_generate_matches_reference(drivers, 100, 77)
+
+
+@pytest.mark.parametrize("seed, count", [(5, 1), ([5], 1), ([5, 6, 7], 3)],
+                         ids=["single", "B=1", "B=3"])
+def test_generate_makes_one_generator_per_series(monkeypatch, seed, count):
+    made = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda s: made.append(s) or default_rng(s))
+    genproc.generate(genproc.ModelSpec(d=3, components=short_range_model().components), 64, seed)
+    assert len(made) == count
 
 
 @pytest.mark.parametrize("kind, param", [("iid", 0.0), ("ar1", 0.0), ("ar1", -0.7),
