@@ -36,7 +36,7 @@ from .genproc import (
     sample_stationary_gaussian,
     theoretical_gamma,
 )
-from .linalg import herm_inv_sqrt, hermitian_eig, inverse, is_hermitian
+from .linalg import herm_inv_sqrt, hermitian_eig, inverse
 from .metrics import md_index, solve_assignment
 from .unmixing import (
     UnmixingResult,

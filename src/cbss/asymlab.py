@@ -44,8 +44,8 @@ from . import linalg
 from .errors import ConfigError, DimensionError, ExperimentError, NumericalError, PhaseError
 # ``autocov_sym`` is unused here but stays bound: bench/layers.py traces it
 from .estimators import _centered, _cross_products, as_timeseries, autocov_sym, sample_mean
-from .genproc import (MIN_LENGTH, ModelSpec, RateInfo, generate, json_int, json_object,
-                      population_lambdas, theoretical_gamma)
+from .genproc import (MIN_LENGTH, ModelSpec, RateInfo, _build, _json_list, generate, json_int,
+                      json_object, population_lambdas, theoretical_gamma)
 from .linalg import _hermitian_part
 from .metrics import md_index
 from .unmixing import align_phase_to, unmix, unmix_from_covariances
@@ -69,7 +69,7 @@ class RateExperimentConfig:
     error_metric: str = "frobenius_after_alignment"
 
     def __post_init__(self):
-        object.__setattr__(self, "t_grid", tuple(json_int(t, "t_grid entry") for t in self.t_grid))
+        object.__setattr__(self, "t_grid", _json_list(self.t_grid, "t_grid", json_int))
         for name in ("tau", "replications", "seed"):
             object.__setattr__(self, name, json_int(getattr(self, name), name))
         if len(self.t_grid) < 3:
@@ -105,19 +105,8 @@ class RateExperimentConfig:
     def from_dict(d: dict) -> "RateExperimentConfig":
         json_object(d, "config", ("model", "tau", "t_grid", "replications", "seed",
                                   "error_metric"), ("model",))
-        try:
-            return RateExperimentConfig(
-                model=ModelSpec.from_dict(d["model"]),
-                tau=d.get("tau", 1),
-                t_grid=d.get("t_grid", (1024, 2048, 4096, 8192, 16384)),
-                replications=d.get("replications", 200),
-                seed=d.get("seed", 0),
-                error_metric=str(d.get("error_metric", "frobenius_after_alignment")),
-            )
-        except ConfigError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid experiment config: {exc}") from exc
+        return _build(RateExperimentConfig, "config",
+                      **{**d, "model": ModelSpec.from_dict(d["model"])})
 
 
 @dataclass(frozen=True)

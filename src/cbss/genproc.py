@@ -57,7 +57,7 @@ def hermite_poly(k: int, x):
     (``hermite_e.hermevander``); degrees above ``MAX_HERMITE_DEGREE`` are
     rejected to stay inside the range where double precision is trustworthy.
     """
-    k = int(k)
+    k = json_int(k, "degree")
     if k < 0:
         raise ValueError("degree must be non-negative")
     if k > MAX_HERMITE_DEGREE:
@@ -86,6 +86,15 @@ def json_number(value, name: str) -> float:
     return float(value)
 
 
+def _json_list(value, name: str, entry=lambda v, _: v) -> tuple:
+    """Decode a list config field (a JSON array, or a list, tuple or array from
+    Python) whose entries each pass ``entry(value, name)``."""
+    value = value.tolist() if isinstance(value, np.ndarray) else value
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{name} must be a list, got {type(value).__name__}")
+    return tuple(entry(v, f"{name} entry") for v in value)
+
+
 def json_object(value, path: str, keys, required=()) -> dict:
     """Decode a config object: a JSON object whose keys all lie in ``keys``
     and include every key of ``required``.
@@ -105,8 +114,8 @@ def json_object(value, path: str, keys, required=()) -> dict:
     return value
 
 
-def _json_kind(value, path: str, params: dict, default=None) -> tuple[str, str | None]:
-    """``(kind, key)`` of a config object holding ``kind`` and that kind's parameter ``key``.
+def _json_kind(value, path: str, params: dict, default=None) -> tuple[str, dict]:
+    """``(kind, {key: value})`` of a config object holding ``kind`` and that kind's parameter.
 
     ``params`` maps each kind to the key of its parameter, or to ``None``.
     ``kind`` may be left out only when ``default`` is given; the kind's
@@ -114,11 +123,13 @@ def _json_kind(value, path: str, params: dict, default=None) -> tuple[str, str |
     """
     kind = json_object(value, path, ("kind", *params.values()),
                        ("kind",) if default is None else ()).get("kind", default)
+    if not isinstance(kind, str):
+        raise ConfigError(f"{path}: kind must be a string, got {kind!r}")
     if kind not in params:
         raise ConfigError(f"{path}: unknown kind {kind!r}")
     own = () if params[kind] is None else (params[kind],)
     json_object(value, path, ("kind", *own), own)
-    return kind, params[kind]
+    return kind, {key: value[key] for key in own}
 
 
 def _json_complex(value: dict | None, name: str) -> np.ndarray | None:
@@ -133,6 +144,14 @@ def _json_complex(value: dict | None, name: str) -> np.ndarray | None:
                           f"got {re.shape} and {im.shape}")
     number = np.vectorize(lambda v: json_number(v, name), otypes=[float])
     return number(re) + 1j * number(im)
+
+
+def _build(cls, path: str, *args, **kwargs):
+    """``cls(*args, **kwargs)``, a field it refuses reported at the object's ``path``."""
+    try:
+        return cls(*args, **kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 #: Driver kind -> the config key of its parameter (None: no parameter).
@@ -154,8 +173,10 @@ class Driver:
     param: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in _DRIVER_PARAMS:
+        if not isinstance(self.kind, str) or self.kind not in _DRIVER_PARAMS:
             raise ConfigError(f"unknown driver kind {self.kind!r}")
+        object.__setattr__(self, "param",
+                           json_number(self.param, _DRIVER_PARAMS[self.kind] or "param"))
         if self.kind == "ar1" and not abs(self.param) < 1:
             raise ConfigError(f"ar1 coefficient must satisfy |phi| < 1, got {self.param}")
         if self.kind == "fgn" and not (0.5 <= self.param < 1.0):
@@ -178,10 +199,8 @@ class Driver:
 
     @staticmethod
     def from_dict(d: dict, path: str = "driver") -> "Driver":
-        kind, name = _json_kind(d, path, _DRIVER_PARAMS)
-        if name is None:
-            return Driver(kind)
-        return Driver(kind, json_number(d[name], f"{path}.{name}"))
+        kind, param = _json_kind(d, path, _DRIVER_PARAMS)
+        return _build(Driver, path, kind, *param.values())
 
 
 @dataclass(frozen=True)
@@ -199,10 +218,10 @@ class Transform:
     coeffs: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in _TRANSFORM_PARAMS:
+        if not isinstance(self.kind, str) or self.kind not in _TRANSFORM_PARAMS:
             raise ConfigError(f"unknown transform kind {self.kind!r}")
         object.__setattr__(self, "degree", json_int(self.degree, "degree"))
-        object.__setattr__(self, "coeffs", tuple(json_number(c, "coeffs") for c in self.coeffs))
+        object.__setattr__(self, "coeffs", _json_list(self.coeffs, "coeffs", json_number))
         if self.kind == "hermite" and not 0 < self.degree <= MAX_HERMITE_DEGREE:
             raise ConfigError(f"hermite degree must lie in [1, {MAX_HERMITE_DEGREE}]")
         if self.kind == "coeffs" and not 0 < len(self.coeffs) <= MAX_HERMITE_DEGREE + 1:
@@ -229,21 +248,16 @@ class Transform:
 
     @staticmethod
     def from_dict(d: dict, path: str = "transform") -> "Transform":
-        kind, _ = _json_kind(d, path, _TRANSFORM_PARAMS, default="identity")
-        if kind == "hermite":
-            return Transform("hermite", degree=d["degree"])
-        if kind == "coeffs":
-            return Transform("coeffs", coeffs=tuple(json_number(c, f"{path}.coeffs")
-                                                    for c in d["coeffs"]))
-        return Transform(kind)
+        kind, param = _json_kind(d, path, _TRANSFORM_PARAMS, default="identity")
+        return _build(Transform, path, kind, **param)
 
 
 @dataclass(frozen=True)
 class LatentComponentSpec:
     """One subordinated scalar process: driver, transform, optional ranks.
 
-    ``declared_ranks`` overrides the ranks ``(q1, q2)`` computed from the
-    transform and its centered square; both must be integers >= 1.
+    ``declared_ranks`` overrides the ranks ``(q1, q2)`` of the transform and
+    its centered square: two integers in ``[1, 2 * MAX_HERMITE_DEGREE]``.
     """
 
     driver: Driver
@@ -252,9 +266,10 @@ class LatentComponentSpec:
 
     def __post_init__(self):
         if self.declared_ranks is not None:
-            ranks = tuple(json_int(q, "declared_ranks") for q in self.declared_ranks)
-            if len(ranks) != 2 or min(ranks) < 1:
-                raise ConfigError(f"declared_ranks must be two integers >= 1, got {list(ranks)}")
+            ranks = _json_list(self.declared_ranks, "declared_ranks", json_int)
+            if len(ranks) != 2 or not all(1 <= q <= 2 * MAX_HERMITE_DEGREE for q in ranks):
+                raise ConfigError(f"declared_ranks must be two integers in "
+                                  f"[1, {2 * MAX_HERMITE_DEGREE}], got {list(ranks)}")
             object.__setattr__(self, "declared_ranks", ranks)
 
     def to_dict(self) -> dict:
@@ -266,12 +281,10 @@ class LatentComponentSpec:
     @staticmethod
     def from_dict(d: dict, path: str = "component") -> "LatentComponentSpec":
         json_object(d, path, ("driver", "transform", "declared_ranks"), ("driver",))
-        return LatentComponentSpec(
-            driver=Driver.from_dict(d["driver"], f"{path}.driver"),
-            transform=Transform.from_dict(d.get("transform", {"kind": "identity"}),
-                                          f"{path}.transform"),
-            declared_ranks=d.get("declared_ranks"),
-        )
+        parts = {"driver": Driver.from_dict(d["driver"], f"{path}.driver")}
+        if "transform" in d:
+            parts["transform"] = Transform.from_dict(d["transform"], f"{path}.transform")
+        return _build(LatentComponentSpec, path, **{**d, **parts})
 
 
 @dataclass(frozen=True)
@@ -297,29 +310,30 @@ class ModelSpec:
     def __post_init__(self):
         object.__setattr__(self, "d", json_int(self.d, "d"))
         if self.d < 1:
-            raise ConfigError("dimension must be at least 1")
-        object.__setattr__(self, "components", tuple(self.components))
+            raise ConfigError(f"d must be at least 1, got {self.d}")
+        object.__setattr__(self, "components", _json_list(self.components, "components"))
         if len(self.components) != 2 * self.d:
             raise ConfigError(
                 f"need {2 * self.d} part specs (real parts then imaginary), "
                 f"got {len(self.components)}")
+        if not isinstance(self.normalize, bool):
+            raise ConfigError(f"normalize must be true or false, got {self.normalize!r}")
         if self.centering not in ("empirical", "population"):
             raise ConfigError(f"unknown centering mode {self.centering!r}")
+        for name, shape, what in (("mixing", (self.d, self.d), f"a {self.d}x{self.d} matrix"),
+                                  ("location", (self.d,), f"a vector of {self.d}")):
+            if getattr(self, name) is not None:
+                value = np.asarray(getattr(self, name))
+                if (value.dtype.kind not in "iufc" or value.shape != shape
+                        or not np.all(np.isfinite(value))):
+                    raise ConfigError(f"{name} must be {what} finite values, "
+                                      f"got {value.dtype} of shape {value.shape}")
+                object.__setattr__(self, name, np.asarray(value, dtype=np.complex128))
         if self.mixing is not None:
-            a = linalg.as_cmatrix(self.mixing, "mixing")
-            if a.shape != (self.d, self.d):
-                raise ConfigError(f"mixing must be {self.d}x{self.d}, got {a.shape}")
             try:
-                linalg.inverse(a)
+                linalg.inverse(self.mixing)
             except SingularMatrixError as exc:
                 raise ConfigError(f"mixing must be nonsingular: {exc}") from exc
-            object.__setattr__(self, "mixing", a)
-        if self.location is not None:
-            loc = np.asarray(self.location, dtype=np.complex128)
-            if loc.shape != (self.d,) or not np.all(np.isfinite(loc)):
-                raise ConfigError(f"location must be a vector of {self.d} finite values, "
-                                  f"got shape {loc.shape}")
-            object.__setattr__(self, "location", loc)
 
     def mixing_matrix(self) -> np.ndarray:
         if self.mixing is None:
@@ -338,34 +352,22 @@ class ModelSpec:
             "normalize": self.normalize,
             "centering": self.centering,
         }
-        if self.mixing is not None:
-            out["mixing"] = {"re": self.mixing.real.tolist(), "im": self.mixing.imag.tolist()}
-        if self.location is not None:
-            out["location"] = {"re": self.location.real.tolist(),
-                               "im": self.location.imag.tolist()}
+        for name in ("mixing", "location"):
+            value = getattr(self, name)
+            if value is not None:
+                out[name] = {"re": value.real.tolist(), "im": value.imag.tolist()}
         return out
 
     @staticmethod
     def from_dict(d: dict, path: str = "model") -> "ModelSpec":
-        try:
-            json_object(d, path, ("d", "components", "mixing", "location", "normalize",
-                                  "centering"), ("d", "components"))
-            normalize = d.get("normalize", True)
-            if not isinstance(normalize, bool):
-                raise ConfigError(f"{path}.normalize must be true or false, got {normalize!r}")
-            return ModelSpec(
-                d=d["d"],
-                components=tuple(LatentComponentSpec.from_dict(c, f"{path}.components[{i}]")
-                                 for i, c in enumerate(d["components"])),
-                mixing=_json_complex(d.get("mixing"), f"{path}.mixing"),
-                location=_json_complex(d.get("location"), f"{path}.location"),
-                normalize=normalize,
-                centering=str(d.get("centering", "empirical")),
-            )
-        except ConfigError:
-            raise
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid model spec: {exc}") from exc
+        json_object(d, path, ("d", "components", "mixing", "location", "normalize",
+                              "centering"), ("d", "components"))
+        parts = {key: _json_complex(d[key], f"{path}.{key}")
+                 for key in ("mixing", "location") if key in d}
+        parts["components"] = tuple(
+            LatentComponentSpec.from_dict(c, f"{path}.components[{i}]")
+            for i, c in enumerate(_json_list(d["components"], f"{path}.components")))
+        return _build(ModelSpec, path, **{**d, **parts})
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +460,7 @@ def sample_stationary_gaussian(autocov, n: int, seed) -> np.ndarray:
     relative to the total a ``RuntimeWarning`` reports it.
     """
     r = np.asarray(autocov, dtype=float)
-    n = int(n)
+    n = json_int(n, "n")
     if n < 1:
         raise DimensionError("need n >= 1")
     if r.ndim != 1 or r.size < max(n, 2):

@@ -69,24 +69,6 @@ class RgbImage:
         return RgbImage(width=v.shape[1], height=v.shape[0], pixels=q)
 
 
-@dataclass(frozen=True)
-class ComplexImage:
-    """One complex value per pixel; ``values`` has shape (height, width)."""
-
-    width: int
-    height: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.complex128)
-        if v.shape != (self.height, self.width):
-            raise DimensionError(
-                f"value block must be ({self.height}, {self.width}), got {v.shape}")
-        if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
-            raise ValueError("complex image contains non-finite values")
-        object.__setattr__(self, "values", v)
-
-
 # ---------------------------------------------------------------------------
 # the transform chain
 # ---------------------------------------------------------------------------
@@ -160,23 +142,24 @@ def color_correct(img: RgbImage) -> RgbImage:
     return RgbImage(width=img.width, height=img.height, pixels=out)
 
 
-def rgb_to_complex(img: RgbImage) -> ComplexImage:
-    """Full forward chain for a surface image.
+def rgb_to_complex(img: RgbImage) -> np.ndarray:
+    """Full forward chain for a surface image, to a ``(height, width)`` complex array.
 
     No 8-bit pixel lands on the north pole: the pole needs
     ``p = (0, 0, 1)``, and no 8-bit level has ``p = 2c - 1 = 0``.
     """
     p = [np.take(_CENTERED, plane) for plane in _planes(img.pixels)]
     _check_surface(*p)
-    zeta = _stereographic(*_cube_to_sphere(*p))
-    return ComplexImage(width=img.width, height=img.height, values=zeta)
+    return _stereographic(*_cube_to_sphere(*p))
 
 
-def complex_to_rgb(img: ComplexImage) -> RgbImage:
-    """Inverse chain: complex plane -> sphere -> cube surface -> 8-bit RGB."""
-    s = _stereographic_inverse(img.values)
+def complex_to_rgb(values: np.ndarray) -> RgbImage:
+    """Inverse chain for a ``(height, width)`` complex array: complex plane ->
+    sphere -> cube surface -> 8-bit RGB."""
+    s = _stereographic_inverse(values)
     m = _max_modulus(*s)
-    out = np.empty(img.values.shape + (3,), dtype=np.uint8)
+    height, width = values.shape
+    out = np.empty((height, width, 3), dtype=np.uint8)
     for plane, sk in zip(_planes(out), s):
         # scale out to the cube surface, then from_float's quantization of (p + 1) / 2
         c = sk / m
@@ -187,21 +170,21 @@ def complex_to_rgb(img: ComplexImage) -> RgbImage:
         # cast in the input's memory order: a column-major input then
         # pays for the transposing copy in bytes rather than in floats
         plane[...] = c.astype(np.uint8)
-    return RgbImage(width=img.width, height=img.height, pixels=out)
+    return RgbImage(width=width, height=height, pixels=out)
 
 
 # ---------------------------------------------------------------------------
 # separation pipeline
 # ---------------------------------------------------------------------------
 
-def _vectorize(images: list[ComplexImage]) -> np.ndarray:
+def _vectorize(images: list[np.ndarray]) -> np.ndarray:
     # column-major: lag 1 = next pixel down, lag ``height`` = next column
-    return np.stack([im.values.flatten(order="F") for im in images], axis=1)
+    return np.stack([im.flatten(order="F") for im in images], axis=1)
 
 
-def _unvectorize(series: np.ndarray, width: int, height: int) -> list[ComplexImage]:
-    return [ComplexImage(width=width, height=height,
-                         values=series[:, k].reshape((height, width), order="F"))
+def _render(series: np.ndarray, width: int, height: int) -> list[RgbImage]:
+    """The RGB image of each column of a vectorized series."""
+    return [complex_to_rgb(series[:, k].reshape((height, width), order="F"))
             for k in range(series.shape[1])]
 
 
@@ -256,10 +239,10 @@ def separate_images(images, tau: int = 1, mixing="random", seed: int = 0) -> Sep
 
     latent = _vectorize(complex_imgs)
     observed = latent @ a.T
-    mixed_imgs = [complex_to_rgb(ci) for ci in _unvectorize(observed, w, h)]
+    mixed_imgs = _render(observed, w, h)
     result = unmix(observed, tau)
     recovered = apply_unmixing(result, observed)
-    unmixed_imgs = [complex_to_rgb(ci) for ci in _unvectorize(recovered, w, h)]
+    unmixed_imgs = _render(recovered, w, h)
     score = md_index(result.gamma, a)
     return SeparationResult(mixed=mixed_imgs, unmixed=unmixed_imgs, md=score,
                             mixing=a, gamma=result.gamma)

@@ -62,10 +62,6 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + _conj_t(m))
 
 
-def _hermitian_error(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m - _conj_t(m)))) if m.size else 0.0
-
-
 def _checked_hermitian(m) -> np.ndarray:
     """Validate a square matrix (or stack), Hermitian to ``HERMITIAN_TOL``; symmetrize it.
 
@@ -82,12 +78,6 @@ def _checked_hermitian(m) -> np.ndarray:
             f"input matrix is not Hermitian to tolerance: |m - m^H| reaches "
             f"{error[bad][0]:.3e} against a largest modulus of {scale[bad][0]:.3e}")
     return _hermitian_part(a)
-
-
-def is_hermitian(m, tol: float = 1e-10) -> bool:
-    """True if the largest entry of ``|m - m^H|`` is at most ``tol``."""
-    m = as_cmatrix(m)
-    return m.shape[-2] == m.shape[-1] and _hermitian_error(m) <= tol
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
+import functools
 import json
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -148,6 +150,70 @@ def test_config_round_trip_through_json(cfg):
                               (cfg.model, genproc.ModelSpec.from_dict)):
         as_dict = config.to_dict()
         assert from_dict(json.loads(json.dumps(as_dict))).to_dict() == as_dict
+
+
+def _places(obj, path=()):
+    """The places in a decoded JSON value, as paths of keys and indices: every
+    key of an object, and the first and the last entry of an array."""
+    yield path
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list) and obj:
+        items = [(0, obj[0]), (-1, obj[-1])]
+    else:
+        items = ()
+    for key, value in items:
+        yield from _places(value, path + (key,))
+
+
+_JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.integers(-(10 ** 400), 10 ** 400)
+                | st.floats() | st.text(max_size=6)
+                | st.sampled_from(["ar1", "fgn", "iid", "hermite", "coeffs", "md", "population"]))
+_JSON_VALUES = (_JSON_LEAVES | st.lists(_JSON_LEAVES, max_size=4)
+                | st.dictionaries(st.sampled_from(["kind", "re", "im"]) | st.text(max_size=6),
+                                  _JSON_LEAVES, max_size=3))
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(_rate_configs(), st.data())
+def test_config_decoding_ends_any_bad_value_in_config_error(cfg, data):
+    # the decoder used to lean on catch-alls; without them a value of an
+    # unforeseen type at any place must still be refused as a config error
+    as_dict = cfg.to_dict()
+    path = data.draw(st.sampled_from(list(_places(as_dict))), label="place")
+    value = data.draw(_JSON_VALUES, label="value")
+    if path:
+        parent = functools.reduce(operator.getitem, path[:-1], as_dict)
+        parent[path[-1]] = value
+    else:
+        as_dict = value
+    try:
+        asymlab.RateExperimentConfig.from_dict(as_dict)
+    except ConfigError:
+        pass
+
+
+@pytest.mark.parametrize("index, key, kind", [
+    (0, "driver", ["ar1"]),
+    (1, "transform", {"kind": "identity"}),
+    (2, "transform", None),
+])
+def test_config_decoding_refuses_a_kind_that_is_not_a_string(index, key, kind):
+    # a list kind used to read "invalid model spec: unhashable type: 'list'"
+    cfg = small_cfg().to_dict()
+    cfg["model"]["components"][index][key]["kind"] = kind
+    with pytest.raises(ConfigError) as info:
+        asymlab.RateExperimentConfig.from_dict(cfg)
+    assert str(info.value) == (f"model.components[{index}].{key}: "
+                               f"kind must be a string, got {kind!r}")
+
+
+def test_config_decoding_hands_strings_on_unconverted():
+    # str() used to turn null into 'None', and the message named no place
+    cfg = small_cfg().to_dict()
+    cfg["model"]["centering"] = None
+    with pytest.raises(ConfigError, match=r"^model: unknown centering mode None$"):
+        asymlab.RateExperimentConfig.from_dict(cfg)
 
 
 def _hermite_model(cfg):

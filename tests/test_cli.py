@@ -274,6 +274,19 @@ def test_rate_names_missing_config_keys(tmp_path, where, edit):
     assert not (tmp_path / "out").exists()
 
 
+def test_rate_refuses_a_kind_that_is_not_a_string(tmp_path):
+    # this used to read "invalid model spec: unhashable type: 'list'"
+    cfg = {"model": short_range_model(phis=(0.8, 0.2)).to_dict(),
+           "t_grid": [64, 128, 256], "replications": 50, "seed": 5}
+    cfg["model"]["components"][0]["driver"]["kind"] = ["ar1"]
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    proc = run_cli("rate", "--config", "cfg.json", "--out", "out", cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "model.components[0].driver: kind must be a string, got ['ar1']" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("where, change", [
     ("model.mixing: re and im must have the same shape",
      {"mixing": {"re": [[1, 0], [0, 1]], "im": 0.0}}),

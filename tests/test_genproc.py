@@ -125,6 +125,15 @@ def test_sampler_validation():
         genproc.sample_stationary_gaussian(np.array([1.0, 0.5]), 8, seed=0)
 
 
+def test_integer_arguments_are_not_truncated():
+    # 2.7 used to evaluate H_2, and 4.9 samples used to draw 4
+    with pytest.raises(ConfigError, match="degree"):
+        genproc.hermite_poly(2.7, 0.5)
+    with pytest.raises(ConfigError, match=r"\bn\b"):
+        genproc.sample_stationary_gaussian(genproc.fgn_autocov(0.7, np.arange(9)), 4.9, seed=0)
+    assert genproc.hermite_poly(np.int64(2), 1.0) == 0.0
+
+
 def test_fgn_embedding_is_nonnegative():
     for hurst in (0.7, 0.9, 0.95):
         r = genproc.fgn_autocov(hurst, np.arange(2 ** 16 + 1))
@@ -484,3 +493,31 @@ def test_model_spec_validation():
         genproc.Driver("ar1", 1.5)
     with pytest.raises(ConfigError):
         genproc.Driver("fgn", 0.4)
+
+
+@pytest.mark.parametrize("field, build", [
+    # "false" used to be kept and read as true by generate
+    ("normalize", lambda comps: genproc.ModelSpec(d=3, components=comps, normalize="false")),
+    # these used to end in a TypeError
+    ("hurst", lambda comps: genproc.Driver("fgn", "0.7")),
+    ("kind", lambda comps: genproc.Driver(["ar1"], 0.5)),
+    ("kind", lambda comps: genproc.Transform({"kind": "identity"})),
+    ("components", lambda comps: genproc.ModelSpec(d=3, components=6)),
+    ("coeffs", lambda comps: genproc.Transform("coeffs", coeffs=1.0)),
+    ("declared_ranks", lambda comps: genproc.LatentComponentSpec(
+        genproc.Driver("iid"), declared_ranks=2)),
+    # a rank too large for a float used to overflow in the rate exponent
+    ("declared_ranks", lambda comps: genproc.LatentComponentSpec(
+        genproc.Driver("fgn", 0.7), declared_ranks=[1, 10 ** 400])),
+    # from_dict refuses a misshapen re/im pair before the constructor sees it
+    ("mixing", lambda comps: genproc.ModelSpec(d=3, components=comps, mixing=np.eye(2))),
+    # numpy used to parse the strings, which from_dict refuses
+    ("mixing", lambda comps: genproc.ModelSpec(d=3, components=comps,
+                                               mixing=[["1", "0", "0"], ["0", "1", "0"],
+                                                       ["0", "0", "1"]])),
+    ("location", lambda comps: genproc.ModelSpec(d=3, components=comps,
+                                                 location=[True, False, True])),
+])
+def test_spec_constructors_check_every_field(field, build):
+    with pytest.raises(ConfigError, match=rf"\b{field}\b"):
+        build(short_range_model().components)
