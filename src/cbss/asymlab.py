@@ -17,16 +17,18 @@ Replications are seeded by ``(grid index, replication index)`` spawn
 keys.  Each grid length's replications are drawn, fitted and scored in
 stacked blocks of ``BLOCK_SAMPLES // T`` series (at least one, at most
 all), validated once per block; a score function reduces each series of
-a block to a short vector of floats.  A replication's row does not
-depend on its block, so reports are bit-identical no matter how many
-workers run the blocks (``CBSS_THREADS`` caps the pool; unset means
-serial, ``0`` means all cores, and no value goes past the core count or
-the block count).  A block that fails with a numerical error
-(``NumericalError`` or ``PhaseError``) is re-run one replication at a
-time, and each failing replication is dropped from every statistic and
-counted in the report's ``failures``; when more than ``FAILURE_BUDGET``
-of all replications fail, the experiment raises ``ExperimentError``.
-Any other exception propagates.
+a block to a short vector of floats.  The fitting scores center the
+block in place, since the lab never reads a drawn block again, so a
+block's peak memory is about two block-sized arrays.  A replication's
+row does not depend on its block, so reports are bit-identical no
+matter how many workers run the blocks (``CBSS_THREADS`` caps the pool;
+unset means serial, ``0`` means all cores, and no value goes past the
+core count or the block count).  A block that fails with a numerical
+error (``NumericalError`` or ``PhaseError``) is drawn again one
+replication at a time, and each failing replication is dropped from
+every statistic and counted in the report's ``failures``; when more
+than ``FAILURE_BUDGET`` of all replications fail, the experiment raises
+``ExperimentError``.  Any other exception propagates.
 """
 
 from __future__ import annotations
@@ -42,19 +44,19 @@ import numpy as np
 
 from . import linalg
 from .errors import ConfigError, DimensionError, ExperimentError, NumericalError, PhaseError
-# ``autocov_sym`` is unused here but stays bound: bench/layers.py traces it
-from .estimators import _centered, _cross_products, as_timeseries, autocov_sym, sample_mean
-from .genproc import (MIN_LENGTH, ModelSpec, RateInfo, _build, _json_list, generate, json_int,
-                      json_object, population_lambdas, theoretical_gamma)
-from .linalg import _hermitian_part
+# ``autocov_sym`` and ``unmix`` are unused here but stay bound: bench/layers.py
+# traces them, and tests/test_bench_sites.py checks that they resolve
+from .estimators import _centered, as_timeseries, autocov_sym, sample_mean
+from .genproc import (MIN_LENGTH, ModelSpec, RateInfo, _build, _json_list, _require_type,
+                      generate, json_int, json_object, population_lambdas, theoretical_gamma)
 from .metrics import md_index
-from .unmixing import align_phase_to, unmix, unmix_from_covariances
+from .unmixing import _fit_centered, align_phase_to, unmix
 
 ERROR_METRICS = ("md", "frobenius_after_alignment", "elementwise")
 #: Replication failure fraction above which an experiment aborts.
 FAILURE_BUDGET = 0.01
 #: Samples (replications times length) drawn and fitted as one block.
-BLOCK_SAMPLES = 8192
+BLOCK_SAMPLES = 16384
 
 
 @dataclass(frozen=True)
@@ -69,6 +71,7 @@ class RateExperimentConfig:
     error_metric: str = "frobenius_after_alignment"
 
     def __post_init__(self):
+        _require_type(self.model, "model", ModelSpec)
         object.__setattr__(self, "t_grid", _json_list(self.t_grid, "t_grid", json_int))
         for name in ("tau", "replications", "seed"):
             object.__setattr__(self, name, json_int(getattr(self, name), name))
@@ -244,10 +247,17 @@ def _medians(rows, column: int) -> list:
 
 # per-replication scores, one row per series of a stacked block ----------------
 
+def _fit_drawn(x, tau: int):
+    """``(result, s0, s_tau)`` of a drawn block, which it centers in place:
+    the lab never reads a block after scoring it, and re-draws a failed one."""
+    a = as_timeseries(x)
+    return _fit_centered(*_centered(a, out=a), tau)
+
+
 def _gain_score(cfg: RateExperimentConfig, x, extra):
     """``(error, diag_err, off_err, *gain as float pairs)`` against the truth."""
     mixing, gamma_ref = extra
-    res = unmix(x, cfg.tau)
+    res = _fit_drawn(x, cfg.tau)[0]
     aligned = align_phase_to(res.gamma, gamma_ref)
     gain = aligned @ mixing
     b, d = gain.shape[:2]
@@ -269,11 +279,9 @@ def _truth(cfg: RateExperimentConfig):
 
 
 def _residual_score(cfg: RateExperimentConfig, x, lam):
-    # one validation and one centering, as in ``unmix``
-    c, mu = _centered(as_timeseries(x))
-    s0, st = (_hermitian_part(s) for s in _cross_products(c, (0, cfg.tau)))
-    gain = unmix_from_covariances(s0, st, mu, cfg.tau).gamma
+    fit, s0, st = _fit_drawn(x, cfg.tau)
     # trivial mixing: the gain is the standardized estimate
+    gain = fit.gamma
     diag = np.diagonal(gain, axis1=1, axis2=2)
     r_diag = np.max(np.abs((diag - 1.0) - 0.5 * (1.0 - np.diagonal(s0, axis1=1, axis2=2))),
                     axis=1)

@@ -34,10 +34,11 @@ def as_timeseries(x, min_length: int = 2) -> np.ndarray:
     return a
 
 
-def _centered(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(a - mean, mean)`` of a validated series or block."""
+def _centered(a: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``(a - mean, mean)`` of a validated series or block, written to ``out``
+    when given (``a`` itself centers in place)."""
     mu = a.mean(axis=-2)
-    return a - mu[..., None, :], mu
+    return np.subtract(a, mu[..., None, :], out=out), mu
 
 
 def _cross_products(c: np.ndarray, taus) -> list:

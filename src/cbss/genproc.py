@@ -146,6 +146,13 @@ def _json_complex(value: dict | None, name: str) -> np.ndarray | None:
     return number(re) + 1j * number(im)
 
 
+def _require_type(value, name: str, cls):
+    """Check a nested spec a constructor takes: ``value`` when it is a ``cls``."""
+    if not isinstance(value, cls):
+        raise ConfigError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+    return value
+
+
 def _build(cls, path: str, *args, **kwargs):
     """``cls(*args, **kwargs)``, a field it refuses reported at the object's ``path``."""
     try:
@@ -265,6 +272,8 @@ class LatentComponentSpec:
     declared_ranks: tuple | None = None
 
     def __post_init__(self):
+        _require_type(self.driver, "driver", Driver)
+        _require_type(self.transform, "transform", Transform)
         if self.declared_ranks is not None:
             ranks = _json_list(self.declared_ranks, "declared_ranks", json_int)
             if len(ranks) != 2 or not all(1 <= q <= 2 * MAX_HERMITE_DEGREE for q in ranks):
@@ -311,7 +320,9 @@ class ModelSpec:
         object.__setattr__(self, "d", json_int(self.d, "d"))
         if self.d < 1:
             raise ConfigError(f"d must be at least 1, got {self.d}")
-        object.__setattr__(self, "components", _json_list(self.components, "components"))
+        object.__setattr__(self, "components", _json_list(
+            self.components, "components",
+            functools.partial(_require_type, cls=LatentComponentSpec)))
         if len(self.components) != 2 * self.d:
             raise ConfigError(
                 f"need {2 * self.d} part specs (real parts then imaginary), "
@@ -601,7 +612,7 @@ def generate(model: ModelSpec, length: int, seed) -> tuple[np.ndarray, np.ndarra
     the time axis is contiguous: each component's path ``x[..., j]`` is
     one run of memory.
     """
-    t = int(length)
+    t = json_int(length, "length")
     if t < MIN_LENGTH:
         raise DimensionError(f"need at least {MIN_LENGTH} observations, got {t}")
     stacked = isinstance(seed, list)
@@ -614,12 +625,15 @@ def generate(model: ModelSpec, length: int, seed) -> tuple[np.ndarray, np.ndarra
     for idx, spec in enumerate(model.components):
         raw = _sample_driver(spec.driver, t, rngs)
         mean, var = transform_moments(spec.transform)
-        y = spec.transform.apply(raw) - mean
+        y = spec.transform.apply(raw)
+        y -= mean
         if model.normalize:
             if var <= 0:
                 raise ConfigError("transform has zero variance; cannot normalize")
             y /= np.sqrt(2.0 * var)
         (z.real if idx < d else z.imag)[:, :, idx % d] = y
+        # no part outlives its copy into z: the mixing product is the peak
+        del raw, y
     if model.normalize and model.centering == "empirical":
         z -= z.mean(axis=1, keepdims=True)
     x = np.swapaxes(model.mixing_matrix() @ np.swapaxes(z, 1, 2), 1, 2)
@@ -635,7 +649,7 @@ def population_lambdas(model: ModelSpec, tau: int) -> np.ndarray:
     autocovariance, combining the real and imaginary parts with the same
     scaling as :func:`generate`.
     """
-    tau = int(tau)
+    tau = json_int(tau, "tau")
     out = np.empty(model.d)
     for comp in range(model.d):
         total = 0.0

@@ -132,6 +132,14 @@ def _checked_lag(tau, a: np.ndarray) -> int:
     return tau
 
 
+def _fit_centered(c: np.ndarray, mu: np.ndarray, tau: int):
+    """``(result, s0, s_tau)`` of a validated series or block ``c`` centered
+    at its time mean ``mu``, with ``tau`` in range."""
+    s0, s_tau = (_hermitian_part(s) for s in _cross_products(c, (0, tau)))
+    gamma, lam, gap = _fit(s0, s_tau)
+    return UnmixingResult(gamma=gamma, lambdas=lam, mu=mu, tau=tau, eigen_gap=gap), s0, s_tau
+
+
 def unmix(x, tau: int) -> UnmixingResult:
     """Fit the unmixing matrix from the lag-0 and lag-``tau`` autocovariances.
 
@@ -147,10 +155,7 @@ def unmix(x, tau: int) -> UnmixingResult:
     """
     a = as_timeseries(x)
     tau = _checked_lag(tau, a)
-    c, mu = _centered(a)
-    s0, s_tau = (_hermitian_part(s) for s in _cross_products(c, (0, tau)))
-    gamma, lam, gap = _fit(s0, s_tau)
-    return UnmixingResult(gamma=gamma, lambdas=lam, mu=mu, tau=tau, eigen_gap=gap)
+    return _fit_centered(*_centered(a), tau)[0]
 
 
 def apply_unmixing(result: UnmixingResult, x) -> np.ndarray:

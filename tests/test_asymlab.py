@@ -310,6 +310,8 @@ def test_config_decoding_refuses_unknown_keys(message, edit):
     ("t_grid", lambda: small_cfg(t_grid=(64.7, 128, 256))),
     ("d", lambda: genproc.ModelSpec(d=2.0, components=short_range_model((0.8, 0.2)).components)),
     ("degree", lambda: genproc.Transform("hermite", degree=2.5)),
+    # a dict model used to end in a raw AttributeError
+    ("model", lambda: small_cfg(model=short_range_model().to_dict())),
 ])
 def test_config_constructors_refuse_coercions(field, build):
     # the constructors decode like from_dict: 64.7 used to become 64, and
@@ -474,6 +476,57 @@ def test_failed_replication_is_dropped_from_every_statistic(monkeypatch):
     assert report.per_t[2] == full.per_t[2]
     assert report.gaussianity == full.gaussianity
     assert report.scale_diag == full.scale_diag
+
+
+@pytest.mark.parametrize("score", ["gain", "residual"])
+def test_a_block_failing_after_in_place_centering_is_redrawn(monkeypatch, score):
+    cfg = small_cfg()
+    score, extra = {"gain": (asymlab._gain_score, asymlab._truth(cfg)),
+                    "residual": (asymlab._residual_score,
+                                 genproc.population_lambdas(cfg.model, cfg.tau))}[score]
+    monkeypatch.delenv("CBSS_THREADS", raising=False)
+    real_generate = asymlab.generate
+
+    def zeroing(model, length, seeds):
+        # a zero component passes the entry check; its singular S0 fails the
+        # fit after the block was centered in place
+        x, z = real_generate(model, length, seeds)
+        for row, seed in zip(x, seeds):
+            if seed.spawn_key == (1, 3):
+                row[:, 1] = 0.0
+        return x, z
+
+    monkeypatch.setattr(asymlab, "generate", zeroing)
+    rows, failures = asymlab._map_replications(cfg, score, extra)
+    assert failures == 1
+    # the other replications of the failed block were drawn again, not re-centered
+    monkeypatch.setattr(asymlab, "BLOCK_SAMPLES", 1)
+    single, failures = asymlab._map_replications(cfg, score, extra)
+    assert failures == 1
+    for got, want in zip(rows, single):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("score", ["gain", "residual", "mu"])
+def test_one_lab_block_peaks_at_about_two_block_sizes(score):
+    # the fit centers the drawn block in place, so only the conjugate its lag
+    # products take sits beside it; the generator's peak is the latent block
+    import tracemalloc
+
+    model = long_range_model(centering="population") if score == "mu" else short_range_model()
+    cfg = small_cfg(model=model, t_grid=(1024, 2048, 4096))
+    score, extra = {"gain": (asymlab._gain_score, asymlab._truth(cfg)),
+                    "residual": (asymlab._residual_score, genproc.population_lambdas(model, 1)),
+                    "mu": (asymlab._mu_score, 0.5)}[score]
+    task = (2, 0, 4)
+    asymlab._run_block(cfg, score, extra, task)  # fills the sampler's caches
+    tracemalloc.start()
+    try:
+        asymlab._run_block(cfg, score, extra, task)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * (4 * 4096 * model.d * 16)
 
 
 def test_programming_error_in_a_replication_propagates(monkeypatch):

@@ -132,6 +132,14 @@ def test_integer_arguments_are_not_truncated():
     with pytest.raises(ConfigError, match=r"\bn\b"):
         genproc.sample_stationary_gaussian(genproc.fgn_autocov(0.7, np.arange(9)), 4.9, seed=0)
     assert genproc.hermite_poly(np.int64(2), 1.0) == 0.0
+    # 64.9 used to give 64 rows, and lag 1.9 the lag-1 values
+    model = short_range_model()
+    with pytest.raises(ConfigError, match="length"):
+        genproc.generate(model, 64.9, 0)
+    with pytest.raises(ConfigError, match="tau"):
+        genproc.population_lambdas(model, 1.9)
+    assert genproc.generate(model, np.int64(64), 0)[0].shape == (64, 3)
+    np.testing.assert_array_equal(genproc.population_lambdas(model, np.int32(1)), [0.9, 0.5, 0.1])
 
 
 def test_fgn_embedding_is_nonnegative():
@@ -517,6 +525,12 @@ def test_model_spec_validation():
                                                        ["0", "0", "1"]])),
     ("location", lambda comps: genproc.ModelSpec(d=3, components=comps,
                                                  location=[True, False, True])),
+    # nested specs of the wrong type used to be kept until generate failed
+    ("driver", lambda comps: genproc.LatentComponentSpec(driver="ar1")),
+    ("transform", lambda comps: genproc.LatentComponentSpec(
+        genproc.Driver("iid"), transform={"kind": "identity"})),
+    pytest.param("components", lambda comps: genproc.ModelSpec(
+        d=3, components=[c.to_dict() for c in comps]), id="components-entry-type"),
 ])
 def test_spec_constructors_check_every_field(field, build):
     with pytest.raises(ConfigError, match=rf"\b{field}\b"):

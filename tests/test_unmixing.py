@@ -276,3 +276,20 @@ def test_stacked_block_is_validated_once(monkeypatch):
     assert len(checks) == 2
     with pytest.raises(NonFiniteError):
         estimators.autocov_sym(x, 1)
+
+
+@pytest.mark.parametrize("layout", ["component-major block", "row-major series"])
+def test_public_estimators_leave_their_input_unchanged(layout):
+    # only the lab may center a series in place, one it drew itself
+    x = genproc.generate(short_range_model(), 256, [np.random.SeedSequence(5, spawn_key=(r,))
+                                                    for r in range(3)])[0]
+    if layout == "row-major series":
+        x = np.ascontiguousarray(x[0])
+    before = x.tobytes()
+    unmixing.unmix(x, 1)
+    estimators.autocov_sym(x, 2)
+    estimators.autocov_unsym(x, 0)
+    estimators.sample_mean(x)
+    if x.ndim == 2:
+        unmixing.lag_sweep(x, (1, 2))
+    assert x.tobytes() == before
