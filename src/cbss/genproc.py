@@ -505,18 +505,20 @@ def _ar1_paths(phi: float, n: int, rngs) -> np.ndarray:
     """
     response, carry = _ar1_block_response(phi)
     blocks = -(-n // AR1_BLOCK)
-    innov = np.zeros((len(rngs), blocks * AR1_BLOCK))
-    for row, rng in zip(innov, rngs):
+    innov = np.zeros((len(rngs), blocks, AR1_BLOCK))
+    flat = innov.reshape(len(rngs), -1)
+    for rng, row in zip(rngs, flat):
         rng.standard_normal(out=row[:n])
-    innov[:, 1:n] *= math.sqrt(1.0 - phi * phi)
-    paths = innov.reshape(len(rngs), blocks, AR1_BLOCK) @ response
-    del innov
+    flat[:, 1:n] *= math.sqrt(1.0 - phi * phi)
+    paths = innov @ response
     # true block ends: ends[k] += a^s ends[k - s] for s = 1, 2, 4, ...
     ends = paths[:, :, -1].copy()
     step, coeff = 1, float(carry[-1])
     while step < blocks:
         ends[:, step:] += coeff * ends[:, :-step]
         step, coeff = 2 * step, coeff * coeff
+    # the innovations are spent: ``row`` would keep the last one alive
+    del innov, flat, row
     paths[:, 1:] += ends[:, :-1, None] * carry
     return paths.reshape(len(rngs), -1)[:, :n]
 
@@ -626,18 +628,26 @@ def generate(model: ModelSpec, length: int, seed) -> tuple[np.ndarray, np.ndarra
         raw = _sample_driver(spec.driver, t, rngs)
         mean, var = transform_moments(spec.transform)
         y = spec.transform.apply(raw)
-        y -= mean
+        if mean:
+            y -= mean
+        slot = (z.real if idx < d else z.imag)[:, :, idx % d]
         if model.normalize:
             if var <= 0:
                 raise ConfigError("transform has zero variance; cannot normalize")
-            y /= np.sqrt(2.0 * var)
-        (z.real if idx < d else z.imag)[:, :, idx % d] = y
-        # no part outlives its copy into z: the mixing product is the peak
+            np.divide(y, np.sqrt(2.0 * var), out=slot)
+        else:
+            slot[...] = y
+        # no part outlives its copy into z: x beside z is the peak
         del raw, y
     if model.normalize and model.centering == "empirical":
         z -= z.mean(axis=1, keepdims=True)
-    x = np.swapaxes(model.mixing_matrix() @ np.swapaxes(z, 1, 2), 1, 2)
-    x += model.location_vector()
+    # an identity mixing or a zero location would leave every value as it is
+    if model.mixing is None:
+        x = z.copy(order="K")
+    else:
+        x = np.swapaxes(model.mixing @ np.swapaxes(z, 1, 2), 1, 2)
+    if model.location is not None:
+        x += model.location
     return (x, z) if stacked else (x[0], z[0])
 
 

@@ -135,7 +135,7 @@ def _checked_lag(tau, a: np.ndarray) -> int:
 def _fit_centered(c: np.ndarray, mu: np.ndarray, tau: int):
     """``(result, s0, s_tau)`` of a validated series or block ``c`` centered
     at its time mean ``mu``, with ``tau`` in range."""
-    s0, s_tau = (_hermitian_part(s) for s in _cross_products(c, (0, tau)))
+    s0, s_tau = (_hermitian_part(s) for s in _cross_products(c, tau))
     gamma, lam, gap = _fit(s0, s_tau)
     return UnmixingResult(gamma=gamma, lambdas=lam, mu=mu, tau=tau, eigen_gap=gap), s0, s_tau
 

@@ -509,8 +509,8 @@ def test_a_block_failing_after_in_place_centering_is_redrawn(monkeypatch, score)
 
 @pytest.mark.parametrize("score", ["gain", "residual", "mu"])
 def test_one_lab_block_peaks_at_about_two_block_sizes(score):
-    # the fit centers the drawn block in place, so only the conjugate its lag
-    # products take sits beside it; the generator's peak is the latent block
+    # the fit centers the drawn block in place and its lag products take a
+    # bounded buffer; the peak is the generator's, the block and its latents
     import tracemalloc
 
     model = long_range_model(centering="population") if score == "mu" else short_range_model()

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from cbss import cli, genproc
+from cbss import cli, estimators, genproc
 from cbss import imagepipe as ip
 from cbss.errors import ConfigError
 
@@ -432,3 +432,22 @@ def test_unreadable_input_exits_2(tmp_path, case):
     assert "Traceback" not in proc.stderr
     assert name in proc.stderr
 
+
+def test_reports_do_not_depend_on_blas_threads(tmp_path):
+    # the lag products run through zgemm, which must not split a sum across threads
+    model = short_range_model(mixing=[[1.0, 0.5j, 0.0], [0.2, 1.0, -0.3], [0.0, 0.1j, 2.0]])
+    rate_cfg = {"model": model.to_dict(), "t_grid": [512, 2048, 4608],
+                "replications": 50, "seed": 3, "error_metric": "md"}
+    (tmp_path / "rate.json").write_text(json.dumps(rate_cfg))
+    x, _ = genproc.generate(model, 3 * estimators.LAG_CHUNK + 7, seed=5)
+    cli.write_complex_csv(tmp_path / "x.csv", x)
+    outputs = []
+    for threads in ("1", "2"):
+        for args in (("rate", "--config", "rate.json", "--out", f"rate_{threads}"),
+                     ("unmix", "--input", "x.csv", "--tau", "2", "--out", f"fit_{threads}_")):
+            proc = run_cli(*args, cwd=tmp_path, OPENBLAS_NUM_THREADS=threads)
+            assert proc.returncode == 0, proc.stderr
+        outputs.append([(tmp_path / name).read_bytes() for name in (
+            f"rate_{threads}/report.csv", f"rate_{threads}/summary.json",
+            f"fit_{threads}_gamma.csv", f"fit_{threads}_lambdas.csv")])
+    assert outputs[0] == outputs[1]

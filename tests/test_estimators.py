@@ -102,3 +102,38 @@ def test_non_finite_series_is_a_numerical_error(bad):
     with pytest.raises(NonFiniteError):
         estimators.autocov_sym(np.array([1.0, bad, -1.0]), 0)
 
+
+CHUNK = estimators.LAG_CHUNK
+
+
+def dense_autocov(x, tau):
+    """The lag product over the whole series at once, the chunked sums' reference."""
+    c = x - x.mean(axis=-2, keepdims=True)
+    t = c.shape[-2]
+    return (np.swapaxes(c[..., :t - tau, :], -1, -2) @ np.conj(c[..., tau:, :])
+            / (t - tau if tau else t - 1))
+
+
+@pytest.mark.parametrize("t", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
+@pytest.mark.parametrize("b", [1, 3])
+@pytest.mark.parametrize("layout", ["row-major", "component-major"])
+def test_chunked_lag_products_match_one_dense_product(t, b, layout):
+    # lags up to and past a chunk, the longest reaching only into the last
+    # chunk; three series of two components span more than one buffer group
+    rng = np.random.default_rng(t + b)
+    shape = (b, t, 2) if layout == "row-major" else (b, 2, t)
+    block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if layout == "component-major":
+        block = block.transpose(0, 2, 1)
+    for tau in sorted({0, 1, CHUNK - 1, CHUNK, CHUNK + 1, t - 2}):
+        if tau > t - 2:
+            continue
+        got = estimators.autocov_unsym(block, tau)
+        want = dense_autocov(block, tau)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(estimators.autocov_sym(block, tau),
+                                   (want + np.conj(np.swapaxes(want, -1, -2))) / 2,
+                                   rtol=0, atol=1e-12)
+        # a stacked series sums exactly as it does alone
+        for row, series in zip(got, block):
+            assert np.array_equal(row, estimators.autocov_unsym(series, tau))

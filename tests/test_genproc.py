@@ -213,6 +213,53 @@ def test_generate_trivial_mixing_returns_latents():
     x, z = genproc.generate(model, 128, seed=0)
     np.testing.assert_array_equal(x, z)
     assert x.shape == (128, 3)
+    # no identity product and no zero add: x is z byte for byte, in its own memory
+    for seed in (3, [3, 4]):
+        x, z = genproc.generate(model, 256, seed)
+        assert x.tobytes() == z.tobytes()
+        assert x.strides == z.strides
+        assert not np.shares_memory(x, z)
+
+
+def test_generate_with_mixing_and_location_maps_every_row():
+    mixing = np.array([[1.0, 0.5j, 0.0], [0.2, 1.0, -0.3], [0.0, 0.1j, 2.0]])
+    location = np.array([1.0 - 2.0j, 0.5j, -3.0])
+    model = genproc.ModelSpec(d=3, components=short_range_model().components,
+                              mixing=mixing, location=location)
+    x, z = genproc.generate(model, 256, [5, 6])
+    np.testing.assert_allclose(x, z @ mixing.T + location, rtol=0, atol=1e-13)
+
+
+def test_generate_subtracts_a_nonzero_hermite_mean_before_normalizing():
+    # a_0 = 2: each part is (f(g) - 2) / sqrt(2 var), with no sample centering
+    coeffs = (2.0, 1.0, 0.5)
+    parts = [genproc.LatentComponentSpec(genproc.Driver("iid"),
+                                         genproc.Transform("coeffs", coeffs=coeffs))] * 2
+    model = genproc.ModelSpec(d=1, components=parts, centering="population")
+    _, z = genproc.generate(model, 1024, seed=4)
+    rng = np.random.default_rng(4)
+    re, im = (np.polynomial.hermite_e.hermeval(rng.standard_normal(1024), coeffs)
+              for _ in range(2))
+    scale = np.sqrt(2.0 * (1.0 + 2.0 * 0.5 ** 2))
+    np.testing.assert_allclose(z[:, 0], (re - 2.0) / scale + 1j * (im - 2.0) / scale,
+                               rtol=0, atol=1e-13)
+
+
+def test_ar1_paths_free_their_innovations_before_the_carry_step():
+    # the paths, the carry term and the multiply's iterator buffers, which
+    # are about one part at this size; the innovations used to stay alive
+    # through the loop's last row, a fourth part
+    import tracemalloc
+
+    rngs = [np.random.default_rng(s) for s in range(4)]
+    genproc._ar1_block_response(0.9)  # fills the cache
+    tracemalloc.start()
+    try:
+        paths = genproc._ar1_paths(0.9, 4096, rngs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.25 * paths.nbytes
 
 
 def dense_dft_matrix(m, sign):

@@ -153,6 +153,19 @@ def test_unmix_from_covariances_plug_in_seam(rng):
     np.testing.assert_array_equal(via_seam.lambdas, direct.lambdas)
 
 
+@pytest.mark.parametrize("tau", [1, 2, estimators.LAG_CHUNK + 1])
+def test_plug_in_seam_is_exact_across_lag_chunks(tau):
+    # both lags of one call come from one product of fixed width, so the
+    # public estimators give the fit's S0 and S_tau bit for bit
+    x, _ = genproc.generate(short_range_model(), 3 * estimators.LAG_CHUNK + 7, seed=9)
+    direct = unmixing.unmix(x, tau)
+    via_seam = unmixing.unmix_from_covariances(
+        estimators.autocov_sym(x, 0), estimators.autocov_sym(x, tau),
+        estimators.sample_mean(x), tau)
+    np.testing.assert_array_equal(via_seam.gamma, direct.gamma)
+    np.testing.assert_array_equal(via_seam.lambdas, direct.lambdas)
+
+
 @pytest.mark.parametrize("exponent", [-500, -40, 40, 500])
 def test_unmix_from_unsymmetrized_covariances_at_any_scale(exponent):
     # autocov_unsym(x, 0) is Hermitian up to rounding; scaled by 2^40 that
