@@ -10,16 +10,13 @@ pipeline that works through the complex plane.
 """
 
 from .asymlab import (
-    KSResult,
     RateExperimentConfig,
     RateExperimentReport,
-    diagonal_limit_check,
     expansion_residual_check,
     fit_loglog_slope,
     mu_contribution_check,
     normality_diagnostic,
     run_rate_experiment,
-    write_report,
 )
 from .estimators import autocov_sym, autocov_unsym, sample_mean
 from .genproc import (

@@ -5,8 +5,8 @@ matrix, and aggregates alignment errors across a grid of sample lengths:
 
 * ``run_rate_experiment`` - log-log slope of the median error versus the
   sample length, with per-element normality statistics at the top length.
-* ``diagonal_limit_check`` - under long-range dependence the off-diagonal
-  errors vanish faster than the diagonal ones; tracks their ratio.
+  Its ``per_t`` rows also hold the diagonal and off-diagonal error medians,
+  whose ratio shrinks along the grid under long-range dependence.
 * ``expansion_residual_check`` - the first-order expansion of the
   estimator leaves residuals one order smaller than the leading terms;
   measures the residual decay across 4x length steps.
@@ -34,7 +34,6 @@ than ``FAILURE_BUDGET`` of all replications fail, the experiment raises
 from __future__ import annotations
 
 import functools
-import json
 import math
 import os
 import warnings
@@ -113,14 +112,6 @@ class RateExperimentConfig:
 
 
 @dataclass(frozen=True)
-class KSResult:
-    """Two-sided Kolmogorov-Smirnov statistic against the standard normal."""
-
-    statistic: float
-    n: int
-
-
-@dataclass(frozen=True)
 class RateExperimentReport:
     """Aggregated rate experiment output.
 
@@ -179,10 +170,6 @@ def _resolve_workers(tasks: int) -> int:
     return min(requested or cores, cores, tasks)
 
 
-def _seed_for(cfg: RateExperimentConfig, t_index: int, rep: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(cfg.seed, spawn_key=(t_index, rep))
-
-
 def _run_block(cfg, score, extra, task) -> list:
     """Score replications ``start..stop-1`` of one length as one stacked block.
 
@@ -192,7 +179,8 @@ def _run_block(cfg, score, extra, task) -> list:
     """
     t_index, start, stop = task
     try:
-        seeds = [_seed_for(cfg, t_index, rep) for rep in range(start, stop)]
+        seeds = [np.random.SeedSequence(cfg.seed, spawn_key=(t_index, rep))
+                 for rep in range(start, stop)]
         x = generate(cfg.model, cfg.t_grid[t_index], seeds)[0]
         return list(score(cfg, x, extra))
     except (NumericalError, PhaseError) as exc:
@@ -325,30 +313,24 @@ def fit_loglog_slope(lengths, values) -> tuple[float, float]:
     return float(slope), float(np.sqrt(sigma2 / denom))
 
 
-def normality_diagnostic(samples, standardize: bool = True) -> KSResult:
-    """Two-sided KS statistic of the samples against the standard normal.
+def normality_diagnostic(samples) -> float:
+    """Two-sided KS statistic of the standardized samples against the standard normal.
 
-    Samples are standardized internally (subtract mean, divide by the
-    sample standard deviation) unless ``standardize`` is off, in which
-    case they are compared to the standard normal as given and fewer
-    than 20 samples are allowed.
+    The samples are standardized internally (subtract mean, divide by the
+    sample standard deviation); at least 20 are needed.
     """
     s = np.asarray(samples, dtype=float).reshape(-1)
-    if standardize:
-        if s.size < 20:
-            raise DimensionError(f"need at least 20 samples, got {s.size}")
-        sd = s.std(ddof=1)
-        if sd <= 0:
-            raise NumericalError("zero variance; statistic undefined")
-        s = (s - s.mean()) / sd
-    elif s.size < 1:
-        raise DimensionError("need at least one sample")
-    xs = np.sort(s)
+    if s.size < 20:
+        raise DimensionError(f"need at least 20 samples, got {s.size}")
+    sd = s.std(ddof=1)
+    if sd <= 0:
+        raise NumericalError("zero variance; statistic undefined")
+    xs = np.sort((s - s.mean()) / sd)
     cdf = 0.5 * (1.0 + np.array([math.erf(v) for v in xs / np.sqrt(2.0)]))
     n = xs.size
     upper = float(np.max(np.arange(1, n + 1) / n - cdf))
     lower = float(np.max(cdf - np.arange(0, n) / n))
-    return KSResult(statistic=max(upper, lower), n=n)
+    return max(upper, lower)
 
 
 def run_rate_experiment(cfg: RateExperimentConfig) -> RateExperimentReport:
@@ -403,10 +385,10 @@ def _elementwise_ks(gains: np.ndarray) -> dict:
             stats = []
             re = samples.real
             if re.std(ddof=1) > 0:
-                stats.append(("re", normality_diagnostic(re).statistic))
+                stats.append(("re", normality_diagnostic(re)))
             im = samples.imag
             if j != k and im.std(ddof=1) > 0:
-                stats.append(("im", normality_diagnostic(im).statistic))
+                stats.append(("im", normality_diagnostic(im)))
             for part, stat in stats:
                 out[f"{part}[{j},{k}]"] = float(stat)
                 worst = max(worst, stat)
@@ -429,35 +411,6 @@ def _diag_scale_summary(gains: np.ndarray, length: int, exponent: float) -> dict
             skew, kurt = 0.0, 0.0
         out[f"component_{j}"] = {"scale": scale, "skewness": skew, "excess_kurtosis": kurt}
     return out
-
-
-@dataclass(frozen=True)
-class DiagonalLimitFragment:
-    """Off-diagonal/diagonal error ratio across the length grid."""
-
-    applicable: bool
-    lengths: tuple = ()
-    ratios: tuple = ()
-    decreasing: bool = False
-
-
-def diagonal_limit_check(cfg: RateExperimentConfig) -> DiagonalLimitFragment:
-    """Check that off-diagonal errors vanish relative to diagonal ones.
-
-    Under long-range dependence only the diagonal carries a limit, so
-    ``median(offdiag error) / median(diag error)`` should shrink along
-    the grid; short-range configurations return ``applicable=False``.
-    A one-component model has no off-diagonal entries and passes trivially.
-    """
-    info = theoretical_gamma(cfg.model)
-    if info.regime != "long-range" or info.exponent >= 0.5:
-        return DiagonalLimitFragment(applicable=False)
-    rows, _ = _map_replications(cfg, _gain_score, _truth(cfg))
-    ratios = [off / diag if diag > 0 else 0.0
-              for diag, off in zip(_medians(rows, 1), _medians(rows, 2))]
-    return DiagonalLimitFragment(
-        applicable=True, lengths=cfg.t_grid, ratios=tuple(ratios),
-        decreasing=cfg.model.d == 1 or bool(ratios[-1] < ratios[0]))
 
 
 @dataclass(frozen=True)
@@ -521,7 +474,8 @@ def mu_contribution_check(cfg: RateExperimentConfig) -> MeanContributionFragment
     reported, not asserted).  Requires a long-range model; note
     that empirically centered generation pins the sample mean and makes
     the statistic vanish identically, so population centering is the
-    meaningful setting here.
+    meaningful setting here.  A one-component model has no off-diagonal
+    entries and passes trivially.
     """
     info = theoretical_gamma(cfg.model)
     if info.regime != "long-range":
@@ -535,22 +489,5 @@ def mu_contribution_check(cfg: RateExperimentConfig) -> MeanContributionFragment
         lengths=cfg.t_grid,
         offdiag_medians=tuple(off_medians),
         diag_medians=tuple(diag_medians),
-        decreasing=bool(off_medians[-1] < off_medians[0]),
+        decreasing=cfg.model.d == 1 or bool(off_medians[-1] < off_medians[0]),
     )
-
-
-# ---------------------------------------------------------------------------
-# report files
-# ---------------------------------------------------------------------------
-
-def write_report(report: RateExperimentReport, directory) -> tuple[str, str]:
-    """Write ``report.csv`` (per-length table) and ``summary.json``."""
-    os.makedirs(directory, exist_ok=True)
-    csv_path = os.path.join(directory, "report.csv")
-    np.savetxt(csv_path, report.per_t, fmt=["%d"] + ["%.17g"] * 4, delimiter=",",
-               header="T,median_error,iqr,diag_median,offdiag_median", comments="")
-    json_path = os.path.join(directory, "summary.json")
-    with open(json_path, "w", encoding="ascii", newline="\n") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return csv_path, json_path

@@ -30,7 +30,7 @@ import sys
 
 import numpy as np
 
-from .asymlab import RateExperimentConfig, run_rate_experiment, write_report
+from .asymlab import RateExperimentConfig, run_rate_experiment
 from .errors import CbssError, ConfigError, ExperimentError, NumericalError, PhaseError
 from .genproc import ModelSpec, generate
 from .imagepipe import read_ppm, separate_images, write_ppm
@@ -141,14 +141,16 @@ def cmd_md(args) -> int:
 def cmd_rate(args) -> int:
     cfg = _load_config(args.config, RateExperimentConfig.from_dict)
     report = run_rate_experiment(cfg)
-    write_report(report, args.out)
+    os.makedirs(args.out, exist_ok=True)
+    np.savetxt(os.path.join(args.out, "report.csv"), report.per_t, fmt=["%d"] + [FLOAT_FMT] * 4,
+               delimiter=",", header="T,median_error,iqr,diag_median,offdiag_median", comments="")
+    _dump_json(report.to_dict(), os.path.join(args.out, "summary.json"))
     return 0
 
 
 def cmd_image(args) -> int:
     images = [read_ppm(p) for p in args.inputs]
-    mixing = "identity" if args.identity else "random"
-    result = separate_images(images, tau=args.tau, mixing=mixing, seed=args.seed)
+    result = separate_images(images, tau=args.tau, identity=args.identity, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     for idx, img in enumerate(result.mixed, start=1):
         write_ppm(img, os.path.join(args.out, f"mixed_{idx}.ppm"))

@@ -184,6 +184,8 @@ class Driver:
             raise ConfigError(f"unknown driver kind {self.kind!r}")
         object.__setattr__(self, "param",
                            json_number(self.param, _DRIVER_PARAMS[self.kind] or "param"))
+        if self.param and _DRIVER_PARAMS[self.kind] is None:
+            raise ConfigError(f"driver kind {self.kind!r} takes no param, got {self.param}")
         if self.kind == "ar1" and not abs(self.param) < 1:
             raise ConfigError(f"ar1 coefficient must satisfy |phi| < 1, got {self.param}")
         if self.kind == "fgn" and not (0.5 <= self.param < 1.0):
@@ -229,6 +231,9 @@ class Transform:
             raise ConfigError(f"unknown transform kind {self.kind!r}")
         object.__setattr__(self, "degree", json_int(self.degree, "degree"))
         object.__setattr__(self, "coeffs", _json_list(self.coeffs, "coeffs", json_number))
+        for name in ("degree", "coeffs"):
+            if getattr(self, name) and _TRANSFORM_PARAMS[self.kind] != name:
+                raise ConfigError(f"transform kind {self.kind!r} takes no {name}")
         if self.kind == "hermite" and not 0 < self.degree <= MAX_HERMITE_DEGREE:
             raise ConfigError(f"hermite degree must lie in [1, {MAX_HERMITE_DEGREE}]")
         if self.kind == "coeffs" and not 0 < len(self.coeffs) <= MAX_HERMITE_DEGREE + 1:

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .errors import ConfigError, DimensionError
 from .metrics import md_index
 from .unmixing import apply_unmixing, unmix
@@ -55,18 +54,6 @@ class RgbImage:
             raise DimensionError(
                 f"pixel block must be ({self.height}, {self.width}, 3), got {p.shape}")
         object.__setattr__(self, "pixels", p)
-
-    def as_float(self) -> np.ndarray:
-        """Channels scaled to the quantized grid {0, 1/255, ..., 1}."""
-        return self.pixels.astype(float) / 255.0
-
-    @staticmethod
-    def from_float(values: np.ndarray) -> "RgbImage":
-        v = np.asarray(values, dtype=float)
-        if v.ndim != 3 or v.shape[2] != 3:
-            raise DimensionError(f"expected (h, w, 3) floats, got {v.shape}")
-        q = np.clip(np.round(v * 255.0), 0, 255).astype(np.uint8)
-        return RgbImage(width=v.shape[1], height=v.shape[0], pixels=q)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +148,8 @@ def complex_to_rgb(values: np.ndarray) -> RgbImage:
     height, width = values.shape
     out = np.empty((height, width, 3), dtype=np.uint8)
     for plane, sk in zip(_planes(out), s):
-        # scale out to the cube surface, then from_float's quantization of (p + 1) / 2
+        # scale out to the cube surface, then round (p + 1) / 2 to the nearest
+        # of the 256 levels, clipped to [0, 255]
         c = sk / m
         c += 1.0
         c /= 2.0
@@ -176,11 +164,6 @@ def complex_to_rgb(values: np.ndarray) -> RgbImage:
 # ---------------------------------------------------------------------------
 # separation pipeline
 # ---------------------------------------------------------------------------
-
-def _vectorize(images: list[np.ndarray]) -> np.ndarray:
-    # column-major: lag 1 = next pixel down, lag ``height`` = next column
-    return np.stack([im.flatten(order="F") for im in images], axis=1)
-
 
 def _render(series: np.ndarray, width: int, height: int) -> list[RgbImage]:
     """The RGB image of each column of a vectorized series."""
@@ -203,18 +186,17 @@ class SeparationResult:
     mixed: list
     unmixed: list
     md: float
-    mixing: np.ndarray
-    gamma: np.ndarray | None
 
 
-def separate_images(images, tau: int = 1, mixing="random", seed: int = 0) -> SeparationResult:
+def separate_images(images, tau: int = 1, identity: bool = False,
+                    seed: int = 0) -> SeparationResult:
     """Mix three images in the complex plane, unmix them, map back to RGB.
 
-    ``mixing`` is ``"random"`` (seeded ``I + E + iF`` draw), ``"identity"``
-    (no mixing: the chain is exercised end to end, estimation is skipped
-    and the score is exactly zero), or an explicit 3x3 complex matrix.
-    Returns rendered mixed/unmixed images and the minimum-distance score
-    against the known mixing.
+    The mixing is the seeded ``I + E + iF`` draw of ``random_mixing``; with
+    ``identity`` there is no mixing: the chain is exercised end to end,
+    estimation is skipped and the score is exactly zero.  Returns rendered
+    mixed/unmixed images and the minimum-distance score against the known
+    mixing.
     """
     images = list(images)
     if len(images) != 3:
@@ -224,28 +206,18 @@ def separate_images(images, tau: int = 1, mixing="random", seed: int = 0) -> Sep
         raise DimensionError("images must share dimensions")
 
     complex_imgs = [rgb_to_complex(color_correct(im)) for im in images]
-
-    if isinstance(mixing, str) and mixing == "identity":
+    if identity:
         rendered = [complex_to_rgb(ci) for ci in complex_imgs]
-        return SeparationResult(mixed=rendered, unmixed=list(rendered),
-                                md=0.0, mixing=np.eye(3, dtype=np.complex128),
-                                gamma=np.eye(3, dtype=np.complex128))
-    if isinstance(mixing, str) and mixing == "random":
-        a = random_mixing(seed)
-    else:
-        a = linalg.as_cmatrix(mixing, "mixing")
-        if a.shape != (3, 3):
-            raise ConfigError(f"mixing must be 3x3, got {a.shape}")
+        return SeparationResult(mixed=rendered, unmixed=list(rendered), md=0.0)
 
-    latent = _vectorize(complex_imgs)
-    observed = latent @ a.T
+    a = random_mixing(seed)
+    # column-major: lag 1 = next pixel down, lag ``height`` = next column
+    observed = np.stack([ci.flatten(order="F") for ci in complex_imgs], axis=1) @ a.T
     mixed_imgs = _render(observed, w, h)
     result = unmix(observed, tau)
-    recovered = apply_unmixing(result, observed)
-    unmixed_imgs = _render(recovered, w, h)
-    score = md_index(result.gamma, a)
-    return SeparationResult(mixed=mixed_imgs, unmixed=unmixed_imgs, md=score,
-                            mixing=a, gamma=result.gamma)
+    unmixed_imgs = _render(apply_unmixing(result, observed), w, h)
+    return SeparationResult(mixed=mixed_imgs, unmixed=unmixed_imgs,
+                            md=md_index(result.gamma, a))
 
 
 # ---------------------------------------------------------------------------

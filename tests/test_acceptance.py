@@ -219,8 +219,8 @@ def test_criterion_9_image_pipeline():
     sweep_ok = max_step <= 1
 
     imgs = gradient_images()
-    identity_md = ip.separate_images(imgs, tau=1, mixing="identity").md
-    seeded_md = ip.separate_images(imgs, tau=1, mixing="random", seed=5).md
+    identity_md = ip.separate_images(imgs, tau=1, identity=True).md
+    seeded_md = ip.separate_images(imgs, tau=1, seed=5).md
     ok = sweep_ok and identity_md < 1e-8 and seeded_md < 0.3
     verdict(9, ok, f"image pipeline (surface sweep of {img.width} pixels within "
             f"{max_step} quantization step; identity MD {identity_md:.1e} < 1e-8; "

@@ -1,15 +1,15 @@
 import functools
 import json
 import operator
-from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
-from cbss import asymlab, estimators, genproc, unmixing
+from cbss import asymlab, cli, estimators, genproc, unmixing
 from cbss.errors import ConfigError, DimensionError, ExperimentError, NumericalError
 
 from conftest import long_range_model, short_range_model
@@ -35,16 +35,17 @@ def test_slope_fit_exact_power_law():
     assert abs(slope + 0.21) < 1e-12
 
 
-def test_ks_hand_value_without_standardization():
-    got = asymlab.normality_diagnostic([-1.0, 0.0, 1.0], standardize=False)
-    # jump points at -1, 0, 1 against the standard normal CDF
-    assert abs(got.statistic - 0.17468) < 5e-5
-    assert got.n == 3
+def test_ks_matches_scipy_on_standardized_samples():
+    # skewed, heavy-tailed samples, standardized by hand as the diagnostic does
+    x = np.random.default_rng(4).exponential(size=40) ** 1.5
+    z = (x - x.mean()) / x.std(ddof=1)
+    want = scipy.stats.kstest(z, "norm").statistic
+    assert abs(asymlab.normality_diagnostic(x) - want) < 1e-12
 
 
 def test_ks_on_exact_normal_quantiles():
     q = ndtri((np.arange(1, 1001) - 0.5) / 1000.0)
-    assert asymlab.normality_diagnostic(q).statistic < 0.01
+    assert asymlab.normality_diagnostic(q) < 0.01
 
 
 def test_ks_rejects_degenerate_input():
@@ -310,6 +311,12 @@ def test_config_decoding_refuses_unknown_keys(message, edit):
     ("t_grid", lambda: small_cfg(t_grid=(64.7, 128, 256))),
     ("d", lambda: genproc.ModelSpec(d=2.0, components=short_range_model((0.8, 0.2)).components)),
     ("degree", lambda: genproc.Transform("hermite", degree=2.5)),
+    # a parameter its kind does not take: from_dict refuses the key
+    pytest.param("param", lambda: genproc.Driver("iid", 0.5), id="param-of-iid"),
+    pytest.param("degree", lambda: genproc.Transform("identity", degree=5),
+                 id="degree-of-identity"),
+    pytest.param("coeffs", lambda: genproc.Transform("hermite", degree=2, coeffs=(1.0, 2.0)),
+                 id="coeffs-of-hermite"),
     # a dict model used to end in a raw AttributeError
     ("model", lambda: small_cfg(model=short_range_model().to_dict())),
 ])
@@ -334,15 +341,14 @@ def test_rate_experiment_structure_and_determinism():
 
 @pytest.mark.parametrize("operation, cfg", [
     (asymlab.run_rate_experiment, small_cfg()),
-    (asymlab.diagonal_limit_check, small_cfg(model=long_range_model())),
+    (asymlab.run_rate_experiment, small_cfg(model=long_range_model())),
     (asymlab.expansion_residual_check, small_cfg()),
     (asymlab.mu_contribution_check, small_cfg(model=long_range_model(centering="population"))),
-], ids=["rate", "diagonal", "residual", "mu"])
+], ids=["rate", "rate-longrange", "residual", "mu"])
 def test_reports_do_not_depend_on_workers_or_block_size(monkeypatch, operation, cfg):
     # one replication per block, the default, and every replication in one block
     monkeypatch.delenv("CBSS_THREADS", raising=False)
     serial = operation(cfg)
-    assert getattr(serial, "applicable", True)
     for block_samples in (1, asymlab.BLOCK_SAMPLES, cfg.replications * cfg.t_grid[-1]):
         monkeypatch.setattr(asymlab, "BLOCK_SAMPLES", block_samples)
         for threads in (None, "2"):
@@ -588,29 +594,6 @@ def test_expansion_residual_check_requires_sorted_spectrum():
         asymlab.expansion_residual_check(cfg)
 
 
-def test_diagonal_limit_check_not_applicable_short_range():
-    frag = asymlab.diagonal_limit_check(small_cfg())
-    assert not frag.applicable
-
-
-def test_diagonal_limit_check_single_component_passes():
-    parts = [genproc.LatentComponentSpec(genproc.Driver("fgn", 0.9)),
-             genproc.LatentComponentSpec(genproc.Driver("iid"))]
-    model = genproc.ModelSpec(d=1, components=parts)
-    frag = asymlab.diagonal_limit_check(small_cfg(model=model))
-    assert frag.applicable and frag.decreasing
-    assert all(r == 0.0 for r in frag.ratios)
-
-
-def test_diagonal_limit_check_long_range_ratio_shrinks():
-    cfg = small_cfg(model=long_range_model(), t_grid=(512, 2048, 8192),
-                    replications=50, seed=31)
-    frag = asymlab.diagonal_limit_check(cfg)
-    assert frag.applicable
-    assert frag.decreasing
-    assert frag.ratios[-1] < frag.ratios[0]
-
-
 def test_mu_check_offdiagonal_shrinks():
     cfg = small_cfg(model=long_range_model(centering="population"),
                     t_grid=(1024, 4096, 16384), replications=50, seed=37)
@@ -619,6 +602,16 @@ def test_mu_check_offdiagonal_shrinks():
     assert frag.offdiag_medians[-1] < frag.offdiag_medians[0]
     # diagonal entries are reported but not required to vanish
     assert all(m > 0 for m in frag.diag_medians)
+
+
+def test_mu_check_single_component_passes():
+    # no off-diagonal entries: the medians are all zero and the check passes
+    parts = [genproc.LatentComponentSpec(genproc.Driver("fgn", 0.9)),
+             genproc.LatentComponentSpec(genproc.Driver("iid"))]
+    model = genproc.ModelSpec(d=1, components=parts, centering="population")
+    frag = asymlab.mu_contribution_check(small_cfg(model=model, seed=1))
+    assert frag.offdiag_medians == (0.0, 0.0, 0.0)
+    assert frag.decreasing
 
 
 def test_mu_check_requires_long_range():
@@ -634,12 +627,17 @@ def test_mu_check_warns_on_empirical_centering():
 
 
 def test_report_files(tmp_path):
-    rep = asymlab.run_rate_experiment(small_cfg())
-    csv_path, json_path = asymlab.write_report(rep, tmp_path)
-    lines = Path(csv_path).read_text().splitlines()
+    # cbss rate writes the report; its files carry the report exactly
+    cfg = small_cfg()
+    rep = asymlab.run_rate_experiment(cfg)
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg.to_dict()))
+    assert cli.main(["rate", "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(tmp_path / "out")]) == 0
+    lines = (tmp_path / "out" / "report.csv").read_text().splitlines()
     assert lines[0] == "T,median_error,iqr,diag_median,offdiag_median"
     assert len(lines) == 1 + len(rep.per_t)
-    import json
-    summary = json.loads(Path(json_path).read_text())
+    assert [tuple(float(v) for v in line.split(",")) for line in lines[1:]] == list(rep.per_t)
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary == json.loads(json.dumps(rep.to_dict()))
     assert summary["fitted_slope"] == rep.fitted_slope
     assert summary["regime"] == "short-range"

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -451,3 +452,14 @@ def test_reports_do_not_depend_on_blas_threads(tmp_path):
             f"rate_{threads}/report.csv", f"rate_{threads}/summary.json",
             f"fit_{threads}_gamma.csv", f"fit_{threads}_lambdas.csv")])
     assert outputs[0] == outputs[1]
+
+
+def test_readme_quick_start_runs(tmp_path):
+    # the first python block of README.md, run as it stands: a trimmed or
+    # renamed API must not leave the README stale
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    code = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True,
+                          text=True, cwd=tmp_path, env=cli_env())
+    assert proc.returncode == 0, proc.stderr
+    assert 0.0 <= float(proc.stdout) < 0.1
