@@ -7,42 +7,9 @@ Gaussian-subordinated (short- and long-range dependent) latent
 processes, a Monte-Carlo lab for convergence-rate experiments, a
 minimum-distance performance score, and an RGB image separation
 pipeline that works through the complex plane.
-"""
 
-from .asymlab import (
-    RateExperimentConfig,
-    RateExperimentReport,
-    expansion_residual_check,
-    fit_loglog_slope,
-    mu_contribution_check,
-    normality_diagnostic,
-    run_rate_experiment,
-)
-from .estimators import autocov_sym, autocov_unsym, sample_mean
-from .genproc import (
-    Driver,
-    LatentComponentSpec,
-    ModelSpec,
-    RateInfo,
-    Transform,
-    fgn_autocov,
-    generate,
-    hermite_poly,
-    hermite_rank,
-    population_lambdas,
-    sample_stationary_gaussian,
-    theoretical_gamma,
-)
-from .linalg import herm_inv_sqrt, hermitian_eig, inverse
-from .metrics import md_index, solve_assignment
-from .unmixing import (
-    UnmixingResult,
-    align_phase_to,
-    apply_unmixing,
-    lag_sweep,
-    standardize_phase,
-    unmix,
-    unmix_from_covariances,
-)
+Public names are reached through their submodule, as in
+``from cbss import unmixing``; ``import cbss`` binds only ``__version__``.
+"""
 
 __version__ = "0.1.0"

@@ -222,7 +222,3 @@ def main(argv=None) -> int:
     except (CbssError, OSError, UnicodeError) as exc:
         print(f"cbss: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -48,6 +48,15 @@ def as_timeseries(x, min_length: int = 2) -> np.ndarray:
     return a
 
 
+def _checked_lag(tau, t: int, lowest: int) -> int:
+    """``tau`` as an ``int`` in ``[lowest, t - 2]``; a bool, float or str is refused."""
+    if isinstance(tau, bool) or not isinstance(tau, (int, np.integer)):
+        raise DimensionError(f"lag must be an integer, got {tau!r}")
+    if not lowest <= tau <= t - 2:
+        raise DimensionError(f"lag {tau} out of range [{lowest}, {t - 2}]")
+    return int(tau)
+
+
 def _centered(a: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """``(a - mean, mean)`` of a validated series or block, written to ``out``
     when given (``a`` itself centers in place)."""
@@ -90,13 +99,11 @@ def autocov_unsym(x, tau: int) -> np.ndarray:
     """Unsymmetrized lag-``tau`` autocovariance matrix.
 
     Entry ``(j, k)`` is ``sum_t (x_t[j] - mu[j]) * conj(x_{t+tau}[k] - mu[k])``
-    divided by ``T - 1`` (lag 0) or ``T - tau``.
+    divided by ``T - 1`` (lag 0) or ``T - tau``.  ``tau`` is an integer in
+    ``[0, T - 2]``; any other lag raises ``DimensionError``.
     """
     a = as_timeseries(x)
-    t = a.shape[-2]
-    tau = int(tau)
-    if tau < 0 or tau > t - 2:
-        raise DimensionError(f"lag {tau} out of range [0, {t - 2}]")
+    tau = _checked_lag(tau, a.shape[-2], 0)
     s0, s_tau = _cross_products(_centered(a)[0], tau)
     return s_tau if tau else s0
 

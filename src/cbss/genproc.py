@@ -59,9 +59,9 @@ def hermite_poly(k: int, x):
     """
     k = json_int(k, "degree")
     if k < 0:
-        raise ValueError("degree must be non-negative")
+        raise ConfigError("degree must be non-negative")
     if k > MAX_HERMITE_DEGREE:
-        raise ValueError(f"degree {k} beyond guard {MAX_HERMITE_DEGREE}")
+        raise ConfigError(f"degree {k} beyond guard {MAX_HERMITE_DEGREE}")
     x = np.asarray(x, dtype=float)
     out = hermite_e.hermevander(x, k)[..., k]
     return out if x.ndim else float(out[0])
@@ -434,6 +434,14 @@ def _sqrt_spectrum(autocov) -> np.ndarray:
     return np.sqrt(np.clip(eigs, 0.0, None))
 
 
+def _rngs(seeds) -> list:
+    """One generator per seed; a seed numpy refuses, such as -1, raises ``ConfigError``."""
+    try:
+        return [np.random.default_rng(s) for s in seeds]
+    except ValueError as exc:
+        raise ConfigError(f"seed: {exc}") from None
+
+
 def _normals(rngs, n: int) -> np.ndarray:
     """``(B, n)`` standard normals, row ``b`` drawn by ``rngs[b]``."""
     out = np.empty((len(rngs), n))
@@ -482,8 +490,8 @@ def sample_stationary_gaussian(autocov, n: int, seed) -> np.ndarray:
     if r.ndim != 1 or r.size < max(n, 2):
         raise DimensionError(f"need autocovariances at lags 0..N-1 with N >= max(n, 2) = {max(n, 2)}")
     if abs(r[0] - 1.0) > 1e-12:
-        raise ValueError(f"autocov must be normalized to r(0) = 1, got {r[0]}")
-    return _embedding_paths(_sqrt_spectrum(r)[:r.size], n, [np.random.default_rng(seed)])[0]
+        raise ConfigError(f"autocov must be normalized to r(0) = 1, got {r[0]}")
+    return _embedding_paths(_sqrt_spectrum(r)[:r.size], n, _rngs([seed]))[0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -565,7 +573,7 @@ def hermite_rank(transform: Transform) -> tuple[int, int]:
     ``q1`` is the first index ``k >= 1`` with ``|a_k| > RANK_COEFF_TOL``
     for the transform itself, ``q2`` the same for ``(f - E f)^2``, whose
     coefficients come from the exact Hermite product of the centered
-    series with itself.  Raises ``ValueError`` when no coefficient clears
+    series with itself.  Raises ``ConfigError`` when no coefficient clears
     the threshold (rank undeterminable).
     """
     centered = transform.series()
@@ -583,7 +591,7 @@ def _first_nonzero(coeffs: np.ndarray, tol: float) -> int:
     for k in range(1, coeffs.size):
         if abs(coeffs[k]) > tol:
             return k
-    raise ValueError(
+    raise ConfigError(
         f"all Hermite coefficients up to degree {MAX_HERMITE_DEGREE} fall below "
         f"{RANK_COEFF_TOL}; rank undeterminable")
 
@@ -623,7 +631,7 @@ def generate(model: ModelSpec, length: int, seed) -> tuple[np.ndarray, np.ndarra
     if t < MIN_LENGTH:
         raise DimensionError(f"need at least {MIN_LENGTH} observations, got {t}")
     stacked = isinstance(seed, list)
-    rngs = [np.random.default_rng(s) for s in (seed if stacked else [seed])]
+    rngs = _rngs(seed if stacked else [seed])
     d = model.d
     # component-major memory behind the (B, T, d) view: every series owns a
     # contiguous (d, T) slab, so means, centerings and lag products over time
@@ -726,7 +734,7 @@ def theoretical_gamma(model: ModelSpec) -> RateInfo:
     for i, spec in enumerate(model.components):
         try:
             ranks.append(component_ranks(spec))
-        except ValueError as exc:
+        except ConfigError as exc:
             if i in lr:
                 raise ConfigError(f"model.components[{i}]: {exc}; set declared_ranks "
                                   "for this long-range part") from None

@@ -79,7 +79,7 @@ def _max_modulus(s0, s1, s2):
 
 def _check_surface(p0, p1, p2) -> None:
     if np.any(np.abs(_max_modulus(p0, p1, p2) - 1.0) > 1e-9):
-        raise ValueError("points must lie on the cube surface (max|p_i| = 1)")
+        raise ConfigError("points must lie on the cube surface (max|p_i| = 1)")
 
 
 def _cube_to_sphere(p0, p1, p2) -> tuple:

@@ -19,7 +19,7 @@ import itertools
 import numpy as np
 
 from . import linalg
-from .errors import DimensionError, SingularMatrixError
+from .errors import DimensionError, NonFiniteError, SingularMatrixError
 
 #: Relative slack when deciding that two assignment totals tie.
 ASSIGNMENT_TIE_RTOL = 1e-12
@@ -45,10 +45,10 @@ def solve_assignment(cost) -> np.ndarray:
     above it ``linear_sum_assignment`` fixes the columns row by row.
     """
     c = np.asarray(cost, dtype=float)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise DimensionError(f"cost matrix must be square, got {c.shape}")
+    if c.ndim != 2 or c.shape[0] != c.shape[1] or not c.size:
+        raise DimensionError(f"cost matrix must be square and non-empty, got {c.shape}")
     if not np.all(np.isfinite(c)):
-        raise ValueError("cost matrix contains non-finite entries")
+        raise NonFiniteError("cost matrix contains non-finite entries")
     return _assign(c)
 
 
@@ -96,16 +96,24 @@ def _optimum(block: np.ndarray) -> float:
     return float(block[rows, cols].sum())
 
 
+def _pow2_scaled(m: np.ndarray, axis=None) -> np.ndarray:
+    """``m`` divided by the smallest power of two above its largest modulus along ``axis``."""
+    _, exponent = np.frexp(np.max(np.abs(m), axis=axis, keepdims=True))
+    return np.ldexp(np.ascontiguousarray(m).view(np.float64), -exponent).view(np.complex128)
+
+
 def md_index(gamma_hat, mixing):
     """Minimum-distance index of ``gamma_hat`` against the mixing matrix.
 
     For each candidate pairing of gain row ``j`` with latent slot ``k``
     the best one-entry scaling has residual ``1 - |G_jk|^2 / ||row_j||^2``;
     the pairing itself is optimized exactly, and the total is normalized
-    by ``d - 1`` before the square root.  Each row is first divided by the
-    smallest power of two above its largest modulus, which is exact, so
-    the squares neither overflow nor underflow at any row scale.  A stack
-    of estimates scores each against the same mixing and returns an array.
+    by ``d - 1`` before the square root.  Each row of ``gamma_hat``, the
+    mixing matrix as a whole and then each gain row are divided by the
+    smallest power of two above their largest modulus, which is exact, so
+    neither the product nor the squares overflow or underflow at any
+    scale.  A stack of estimates scores each against the same mixing and
+    returns an array.
     """
     g = linalg.as_cmatrix(gamma_hat, "gamma_hat")
     a = linalg.as_cmatrix(mixing, "mixing")
@@ -118,9 +126,7 @@ def md_index(gamma_hat, mixing):
         linalg.inverse(a)
     except SingularMatrixError:
         raise SingularMatrixError("mixing matrix is singular to tolerance") from None
-    gain = g @ a
-    _, exponent = np.frexp(np.max(np.abs(gain), axis=-1, keepdims=True))
-    sq = np.abs(np.ldexp(gain.view(np.float64), -exponent).view(np.complex128)) ** 2
+    sq = np.abs(_pow2_scaled(_pow2_scaled(g, axis=-1) @ _pow2_scaled(a), axis=-1)) ** 2
     row_norms = sq.sum(axis=-1)
     if np.any(row_norms == 0.0):
         raise SingularMatrixError("gain matrix has a zero row; score undefined")

@@ -16,7 +16,10 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionError, PhaseError
-from .estimators import _centered, _cross_products, as_timeseries, autocov_sym, sample_mean
+# ``autocov_sym`` and ``sample_mean`` are unused here but stay bound: bench/layers.py
+# traces them, and tests/test_bench_sites.py checks that they resolve
+from .estimators import (_centered, _checked_lag, _cross_products, as_timeseries, autocov_sym,
+                         sample_mean)
 from .linalg import _conj_t, _eigh, _hermitian_part, _inv_sqrt
 
 #: Diagonal or inner-product moduli at or below this, relative to the scale
@@ -70,8 +73,8 @@ def standardize_phase(gamma) -> np.ndarray:
     modulus in its row (the canonical representative is undefined there).
     """
     g = linalg.as_cmatrix(gamma)
-    if g.shape[-2] != g.shape[-1]:
-        raise DimensionError(f"expected a square matrix, got {g.shape}")
+    if g.shape[-2] != g.shape[-1] or not g.shape[-1]:
+        raise DimensionError(f"expected a non-empty square matrix, got {g.shape}")
     return _standardize(g)
 
 
@@ -98,46 +101,18 @@ def align_phase_to(gamma_hat, gamma_ref) -> np.ndarray:
     return (np.conj(u) / mod)[..., None] * g
 
 
-def _fit(s0: np.ndarray, s_tau: np.ndarray):
-    """``(gamma, lambdas, eigen_gap)`` from exactly Hermitian ``s0`` and any ``s_tau``."""
-    sig0 = _inv_sqrt(s0)
-    eig = _eigh(_hermitian_part(sig0 @ s_tau @ sig0))
-    gamma = _standardize(_conj_t(eig.vectors) @ sig0)
-    lam = eig.values
-    gap = np.min(lam[..., :-1] - lam[..., 1:], axis=-1, initial=np.inf)
-    return gamma, lam, float(gap) if gap.ndim == 0 else gap
-
-
-def unmix_from_covariances(s0, s_tau, mu, tau: int) -> UnmixingResult:
-    """Fit the unmixing matrix from precomputed scatter matrices.
-
-    This is the plug-in seam for alternative affine-equivariant scatter
-    estimators: any conjugate-symmetric positive-definite ``s0`` and
-    conjugate-symmetric ``s_tau`` work, one pair or a stack of pairs.
-    The solution is ``V^H s0^{-1/2}`` where ``V`` diagonalizes the
-    whitened ``s_tau``, eigenvalues sorted non-increasing, rows
-    phase-standardized.
-    """
-    s0 = linalg._checked_hermitian(s0)
-    gamma, lam, gap = _fit(s0, linalg.as_cmatrix(s_tau, "s_tau"))
-    return UnmixingResult(gamma=gamma, lambdas=lam,
-                          mu=np.asarray(mu, dtype=np.complex128).reshape(s0.shape[:-1]),
-                          tau=int(tau), eigen_gap=gap)
-
-
-def _checked_lag(tau, a: np.ndarray) -> int:
-    tau, t = int(tau), a.shape[-2]
-    if tau < 1 or tau > t - 2:
-        raise DimensionError(f"lag {tau} out of range [1, {t - 2}]")
-    return tau
-
-
 def _fit_centered(c: np.ndarray, mu: np.ndarray, tau: int):
     """``(result, s0, s_tau)`` of a validated series or block ``c`` centered
-    at its time mean ``mu``, with ``tau`` in range."""
+    at its time mean ``mu``, with ``tau`` in range: ``gamma`` is ``V^H s0^{-1/2}``
+    with ``V`` the eigenvectors of the whitened ``s_tau``, rows phase-standardized."""
     s0, s_tau = (_hermitian_part(s) for s in _cross_products(c, tau))
-    gamma, lam, gap = _fit(s0, s_tau)
-    return UnmixingResult(gamma=gamma, lambdas=lam, mu=mu, tau=tau, eigen_gap=gap), s0, s_tau
+    sig0 = _inv_sqrt(s0)
+    eig = _eigh(_hermitian_part(sig0 @ s_tau @ sig0))
+    lam = eig.values
+    gap = np.min(lam[..., :-1] - lam[..., 1:], axis=-1, initial=np.inf)
+    result = UnmixingResult(gamma=_standardize(_conj_t(eig.vectors) @ sig0), lambdas=lam, mu=mu,
+                            tau=tau, eigen_gap=float(gap) if gap.ndim == 0 else gap)
+    return result, s0, s_tau
 
 
 def unmix(x, tau: int) -> UnmixingResult:
@@ -149,12 +124,12 @@ def unmix(x, tau: int) -> UnmixingResult:
     Raises
     ------
     DimensionError
-        If ``tau`` is outside ``[1, T-2]``.
+        If ``tau`` is not an integer in ``[1, T-2]``.
     NotPositiveDefiniteError
         If the sample covariance is degenerate.
     """
     a = as_timeseries(x)
-    tau = _checked_lag(tau, a)
+    tau = _checked_lag(tau, a.shape[-2], 1)
     return _fit_centered(*_centered(a), tau)[0]
 
 
@@ -170,17 +145,19 @@ def apply_unmixing(result: UnmixingResult, x) -> np.ndarray:
 def lag_sweep(x, taus) -> list[dict]:
     """Fit one unmixing per lag and rank lags by eigenvalue separation.
 
-    Returns one row per lag with keys ``tau``, ``lambdas`` and
-    ``eigen_gap``, sorted by ``eigen_gap`` descending.  Lags whose
-    diagonal entries sit close together carry little separation
-    information; trying several lags and preferring a large gap is the
-    practical selection rule.
+    ``x`` is one ``(T, d)`` series, validated and centered once.  Returns
+    one row per lag with keys ``tau``, ``lambdas`` and ``eigen_gap``,
+    sorted by ``eigen_gap`` descending.  Lags whose diagonal entries sit
+    close together carry little separation information; trying several
+    lags and preferring a large gap is the practical selection rule.
     """
     a = as_timeseries(x)
-    s0, mu = autocov_sym(a, 0), sample_mean(a)
+    if a.ndim == 3:
+        raise DimensionError(f"lag_sweep takes one (T, d) series, got a block of shape {a.shape}")
+    c, mu = _centered(a)
     rows = []
     for tau in taus:
-        res = unmix_from_covariances(s0, autocov_sym(a, _checked_lag(tau, a)), mu, tau)
-        rows.append({"tau": int(tau), "lambdas": res.lambdas, "eigen_gap": res.eigen_gap})
+        res = _fit_centered(c, mu, _checked_lag(tau, len(a), 1))[0]
+        rows.append({"tau": res.tau, "lambdas": res.lambdas, "eigen_gap": res.eigen_gap})
     rows.sort(key=lambda r: -r["eigen_gap"])
     return rows

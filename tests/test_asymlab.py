@@ -420,7 +420,7 @@ def test_residual_score_matches_three_estimator_calls():
     x = genproc.generate(cfg.model, 256, [np.random.SeedSequence(9, spawn_key=(0, r))
                                           for r in range(4)])[0]
     s0, st = estimators.autocov_sym(x, 0), estimators.autocov_sym(x, cfg.tau)
-    gain = unmixing.unmix_from_covariances(s0, st, estimators.sample_mean(x), cfg.tau).gamma
+    gain = unmixing.unmix(x, cfg.tau).gamma
     diag = np.diagonal(gain, axis1=1, axis2=2)
     r_diag = np.max(np.abs((diag - 1.0) - 0.5 * (1.0 - np.diagonal(s0, axis1=1, axis2=2))),
                     axis=1)

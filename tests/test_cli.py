@@ -116,6 +116,14 @@ def test_md_zero_row_gain_is_numerical_failure(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_md_at_any_scale(tmp_path):
+    cli.write_complex_csv(tmp_path / "g.csv", np.array([[1e10, 1.0], [1.0, 1e10]]))
+    cli.write_complex_csv(tmp_path / "a.csv", 1e300 * np.eye(2))
+    proc = run_cli("md", "--gamma", "g.csv", "--mixing", "a.csv", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) == 0.0
+
+
 def test_simulate_then_unmix_then_md(tmp_path):
     model = short_range_model(mixing=np.eye(3) + 0.3j * np.eye(3)[::-1])
     write_model_config(tmp_path / "model.json", model)

@@ -86,6 +86,14 @@ def test_rejections(rng):
         metrics.md_index(np.eye(2), np.array([[1.0, 2.0], [0.5, 1.0]]))
 
 
+@pytest.mark.parametrize("gamma_exp, mixing_exp", [(900, -1000), (1000, 100), (-1000, -100)])
+def test_md_index_at_any_scale(rng, gamma_exp, mixing_exp):
+    # the product of the scaled factors alone would overflow or underflow
+    gamma, mixing = random_mixing(rng, 3), random_mixing(rng, 3)
+    assert metrics.md_index(gamma * 2.0 ** gamma_exp, mixing * 2.0 ** mixing_exp) \
+        == metrics.md_index(gamma, mixing)
+
+
 def test_assignment_examples():
     np.testing.assert_array_equal(metrics.solve_assignment([[0.0, 1.0], [1.0, 0.0]]), [0, 1])
     np.testing.assert_array_equal(metrics.solve_assignment([[0.5, 0.5], [1.0, 0.0]]), [0, 1])

@@ -143,27 +143,32 @@ def test_affine_invariance(rng):
         assert np.max(np.abs(aligned - expected)) < 1e-6
 
 
-def test_unmix_from_covariances_plug_in_seam(rng):
+def assert_sweep_matches_unmix(x, taus):
+    # lag_sweep fits each lag as unmix does, and the public estimators give
+    # the fit's S0 and S_tau bit for bit
+    rows = unmixing.lag_sweep(x, taus)
+    assert sorted(row["tau"] for row in rows) == sorted(taus)
+    for row in rows:
+        direct = unmixing.unmix(x, row["tau"])
+        np.testing.assert_array_equal(row["lambdas"], direct.lambdas)
+        assert row["eigen_gap"] == direct.eigen_gap
+        c, mu = estimators._centered(estimators.as_timeseries(x))
+        _, s0, s_tau = unmixing._fit_centered(c, mu, row["tau"])
+        np.testing.assert_array_equal(s0, estimators.autocov_sym(x, 0))
+        np.testing.assert_array_equal(s_tau, estimators.autocov_sym(x, row["tau"]))
+
+
+def test_lag_sweep_rows_equal_unmix_per_lag():
     x, _ = genproc.generate(short_range_model(), 1024, seed=9)
-    direct = unmixing.unmix(x, 2)
-    via_seam = unmixing.unmix_from_covariances(
-        estimators.autocov_sym(x, 0), estimators.autocov_sym(x, 2),
-        estimators.sample_mean(x), 2)
-    np.testing.assert_array_equal(via_seam.gamma, direct.gamma)
-    np.testing.assert_array_equal(via_seam.lambdas, direct.lambdas)
+    assert_sweep_matches_unmix(x, [2, 1, 5])
 
 
 @pytest.mark.parametrize("tau", [1, 2, estimators.LAG_CHUNK + 1])
 def test_plug_in_seam_is_exact_across_lag_chunks(tau):
     # both lags of one call come from one product of fixed width, so the
-    # public estimators give the fit's S0 and S_tau bit for bit
+    # estimators agree with the fit across chunk boundaries
     x, _ = genproc.generate(short_range_model(), 3 * estimators.LAG_CHUNK + 7, seed=9)
-    direct = unmixing.unmix(x, tau)
-    via_seam = unmixing.unmix_from_covariances(
-        estimators.autocov_sym(x, 0), estimators.autocov_sym(x, tau),
-        estimators.sample_mean(x), tau)
-    np.testing.assert_array_equal(via_seam.gamma, direct.gamma)
-    np.testing.assert_array_equal(via_seam.lambdas, direct.lambdas)
+    assert_sweep_matches_unmix(x, [tau])
 
 
 @pytest.mark.parametrize("exponent", [-500, -40, 40, 500])
@@ -171,13 +176,10 @@ def test_unmix_from_unsymmetrized_covariances_at_any_scale(exponent):
     # autocov_unsym(x, 0) is Hermitian up to rounding; scaled by 2^40 that
     # rounding used to exceed an absolute tolerance
     x, _ = genproc.generate(short_range_model(), 1024, seed=4)
-    s0, st = estimators.autocov_unsym(x, 0), estimators.autocov_sym(x, 1)
-    mu = estimators.sample_mean(x)
-    base = unmixing.unmix_from_covariances(s0, st, mu, 1)
-    scale = 2.0 ** exponent
-    scaled = unmixing.unmix_from_covariances(s0 * scale, st * scale, mu, 1)
-    np.testing.assert_allclose(scaled.gamma * 2.0 ** (exponent // 2), base.gamma, rtol=1e-12)
-    np.testing.assert_allclose(scaled.lambdas, base.lambdas, rtol=1e-12)
+    s0 = estimators.autocov_unsym(x, 0)
+    base = linalg.herm_inv_sqrt(s0)
+    scaled = linalg.herm_inv_sqrt(s0 * 2.0 ** exponent)
+    np.testing.assert_allclose(scaled * 2.0 ** (exponent // 2), base, rtol=1e-12)
 
 
 def test_nearly_collinear_columns_fit(rng):
@@ -214,6 +216,34 @@ def test_lag_rejections():
         unmixing.unmix(x, 0)
     with pytest.raises(DimensionError):
         unmixing.unmix(x, 3)
+
+
+@pytest.mark.parametrize("tau", [1.7, 2.0, True, "2", None], ids=repr)
+@pytest.mark.parametrize("fit", ["unmix", "lag_sweep", "autocov_unsym", "autocov_sym"])
+def test_lags_must_be_integers(fit, tau):
+    x, _ = genproc.generate(short_range_model(), 64, seed=6)
+    call = {"unmix": lambda: unmixing.unmix(x, tau),
+            "lag_sweep": lambda: unmixing.lag_sweep(x, [1, tau]),
+            "autocov_unsym": lambda: estimators.autocov_unsym(x, tau),
+            "autocov_sym": lambda: estimators.autocov_sym(x, tau)}[fit]
+    with pytest.raises(DimensionError, match=f"lag must be an integer, got {tau!r}"):
+        call()
+
+
+def test_numpy_integer_lags_are_accepted():
+    x, _ = genproc.generate(short_range_model(), 64, seed=6)
+    res = unmixing.unmix(x, np.int64(2))
+    assert res.tau == 2 and type(res.tau) is int
+    np.testing.assert_array_equal(res.gamma, unmixing.unmix(x, 2).gamma)
+    assert [row["tau"] for row in unmixing.lag_sweep(x, np.arange(1, 3))] in ([1, 2], [2, 1])
+    np.testing.assert_array_equal(estimators.autocov_sym(x, np.uint8(0)),
+                                  estimators.autocov_sym(x, 0))
+
+
+def test_lag_sweep_refuses_a_stacked_block():
+    x = genproc.generate(short_range_model(), 64, [1, 2])[0]
+    with pytest.raises(DimensionError, match="one"):
+        unmixing.lag_sweep(x, [1, 2])
 
 
 def test_lag_sweep_single_tau():
