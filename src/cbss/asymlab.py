@@ -17,15 +17,17 @@ Replications are seeded by ``(grid index, replication index)`` spawn
 keys.  Each grid length's replications are drawn, fitted and scored in
 stacked blocks of ``BLOCK_SAMPLES // T`` series (at least one, at most
 all), validated once per block; a score function reduces each series of
-a block to a short vector of floats.  The fitting scores center the
-block in place, since the lab never reads a drawn block again, so a
-block's peak memory is about two block-sized arrays.  A replication's
-row does not depend on its block, so reports are bit-identical no
-matter how many workers run the blocks (``CBSS_THREADS`` caps the pool;
-unset means serial, ``0`` means all cores, and no value goes past the
-core count or the block count).  A block that fails with a numerical
-error (``NumericalError`` or ``PhaseError``) is drawn again one
-replication at a time, and each failing replication is dropped from
+a block to a short vector of floats.  A block is drawn as the real part
+planes the model makes (``genproc._draw``), and the fitting scores
+center it in place and fit it from two real Gram products, since the
+lab never reads a drawn block again: no complex copy of a block is
+made.  A replication's row does not depend on its block, so reports are
+bit-identical no matter how many workers run the blocks
+(``CBSS_THREADS`` caps the pool; unset means serial, ``0`` means all
+cores, and no value goes past the core count or the block count).  Each
+pool worker sets numpy's bundled OpenBLAS to one thread.  A block that
+fails with a numerical error (``NumericalError`` or ``PhaseError``) is
+drawn again one replication at a time, and each failing replication is dropped from
 every statistic and counted in the report's ``failures``; when more
 than ``FAILURE_BUDGET`` of all replications fail, the experiment raises
 ``ExperimentError``.  Any other exception propagates.
@@ -42,11 +44,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import ConfigError, DimensionError, ExperimentError, NumericalError, PhaseError
-# ``autocov_sym`` and ``unmix`` are unused here but stay bound: bench/layers.py
-# traces them, and tests/test_bench_sites.py checks that they resolve
-from .estimators import _centered, as_timeseries, autocov_sym, sample_mean
-from .genproc import (MIN_LENGTH, ModelSpec, RateInfo, _build, _json_list, _require_type,
+from .errors import (ConfigError, DimensionError, ExperimentError, NonFiniteError,
+                     NumericalError, PhaseError)
+# ``autocov_sym``, ``generate`` and ``unmix`` are unused here but stay bound:
+# bench/layers.py traces them, and tests/test_bench_sites.py checks that they resolve
+from .estimators import _as_complex, _centered, autocov_sym
+from .genproc import (MIN_LENGTH, ModelSpec, RateInfo, _build, _draw, _json_list, _require_type,
                       generate, json_int, json_object, population_lambdas, theoretical_gamma)
 from .metrics import md_index
 from .unmixing import _fit_centered, align_phase_to, unmix
@@ -170,6 +173,29 @@ def _resolve_workers(tasks: int) -> int:
     return min(requested or cores, cores, tasks)
 
 
+def _openblas():
+    """numpy's bundled scipy-openblas through ``ctypes``, or None with another BLAS build."""
+    import ctypes
+    import glob
+
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
+        lib = ctypes.CDLL(path)
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+            lib.scipy_openblas_set_num_threads64_.restype = None
+            return lib
+    return None
+
+
+def _pin_blas() -> None:
+    """Pool initializer: one BLAS thread in this worker, so that the workers
+    do not oversubscribe the cores; with another BLAS build it does nothing."""
+    lib = _openblas()
+    if lib is not None:
+        lib.scipy_openblas_set_num_threads64_(1)
+
+
 def _run_block(cfg, score, extra, task) -> list:
     """Score replications ``start..stop-1`` of one length as one stacked block.
 
@@ -181,8 +207,8 @@ def _run_block(cfg, score, extra, task) -> list:
     try:
         seeds = [np.random.SeedSequence(cfg.seed, spawn_key=(t_index, rep))
                  for rep in range(start, stop)]
-        x = generate(cfg.model, cfg.t_grid[t_index], seeds)[0]
-        return list(score(cfg, x, extra))
+        y = _draw(cfg.model, cfg.t_grid[t_index], seeds)[0]
+        return list(score(cfg, y, extra))
     except (NumericalError, PhaseError) as exc:
         if stop - start == 1:
             return [f"{type(exc).__name__}: {exc}"]
@@ -191,13 +217,14 @@ def _run_block(cfg, score, extra, task) -> list:
 
 
 def _map_replications(cfg: RateExperimentConfig, score, extra=None):
-    """Run ``score(cfg, x, extra)`` on every replication of every grid length.
+    """Run ``score(cfg, y, extra)`` on every replication of every grid length.
 
-    ``x`` is a stacked ``(B, T, d)`` block and ``score`` returns one row
-    per series.  Returns ``(rows, failures)``: ``rows[t_index]`` stacks
-    the score rows of that length's successful replications in
-    replication order, and ``failures`` counts the dropped ones.  Raises
-    ``ExperimentError`` when more than ``FAILURE_BUDGET`` of them failed.
+    ``y`` holds the observed part planes ``(B, 2d, T)`` of a drawn block
+    (``genproc._draw``) and ``score`` returns one row per series.
+    Returns ``(rows, failures)``: ``rows[t_index]`` stacks the score rows
+    of that length's successful replications in replication order, and
+    ``failures`` counts the dropped ones.  Raises ``ExperimentError`` when
+    more than ``FAILURE_BUDGET`` of them failed.
     """
     reps = cfg.replications
     tasks = []
@@ -214,7 +241,7 @@ def _map_replications(cfg: RateExperimentConfig, score, extra=None):
         order = sorted(range(len(tasks)), reverse=True,
                        key=lambda i: cfg.t_grid[tasks[i][0]] * (tasks[i][2] - tasks[i][1]))
         blocks = [None] * len(tasks)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas) as pool:
             for i, block in zip(order, pool.map(run, [tasks[i] for i in order])):
                 blocks[i] = block
     else:
@@ -235,17 +262,16 @@ def _medians(rows, column: int) -> list:
 
 # per-replication scores, one row per series of a stacked block ----------------
 
-def _fit_drawn(x, tau: int):
-    """``(result, s0, s_tau)`` of a drawn block, which it centers in place:
-    the lab never reads a block after scoring it, and re-draws a failed one."""
-    a = as_timeseries(x)
-    return _fit_centered(*_centered(a, out=a), tau)
+def _fit_drawn(y, tau: int):
+    """``(result, s0, s_tau)`` of a drawn block's planes, which it centers in
+    place: the lab never reads a block after scoring it, and re-draws a failed one."""
+    return _fit_centered(*_centered(y), tau)
 
 
-def _gain_score(cfg: RateExperimentConfig, x, extra):
+def _gain_score(cfg: RateExperimentConfig, y, extra):
     """``(error, diag_err, off_err, *gain as float pairs)`` against the truth."""
     mixing, gamma_ref = extra
-    res = _fit_drawn(x, cfg.tau)[0]
+    res = _fit_drawn(y, cfg.tau)[0]
     aligned = align_phase_to(res.gamma, gamma_ref)
     gain = aligned @ mixing
     b, d = gain.shape[:2]
@@ -266,8 +292,8 @@ def _truth(cfg: RateExperimentConfig):
     return mixing, linalg.inverse(mixing)
 
 
-def _residual_score(cfg: RateExperimentConfig, x, lam):
-    fit, s0, st = _fit_drawn(x, cfg.tau)
+def _residual_score(cfg: RateExperimentConfig, y, lam):
+    fit, s0, st = _fit_drawn(y, cfg.tau)
     # trivial mixing: the gain is the standardized estimate
     gain = fit.gamma
     diag = np.diagonal(gain, axis1=1, axis2=2)
@@ -280,10 +306,13 @@ def _residual_score(cfg: RateExperimentConfig, x, lam):
     return np.column_stack((r_diag, r_off))
 
 
-def _mu_score(cfg: RateExperimentConfig, x, exponent):
+def _mu_score(cfg: RateExperimentConfig, y, exponent):
     d = cfg.model.d
-    mu_err = sample_mean(x) - cfg.model.location_vector()
-    outer = mu_err[:, :, None] * np.conj(mu_err)[:, None, :] * (x.shape[1] ** exponent)
+    means = y.mean(axis=-1)
+    if not np.isfinite(means).all():
+        raise NonFiniteError("time series contains non-finite entries")
+    mu_err = _as_complex(means) - cfg.model.location_vector()
+    outer = mu_err[:, :, None] * np.conj(mu_err)[:, None, :] * (y.shape[-1] ** exponent)
     diag_max = np.max(np.abs(np.diagonal(outer, axis1=1, axis2=2)), axis=1)
     off_max = np.max(np.abs(outer[:, ~np.eye(d, dtype=bool)]), axis=1, initial=0.0)
     return np.column_stack((off_max, diag_max))

@@ -6,34 +6,37 @@ estimator returns one result per series along the leading axis.  The
 lag-``tau`` cross products are always centered with the full-sample
 mean; the divisor is ``T - 1`` at lag zero and ``T - tau`` otherwise.
 
-Every call computes lag zero and its lag ``tau`` together: one complex
-matrix product per time chunk of ``LAG_CHUNK`` steps gives both, from a
-small buffer that holds the chunk's conjugates and those ``tau`` steps
-later.  Each lag therefore always comes from a product of the same width,
-so ``autocov_sym(x, 0)`` and ``autocov_sym(x, tau)`` equal the fit's
-``S0`` and ``S_tau`` bit for bit, and no block-sized conjugate is made.
+The products run on part planes: a series becomes ``2d`` real rows of
+``T`` steps, the ``d`` real parts and then the ``d`` imaginary ones.
+With ``y`` those rows centered, the lags come from the two real Gram
+products ``p0 = y y^T`` and ``p_tau = y[:, :T-tau] y[:, tau:]^T``, and
+``S = ((rr + ii) + i (ir - ri)) / divisor`` from the real-real,
+imaginary-imaginary and mixed blocks of ``p``.  A stacked series takes
+the same product as it would alone, so ``autocov_sym(x, 0)`` and
+``autocov_sym(x, tau)`` equal the fit's ``S0`` and ``S_tau`` bit for bit.
+
+The products are scale-free: a series far from unit scale is brought to
+it by one power of two, which is exact, and the results are scaled back.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .errors import DimensionError, NonFiniteError
 from .linalg import _hermitian_part
 
-#: Time steps per chunk of the lag products.  Chunks start at multiples of
-#: it whatever the block, so a stacked series sums exactly as it would alone.
-LAG_CHUNK = 1024
-#: Bytes of the conjugate operand of the lag products; a block's series are
-#: taken in groups that fit, so the operand stays small for any block.
-LAG_BUFFER_BYTES = 1 << 17
+#: Series whose largest part lies outside ``2^-SCALE_EXPONENT .. 2^SCALE_EXPONENT``
+#: are brought to unit scale.  Inside, the products lose no digits to
+#: subnormal squares, and ``T`` times the largest square stays a normal
+#: double for any ``T`` below ``2^200``.
+SCALE_EXPONENT = 400
 
 
-def as_timeseries(x, min_length: int = 2) -> np.ndarray:
-    """Coerce to a finite ``(T, d)`` complex128 array or ``(B, T, d)`` block.
-
-    1-D input is treated as a single-component series.
-    """
+def _shaped(x, min_length: int = 2) -> np.ndarray:
+    """``x`` as a ``(T, d)`` complex128 array or ``(B, T, d)`` block, finite or not."""
     a = np.asarray(x, dtype=np.complex128)
     if a.ndim == 1:
         a = a[:, None]
@@ -43,6 +46,15 @@ def as_timeseries(x, min_length: int = 2) -> np.ndarray:
         raise DimensionError(f"need at least {min_length} observations, got {a.shape[-2]}")
     if a.shape[-1] < 1:
         raise DimensionError("need at least one component")
+    return a
+
+
+def as_timeseries(x, min_length: int = 2) -> np.ndarray:
+    """Coerce to a finite ``(T, d)`` complex128 array or ``(B, T, d)`` block.
+
+    1-D input is treated as a single-component series.
+    """
+    a = _shaped(x, min_length)
     if not np.isfinite(a).all():
         raise NonFiniteError("time series contains non-finite entries")
     return a
@@ -57,37 +69,70 @@ def _checked_lag(tau, t: int, lowest: int) -> int:
     return int(tau)
 
 
-def _centered(a: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """``(a - mean, mean)`` of a validated series or block, written to ``out``
-    when given (``a`` itself centers in place)."""
-    mu = a.mean(axis=-2)
-    return np.subtract(a, mu[..., None, :], out=out), mu
+def _ldexp(c: np.ndarray, k: int) -> np.ndarray:
+    """``c * 2^k`` for a complex array, exact unless it leaves the double range."""
+    out = np.empty(c.shape, dtype=np.complex128)
+    np.ldexp(c.real, k, out=out.real)
+    np.ldexp(c.imag, k, out=out.imag)
+    return out
 
 
-def _cross_products(c: np.ndarray, tau: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unsymmetrized lag-0 and lag-``tau`` autocovariances of a centered
-    series or block, from one product per time chunk."""
-    block = c if c.ndim == 3 else c[None]
-    b, t, d = block.shape
-    heads = np.swapaxes(block, 1, 2)
-    steps = min(LAG_CHUNK, t)
-    group = min(b, max(1, LAG_BUFFER_BYTES // (steps * 2 * d * block.itemsize)))
-    # per series, the rows conj c_t then conj c_{t+tau} (zero past the end)
-    conj = np.empty((group, 2 * d, steps), dtype=np.complex128)
-    acc = np.zeros((b, 2 * d, d), dtype=np.complex128)
-    for first in range(0, b, group):
-        head = heads[first:first + group]
-        for start in range(0, t, steps):
-            n = min(steps, t - start)
-            shifted = min(n, max(t - start - tau, 0))
-            rows = conj[:len(head), :, :n]
-            np.conjugate(head[..., start:start + n], out=rows[:, :d])
-            np.conjugate(head[..., start + tau:start + tau + shifted], out=rows[:, d:, :shifted])
-            rows[:, d:, shifted:] = 0.0
-            acc[first:first + group] += rows @ np.swapaxes(head[..., start:start + n], 1, 2)
-    pair = np.swapaxes(acc, 1, 2)
-    s0, s_tau = pair[..., :d] / (t - 1), pair[..., d:] / (t - tau if tau else t - 1)
-    return (s0, s_tau) if c.ndim == 3 else (s0[0], s_tau[0])
+def _as_complex(parts: np.ndarray) -> np.ndarray:
+    """Complex ``(..., d)`` values from their ``2d`` parts, real parts first."""
+    d = parts.shape[-1] // 2
+    return parts[..., :d] + 1j * parts[..., d:]
+
+
+def _centered(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(y, mu, shift)``: centered part planes, time mean and scale of a series.
+
+    ``a`` is a shaped complex ``(..., T, d)`` series, copied into new
+    planes ``y`` of shape ``(..., 2d, T)``, or real part planes (the lab's
+    draws), which are centered in place.  One pass takes the largest
+    part: a non-finite one raises ``NonFiniteError``, and one outside
+    ``[2^-SCALE_EXPONENT, 2^SCALE_EXPONENT]`` sets ``shift`` so that ``y``
+    holds the planes of ``a * 2^shift``, whose largest part lies in
+    ``[1/2, 1)``.  ``mu`` is the complex mean of ``a`` itself.
+    """
+    planes = not np.iscomplexobj(a)
+    parts = (a,) if planes else (a.real, a.imag)
+    top = np.max([np.max(p) for p in parts] + [-np.min(p) for p in parts])
+    if not np.isfinite(top):
+        raise NonFiniteError("time series contains non-finite entries")
+    shift = 0
+    if top and not 2.0 ** -SCALE_EXPONENT <= top <= 2.0 ** SCALE_EXPONENT:
+        shift = -math.frexp(top)[1]
+    if planes:
+        y = np.ldexp(a, shift, out=a) if shift else a
+        mean = y.mean(axis=-1)
+        y -= mean[..., None]
+        mu = _as_complex(mean)
+    else:
+        a = _ldexp(a, shift) if shift else a
+        mu = a.mean(axis=-2)
+        d = a.shape[-1]
+        y = np.empty(a.shape[:-2] + (2 * d, a.shape[-2]))
+        np.subtract(np.swapaxes(a.real, -1, -2), mu.real[..., None], out=y[..., :d, :])
+        np.subtract(np.swapaxes(a.imag, -1, -2), mu.imag[..., None], out=y[..., d:, :])
+    return y, (_ldexp(mu, -shift) if shift else mu), shift
+
+
+def _lag_matrix(p: np.ndarray, divisor: int) -> np.ndarray:
+    """``((rr + ii) + i (ir - ri)) / divisor`` from a real ``(..., 2d, 2d)`` Gram product."""
+    d = p.shape[-1] // 2
+    s = np.empty(p.shape[:-2] + (d, d), dtype=np.complex128)
+    np.divide(p[..., :d, :d] + p[..., d:, d:], divisor, out=s.real)
+    np.divide(p[..., d:, :d] - p[..., :d, d:], divisor, out=s.imag)
+    return s
+
+
+def _cross_products(y: np.ndarray, tau: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unsymmetrized lag-0 and lag-``tau`` autocovariances of centered part planes."""
+    t = y.shape[-1]
+    s0 = _lag_matrix(y @ np.swapaxes(y, -1, -2), t - 1)
+    if not tau:
+        return s0, s0
+    return s0, _lag_matrix(y[..., :t - tau] @ np.swapaxes(y[..., tau:], -1, -2), t - tau)
 
 
 def sample_mean(x) -> np.ndarray:
@@ -102,10 +147,11 @@ def autocov_unsym(x, tau: int) -> np.ndarray:
     divided by ``T - 1`` (lag 0) or ``T - tau``.  ``tau`` is an integer in
     ``[0, T - 2]``; any other lag raises ``DimensionError``.
     """
-    a = as_timeseries(x)
+    a = _shaped(x)
     tau = _checked_lag(tau, a.shape[-2], 0)
-    s0, s_tau = _cross_products(_centered(a)[0], tau)
-    return s_tau if tau else s0
+    y, _, shift = _centered(a)
+    s = _cross_products(y, tau)[1]
+    return _ldexp(s, -2 * shift) if shift else s
 
 
 def autocov_sym(x, tau: int) -> np.ndarray:

@@ -607,12 +607,59 @@ def component_ranks(spec: LatentComponentSpec) -> tuple[int, int]:
 # Generation
 # ---------------------------------------------------------------------------
 
+def _draw(model: ModelSpec, length: int, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Observed and latent part planes ``(x, z)`` of a block, one series per seed.
+
+    Both are ``(B, 2d, T)``: row ``idx`` of a series is part ``idx``, the
+    ``d`` real parts and then the ``d`` imaginary ones, each a contiguous
+    run of time.  The mixing and the location act on the planes through
+    the real ``2d x 2d`` matrix ``[[Ar, -Ai], [Ai, Ar]]`` and the stacked
+    parts of the location; with neither, ``x`` is ``z`` itself.
+    """
+    rngs = _rngs(seeds)
+    d = model.d
+    z = np.empty((len(rngs), 2 * d, length))
+    for idx, spec in enumerate(model.components):
+        raw = _sample_driver(spec.driver, length, rngs)
+        mean, var = transform_moments(spec.transform)
+        y = spec.transform.apply(raw)
+        if mean:
+            y -= mean
+        if model.normalize:
+            if var <= 0:
+                raise ConfigError("transform has zero variance; cannot normalize")
+            np.divide(y, np.sqrt(2.0 * var), out=z[:, idx])
+        else:
+            z[:, idx] = y
+        # no part outlives its copy into z
+        del raw, y
+    if model.normalize and model.centering == "empirical":
+        z -= z.mean(axis=-1, keepdims=True)
+    x = z
+    if model.mixing is not None:
+        a = model.mixing
+        x = np.block([[a.real, -a.imag], [a.imag, a.real]]) @ z
+    if model.location is not None:
+        loc = model.location
+        x = np.add(x, np.concatenate((loc.real, loc.imag))[:, None], out=None if x is z else x)
+    return x, z
+
+
+def _complex_block(planes: np.ndarray) -> np.ndarray:
+    """``(B, T, d)`` complex view of component-major memory from ``(B, 2d, T)`` planes."""
+    d = planes.shape[1] // 2
+    out = np.empty((planes.shape[0], d, planes.shape[2]), dtype=np.complex128)
+    out.real, out.imag = planes[:, :d], planes[:, d:]
+    return out.transpose(0, 2, 1)
+
+
 def generate(model: ModelSpec, length: int, seed) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``(x, z)``: observed and latent series of the mixing model.
 
     ``z`` stacks the ``2d`` subordinated parts into ``d`` complex
     components; every part is centered with its Hermite mean ``a_0``, and
-    rescaled under ``normalize``.  ``x = z A^T + location`` rowwise.
+    rescaled under ``normalize``.  ``x = z A^T + location`` rowwise, and
+    it is a separate array from ``z`` even when it holds the same values.
     Deterministic per seed: a series draws from one generator seeded by
     its seed, and the parts take their normals from it in model order
     (the ``d`` real parts, then the ``d`` imaginary ones), each exactly
@@ -631,36 +678,10 @@ def generate(model: ModelSpec, length: int, seed) -> tuple[np.ndarray, np.ndarra
     if t < MIN_LENGTH:
         raise DimensionError(f"need at least {MIN_LENGTH} observations, got {t}")
     stacked = isinstance(seed, list)
-    rngs = _rngs(seed if stacked else [seed])
-    d = model.d
-    # component-major memory behind the (B, T, d) view: every series owns a
-    # contiguous (d, T) slab, so means, centerings and lag products over time
-    # run along contiguous memory
-    z = np.empty((len(rngs), d, t), dtype=np.complex128).transpose(0, 2, 1)
-    for idx, spec in enumerate(model.components):
-        raw = _sample_driver(spec.driver, t, rngs)
-        mean, var = transform_moments(spec.transform)
-        y = spec.transform.apply(raw)
-        if mean:
-            y -= mean
-        slot = (z.real if idx < d else z.imag)[:, :, idx % d]
-        if model.normalize:
-            if var <= 0:
-                raise ConfigError("transform has zero variance; cannot normalize")
-            np.divide(y, np.sqrt(2.0 * var), out=slot)
-        else:
-            slot[...] = y
-        # no part outlives its copy into z: x beside z is the peak
-        del raw, y
-    if model.normalize and model.centering == "empirical":
-        z -= z.mean(axis=1, keepdims=True)
-    # an identity mixing or a zero location would leave every value as it is
-    if model.mixing is None:
-        x = z.copy(order="K")
-    else:
-        x = np.swapaxes(model.mixing @ np.swapaxes(z, 1, 2), 1, 2)
-    if model.location is not None:
-        x += model.location
+    x, z = _draw(model, t, seed if stacked else [seed])
+    # one at a time, so that a latent plane block is freed before x is converted
+    z = _complex_block(z)
+    x = _complex_block(x)
     return (x, z) if stacked else (x[0], z[0])
 
 

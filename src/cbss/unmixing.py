@@ -18,8 +18,8 @@ from . import linalg
 from .errors import DimensionError, PhaseError
 # ``autocov_sym`` and ``sample_mean`` are unused here but stay bound: bench/layers.py
 # traces them, and tests/test_bench_sites.py checks that they resolve
-from .estimators import (_centered, _checked_lag, _cross_products, as_timeseries, autocov_sym,
-                         sample_mean)
+from .estimators import (_centered, _checked_lag, _cross_products, _ldexp, _shaped, as_timeseries,
+                         autocov_sym, sample_mean)
 from .linalg import _conj_t, _eigh, _hermitian_part, _inv_sqrt
 
 #: Diagonal or inner-product moduli at or below this, relative to the scale
@@ -101,16 +101,20 @@ def align_phase_to(gamma_hat, gamma_ref) -> np.ndarray:
     return (np.conj(u) / mod)[..., None] * g
 
 
-def _fit_centered(c: np.ndarray, mu: np.ndarray, tau: int):
-    """``(result, s0, s_tau)`` of a validated series or block ``c`` centered
-    at its time mean ``mu``, with ``tau`` in range: ``gamma`` is ``V^H s0^{-1/2}``
-    with ``V`` the eigenvectors of the whitened ``s_tau``, rows phase-standardized."""
-    s0, s_tau = (_hermitian_part(s) for s in _cross_products(c, tau))
+def _fit_centered(y: np.ndarray, mu: np.ndarray, shift: int, tau: int):
+    """``(result, s0, s_tau)`` of a validated series or block, from its
+    centered part planes ``y`` at scale ``2^shift`` and its time mean ``mu``
+    (``_centered``), with ``tau`` in range: ``gamma`` is ``V^H s0^{-1/2}``
+    with ``V`` the eigenvectors of the whitened ``s_tau``, rows
+    phase-standardized and scaled back by ``2^shift``, which is exact.
+    ``s0`` and ``s_tau`` are those of ``y``."""
+    s0, s_tau = (_hermitian_part(s) for s in _cross_products(y, tau))
     sig0 = _inv_sqrt(s0)
     eig = _eigh(_hermitian_part(sig0 @ s_tau @ sig0))
     lam = eig.values
     gap = np.min(lam[..., :-1] - lam[..., 1:], axis=-1, initial=np.inf)
-    result = UnmixingResult(gamma=_standardize(_conj_t(eig.vectors) @ sig0), lambdas=lam, mu=mu,
+    gamma = _standardize(_conj_t(eig.vectors) @ sig0)
+    result = UnmixingResult(gamma=_ldexp(gamma, shift) if shift else gamma, lambdas=lam, mu=mu,
                             tau=tau, eigen_gap=float(gap) if gap.ndim == 0 else gap)
     return result, s0, s_tau
 
@@ -119,16 +123,20 @@ def unmix(x, tau: int) -> UnmixingResult:
     """Fit the unmixing matrix from the lag-0 and lag-``tau`` autocovariances.
 
     ``x`` is one ``(T, d)`` series or a stacked ``(B, T, d)`` block, which
-    is validated once and fitted series by series.
+    is validated once and fitted series by series.  The fit is scale-free:
+    ``unmix(c * x).gamma`` is ``unmix(x).gamma / c`` up to rounding for
+    any ``c`` that keeps ``x`` finite and normal.
 
     Raises
     ------
     DimensionError
         If ``tau`` is not an integer in ``[1, T-2]``.
+    NonFiniteError
+        If ``x`` holds a NaN or an infinity.
     NotPositiveDefiniteError
         If the sample covariance is degenerate.
     """
-    a = as_timeseries(x)
+    a = _shaped(x)
     tau = _checked_lag(tau, a.shape[-2], 1)
     return _fit_centered(*_centered(a), tau)[0]
 
@@ -151,13 +159,13 @@ def lag_sweep(x, taus) -> list[dict]:
     close together carry little separation information; trying several
     lags and preferring a large gap is the practical selection rule.
     """
-    a = as_timeseries(x)
+    a = _shaped(x)
     if a.ndim == 3:
         raise DimensionError(f"lag_sweep takes one (T, d) series, got a block of shape {a.shape}")
-    c, mu = _centered(a)
+    centered = _centered(a)
     rows = []
     for tau in taus:
-        res = _fit_centered(c, mu, _checked_lag(tau, len(a), 1))[0]
+        res = _fit_centered(*centered, _checked_lag(tau, len(a), 1))[0]
         rows.append({"tau": res.tau, "lambdas": res.lambdas, "eigen_gap": res.eigen_gap})
     rows.sort(key=lambda r: -r["eigen_gap"])
     return rows

@@ -1,6 +1,8 @@
 import functools
 import json
 import operator
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from scipy.special import ndtri
 from cbss import asymlab, cli, estimators, genproc, unmixing
 from cbss.errors import ConfigError, DimensionError, ExperimentError, NumericalError
 
-from conftest import long_range_model, short_range_model
+from conftest import cli_env, long_range_model, short_range_model
 
 
 def small_cfg(model=None, **kw):
@@ -379,8 +381,8 @@ def test_pool_hands_out_longest_blocks_first_one_per_message(monkeypatch):
 
     class RecordingPool:
         # runs in this process and records the order of the tasks it is given
-        def __init__(self, max_workers):
-            assert max_workers == 2
+        def __init__(self, max_workers, initializer):
+            assert max_workers == 2 and initializer is asymlab._pin_blas
 
         def __enter__(self):
             return self
@@ -453,19 +455,19 @@ def test_failed_replication_is_dropped_from_every_statistic(monkeypatch):
     monkeypatch.delenv("CBSS_THREADS", raising=False)
     scores = np.delete(single[1], 3, axis=0)
 
-    real_generate = asymlab.generate
+    real_draw = asymlab._draw
     poisoned_blocks = []
 
     def poisoning(model, length, seeds):
         # one non-finite value in replication 3 of the middle length
-        x, z = real_generate(model, length, seeds)
+        x, z = real_draw(model, length, seeds)
         for row, seed in zip(x, seeds):
             if seed.spawn_key == (1, 3):
-                row[5, 0] = np.nan
+                row[0, 5] = np.nan
                 poisoned_blocks.append(len(seeds))
         return x, z
 
-    monkeypatch.setattr(asymlab, "generate", poisoning)
+    monkeypatch.setattr(asymlab, "_draw", poisoning)
     rows, failures = asymlab._map_replications(cfg, asymlab._gain_score, truth)
     # refused at the entry check of a block of several replications, then alone
     assert poisoned_blocks[0] > 1 and poisoned_blocks[1:] == [1]
@@ -491,18 +493,18 @@ def test_a_block_failing_after_in_place_centering_is_redrawn(monkeypatch, score)
                     "residual": (asymlab._residual_score,
                                  genproc.population_lambdas(cfg.model, cfg.tau))}[score]
     monkeypatch.delenv("CBSS_THREADS", raising=False)
-    real_generate = asymlab.generate
+    real_draw = asymlab._draw
 
     def zeroing(model, length, seeds):
         # a zero component passes the entry check; its singular S0 fails the
         # fit after the block was centered in place
-        x, z = real_generate(model, length, seeds)
+        x, z = real_draw(model, length, seeds)
         for row, seed in zip(x, seeds):
             if seed.spawn_key == (1, 3):
-                row[:, 1] = 0.0
+                row[[1, model.d + 1]] = 0.0
         return x, z
 
-    monkeypatch.setattr(asymlab, "generate", zeroing)
+    monkeypatch.setattr(asymlab, "_draw", zeroing)
     rows, failures = asymlab._map_replications(cfg, score, extra)
     assert failures == 1
     # the other replications of the failed block were drawn again, not re-centered
@@ -515,12 +517,16 @@ def test_a_block_failing_after_in_place_centering_is_redrawn(monkeypatch, score)
 
 @pytest.mark.parametrize("score", ["gain", "residual", "mu"])
 def test_one_lab_block_peaks_at_about_two_block_sizes(score):
-    # the fit centers the drawn block in place and its lag products take a
-    # bounded buffer; the peak is the generator's, the block and its latents
+    # the block is drawn straight into its part planes, which hold as many
+    # bytes as the complex block, and fitted there from two small Gram
+    # matrices: no complex block, no copy of it and no conjugate buffer.
+    # The rest of the peak is one part's sampler temporaries, the fGn
+    # spectrum and paths under the long-range model
     import tracemalloc
 
     model = long_range_model(centering="population") if score == "mu" else short_range_model()
     cfg = small_cfg(model=model, t_grid=(1024, 2048, 4096))
+    bound = {"gain": 1.6, "residual": 1.6, "mu": 1.75}[score]
     score, extra = {"gain": (asymlab._gain_score, asymlab._truth(cfg)),
                     "residual": (asymlab._residual_score, genproc.population_lambdas(model, 1)),
                     "mu": (asymlab._mu_score, 0.5)}[score]
@@ -532,14 +538,46 @@ def test_one_lab_block_peaks_at_about_two_block_sizes(score):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * (4 * 4096 * model.d * 16)
+    assert peak <= bound * (4 * 4096 * model.d * 16)
+
+
+POOL_BLAS = """
+import numpy as np
+from cbss import asymlab
+
+def threads(cfg, y, extra):
+    return np.full((len(y), 1), float(asymlab._openblas().scipy_openblas_get_num_threads64_()))
+
+if __name__ == "__main__":
+    asymlab.os.cpu_count = lambda: 2
+    cfg = asymlab.RateExperimentConfig(model=asymlab.ModelSpec.from_dict({CONFIG}), tau=1,
+                                       t_grid=(64, 128, 256), replications=50, seed=1)
+    rows, _ = asymlab._map_replications(cfg, threads)
+    print(sorted({int(v) for v in np.concatenate(rows)[:, 0]}))
+"""
+
+
+def test_pool_workers_run_one_blas_thread(tmp_path):
+    # with no BLAS variable set, each forked worker would start a BLAS
+    # thread pool of its own and the workers would oversubscribe the cores
+    if asymlab._openblas() is None:
+        pytest.skip("numpy's BLAS is not the bundled scipy-openblas")
+    script = tmp_path / "pool_blas.py"
+    script.write_text(POOL_BLAS.replace("{CONFIG}", repr(short_range_model().to_dict())))
+    env = {k: v for k, v in cli_env().items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")}
+    env["CBSS_THREADS"] = "2"
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          cwd=tmp_path, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[1]"
 
 
 def test_programming_error_in_a_replication_propagates(monkeypatch):
-    def broken(model, length, seed):
+    def broken(model, length, seeds):
         raise ValueError("not a numerical failure")
 
-    monkeypatch.setattr(asymlab, "generate", broken)
+    monkeypatch.setattr(asymlab, "_draw", broken)
     monkeypatch.delenv("CBSS_THREADS", raising=False)
     with pytest.raises(ValueError, match="not a numerical failure"):
         asymlab.run_rate_experiment(small_cfg())

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cbss import cli, estimators, genproc
+from cbss import cli, genproc, unmixing
 from cbss import imagepipe as ip
 from cbss.errors import ConfigError
 
@@ -97,10 +97,18 @@ def test_unmix_rejects_non_finite_cell(tmp_path, cell):
     assert "Traceback" not in proc.stderr
 
 
-def test_unmix_overflow_is_numerical_failure(tmp_path):
-    # finite cells whose cross products overflow double precision
+def test_unmix_fits_at_any_scale_and_a_degenerate_series_is_numerical_failure(tmp_path):
+    # finite cells whose cross products overflow double precision used to
+    # end in exit 3; the fit now runs them at unit scale
     x, _ = genproc.generate(short_range_model(), 256, seed=4)
     cli.write_complex_csv(tmp_path / "x.csv", x * 1e200)
+    proc = run_cli("unmix", "--input", "x.csv", "--tau", "1", "--out", "y_", cwd=tmp_path)
+    assert proc.returncode == 0 and proc.stderr == ""
+    np.testing.assert_allclose(cli.read_complex_csv(tmp_path / "y_gamma.csv") * 1e200,
+                               unmixing.unmix(x, 1).gamma, rtol=1e-9)
+    # a zero component leaves S0 singular
+    x[:, 1] = 0.0
+    cli.write_complex_csv(tmp_path / "x.csv", x)
     proc = run_cli("unmix", "--input", "x.csv", "--tau", "1", "--out", "y_", cwd=tmp_path)
     assert proc.returncode == 3
     assert "numerical failure" in proc.stderr
@@ -443,12 +451,12 @@ def test_unreadable_input_exits_2(tmp_path, case):
 
 
 def test_reports_do_not_depend_on_blas_threads(tmp_path):
-    # the lag products run through zgemm, which must not split a sum across threads
+    # the lag products run through dsyrk and dgemm, which must not split a sum across threads
     model = short_range_model(mixing=[[1.0, 0.5j, 0.0], [0.2, 1.0, -0.3], [0.0, 0.1j, 2.0]])
     rate_cfg = {"model": model.to_dict(), "t_grid": [512, 2048, 4608],
                 "replications": 50, "seed": 3, "error_metric": "md"}
     (tmp_path / "rate.json").write_text(json.dumps(rate_cfg))
-    x, _ = genproc.generate(model, 3 * estimators.LAG_CHUNK + 7, seed=5)
+    x, _ = genproc.generate(model, 3079, seed=5)
     cli.write_complex_csv(tmp_path / "x.csv", x)
     outputs = []
     for threads in ("1", "2"):

@@ -387,6 +387,25 @@ def test_generate_block_rows_equal_single_draws(length):
         np.testing.assert_array_equal(z[rep], one_z)
 
 
+@pytest.mark.parametrize("mixed", [False, True], ids=["latent", "mixed"])
+def test_lab_draw_planes_equal_generate_bit_for_bit(mixed):
+    # the lab fits the part planes of _draw; generate returns the same
+    # values as complex blocks, and x is a distinct array even when it is z
+    model = short_range_model()
+    if mixed:
+        model = genproc.ModelSpec(d=3, components=model.components, location=[1.0, -1.0j, 0.5],
+                                  mixing=[[1.0, 0.5j, 0.0], [0.2, 1.0, -0.3], [0.0, 0.1j, 2.0]])
+    seeds = [np.random.SeedSequence(11, spawn_key=(1, rep)) for rep in range(3)]
+    x_planes, z_planes = genproc._draw(model, 1000, seeds)
+    assert x_planes.shape == z_planes.shape == (3, 6, 1000)
+    assert (x_planes is z_planes) != mixed
+    x, z = genproc.generate(model, 1000, seeds)
+    assert not np.shares_memory(x, z)
+    for planes, block in ((x_planes, x), (z_planes, z)):
+        assert np.array_equal(planes[:, :3], np.swapaxes(block.real, 1, 2))
+        assert np.array_equal(planes[:, 3:], np.swapaxes(block.imag, 1, 2))
+
+
 @pytest.mark.parametrize("seed", [3, [3], [3, 4, 5]], ids=["single", "B=1", "B=3"])
 def test_generate_time_axis_is_contiguous_per_component(seed):
     # component-major memory: each component's path is one contiguous run

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cbss import estimators, genproc, linalg, metrics, unmixing
 from cbss.errors import DimensionError, NonFiniteError, PhaseError
@@ -116,6 +118,36 @@ def test_unmix_is_scale_free(k):
     assert np.max(np.abs(scaled - base)) <= 1e-12 * np.max(np.abs(base))
 
 
+SCALE_SERIES = genproc.generate(short_range_model(), 4096, seed=7)[0]
+SCALE_BASE = unmixing.unmix(SCALE_SERIES, 1)
+
+
+def assert_fit_scales_back(scaled, factor):
+    # the fit of factor * x gives gamma / factor, the same lambdas and factor * mu
+    res = unmixing.unmix(scaled, 1)
+    gamma = res.gamma * factor
+    assert np.max(np.abs(gamma - SCALE_BASE.gamma)) <= 1e-12 * np.max(np.abs(SCALE_BASE.gamma))
+    np.testing.assert_allclose(res.lambdas, SCALE_BASE.lambdas, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(res.mu / factor, SCALE_BASE.mu, rtol=0, atol=1e-13)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(st.integers(-900, 900))
+@example(-600)
+@example(600)
+def test_fit_is_equivariant_across_the_double_range(k):
+    # S0 used to lose digits to subnormal products below about 2^-500,
+    # to be refused below 2^-600 and to overflow above about 2^510
+    assert_fit_scales_back(np.ldexp(SCALE_SERIES.real, k) + 1j * np.ldexp(SCALE_SERIES.imag, k),
+                           2.0 ** k)
+
+
+@pytest.mark.parametrize("factor", [1e-300, 1e-200, 1e-160, 1e155, 1e300])
+def test_fit_is_scale_free_at_decimal_factors(factor):
+    # at 1e-160 the fit used to be off by 1.4e-3 relative, with no error
+    assert_fit_scales_back(SCALE_SERIES * factor, factor)
+
+
 def test_phase_tolerances_follow_the_row_scale():
     tiny = 1e-20 * np.array([[1j, 2.0], [0.5, -1.0]])
     np.testing.assert_allclose(unmixing.standardize_phase(tiny),
@@ -152,8 +184,8 @@ def assert_sweep_matches_unmix(x, taus):
         direct = unmixing.unmix(x, row["tau"])
         np.testing.assert_array_equal(row["lambdas"], direct.lambdas)
         assert row["eigen_gap"] == direct.eigen_gap
-        c, mu = estimators._centered(estimators.as_timeseries(x))
-        _, s0, s_tau = unmixing._fit_centered(c, mu, row["tau"])
+        centered = estimators._centered(estimators.as_timeseries(x))
+        _, s0, s_tau = unmixing._fit_centered(*centered, row["tau"])
         np.testing.assert_array_equal(s0, estimators.autocov_sym(x, 0))
         np.testing.assert_array_equal(s_tau, estimators.autocov_sym(x, row["tau"]))
 
@@ -163,11 +195,11 @@ def test_lag_sweep_rows_equal_unmix_per_lag():
     assert_sweep_matches_unmix(x, [2, 1, 5])
 
 
-@pytest.mark.parametrize("tau", [1, 2, estimators.LAG_CHUNK + 1])
+@pytest.mark.parametrize("tau", [1, 2, 1025])
 def test_plug_in_seam_is_exact_across_lag_chunks(tau):
-    # both lags of one call come from one product of fixed width, so the
-    # estimators agree with the fit across chunk boundaries
-    x, _ = genproc.generate(short_range_model(), 3 * estimators.LAG_CHUNK + 7, seed=9)
+    # the estimators and the fit take the same Gram products, so they agree
+    # bit for bit at short and long lags
+    x, _ = genproc.generate(short_range_model(), 3079, seed=9)
     assert_sweep_matches_unmix(x, [tau])
 
 
@@ -307,9 +339,10 @@ def test_stacked_calls_equal_per_matrix_calls(monkeypatch, d):
 
 def test_stacked_block_is_validated_once(monkeypatch):
     x, _ = stacked_block(3)
+    # the finiteness check is the largest-part pass of ``_centered``
     checks = []
-    real_check = unmixing.as_timeseries
-    monkeypatch.setattr(unmixing, "as_timeseries", lambda a: checks.append(1) or real_check(a))
+    real_check = unmixing._centered
+    monkeypatch.setattr(unmixing, "_centered", lambda a: checks.append(1) or real_check(a))
     unmixing.unmix(x, 1)
     assert len(checks) == 1
     # one non-finite value in one series refuses the whole block at that check
