@@ -18,19 +18,21 @@ keys.  Each grid length's replications are drawn, fitted and scored in
 stacked blocks of ``BLOCK_SAMPLES // T`` series (at least one, at most
 all), validated once per block; a score function reduces each series of
 a block to a short vector of floats.  A block is drawn as the real part
-planes the model makes (``genproc._draw``), and the fitting scores
-center it in place and fit it from two real Gram products, since the
-lab never reads a drawn block again: no complex copy of a block is
-made.  A replication's row does not depend on its block, so reports are
-bit-identical no matter how many workers run the blocks
-(``CBSS_THREADS`` caps the pool; unset means serial, ``0`` means all
-cores, and no value goes past the core count or the block count).  Each
-pool worker sets numpy's bundled OpenBLAS to one thread.  A block that
-fails with a numerical error (``NumericalError`` or ``PhaseError``) is
-drawn again one replication at a time, and each failing replication is dropped from
-every statistic and counted in the report's ``failures``; when more
-than ``FAILURE_BUDGET`` of all replications fail, the experiment raises
-``ExperimentError``.  Any other exception propagates.
+planes the model makes (``genproc._draw``), and the scores center it
+in place (``estimators._centered``), since the lab never reads a drawn
+block again: no complex copy of a block is made.  ``unmix`` centers a
+copy of the same planes the same way, so a lab fit equals ``unmix`` of
+``generate``'s series bit for bit.  A replication's row does not depend
+on its block, so reports are bit-identical no matter how many workers
+run the blocks (``CBSS_THREADS`` caps the pool; unset means serial,
+``0`` means all cores, and no value goes past the core count or the
+block count).  Each pool worker sets numpy's bundled OpenBLAS to one
+thread.  A block that fails with a numerical error (``NumericalError``
+or ``PhaseError``) is drawn again one replication at a time, and each
+failing replication is dropped from every statistic and counted in the
+report's ``failures``; when more than ``FAILURE_BUDGET`` of all
+replications fail, the experiment raises ``ExperimentError``.  Any
+other exception propagates.
 """
 
 from __future__ import annotations
@@ -39,16 +41,15 @@ import functools
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import linalg
-from .errors import (ConfigError, DimensionError, ExperimentError, NonFiniteError,
-                     NumericalError, PhaseError)
+from .errors import ConfigError, DimensionError, ExperimentError, NumericalError, PhaseError
 # ``autocov_sym``, ``generate`` and ``unmix`` are unused here but stay bound:
 # bench/layers.py traces them, and tests/test_bench_sites.py checks that they resolve
-from .estimators import _as_complex, _centered, autocov_sym
+from .estimators import _centered, autocov_sym
 from .genproc import (MIN_LENGTH, ModelSpec, RateInfo, _build, _draw, _json_list, _require_type,
                       generate, json_int, json_object, population_lambdas, theoretical_gamma)
 from .metrics import md_index
@@ -137,18 +138,11 @@ class RateExperimentReport:
     failures: int
 
     def to_dict(self) -> dict:
-        return {
-            "per_t": [list(row) for row in self.per_t],
-            "fitted_slope": self.fitted_slope,
-            "slope_stderr": self.slope_stderr,
-            "diag_slope": self.diag_slope,
-            "offdiag_slope": self.offdiag_slope,
-            "theoretical_exponent": self.theoretical_exponent,
-            "regime": self.rate_info.regime,
-            "gaussianity": self.gaussianity,
-            "scale_diag": self.scale_diag,
-            "failures": self.failures,
-        }
+        """Every field but ``rate_info``, whose ``regime`` is kept; ``per_t`` as lists."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "rate_info"}
+        out["per_t"] = [list(row) for row in self.per_t]
+        out["regime"] = self.rate_info.regime
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +302,8 @@ def _residual_score(cfg: RateExperimentConfig, y, lam):
 
 def _mu_score(cfg: RateExperimentConfig, y, exponent):
     d = cfg.model.d
-    means = y.mean(axis=-1)
-    if not np.isfinite(means).all():
-        raise NonFiniteError("time series contains non-finite entries")
-    mu_err = _as_complex(means) - cfg.model.location_vector()
+    # the mean, and the finiteness check, of the centering that the fits run
+    mu_err = _centered(y)[1] - cfg.model.location_vector()
     outer = mu_err[:, :, None] * np.conj(mu_err)[:, None, :] * (y.shape[-1] ** exponent)
     diag_max = np.max(np.abs(np.diagonal(outer, axis1=1, axis2=2)), axis=1)
     off_max = np.max(np.abs(outer[:, ~np.eye(d, dtype=bool)]), axis=1, initial=0.0)

@@ -6,10 +6,13 @@ estimator returns one result per series along the leading axis.  The
 lag-``tau`` cross products are always centered with the full-sample
 mean; the divisor is ``T - 1`` at lag zero and ``T - tau`` otherwise.
 
-The products run on part planes: a series becomes ``2d`` real rows of
-``T`` steps, the ``d`` real parts and then the ``d`` imaginary ones.
-With ``y`` those rows centered, the lags come from the two real Gram
-products ``p0 = y y^T`` and ``p_tau = y[:, :T-tau] y[:, tau:]^T``, and
+The products run on part planes, the one layout this module converts
+to (``_planes``) and from (``_complex``): a series becomes ``2d`` real
+rows of ``T`` steps, the ``d`` real parts and then the ``d`` imaginary
+ones.  ``_centered`` centers planes in place: the estimators and
+``unmix`` a fresh copy, the lab the planes it draws.  With ``y`` the
+centered rows, the lags come from the two real Gram products
+``p0 = y y^T`` and ``p_tau = y[:, :T-tau] y[:, tau:]^T``, and
 ``S = ((rr + ii) + i (ir - ri)) / divisor`` from the real-real,
 imaginary-imaginary and mixed blocks of ``p``.  A stacked series takes
 the same product as it would alone, so ``autocov_sym(x, 0)`` and
@@ -26,7 +29,7 @@ import math
 import numpy as np
 
 from .errors import DimensionError, NonFiniteError
-from .linalg import _hermitian_part
+from .linalg import _hermitian_part, _ldexp
 
 #: Series whose largest part lies outside ``2^-SCALE_EXPONENT .. 2^SCALE_EXPONENT``
 #: are brought to unit scale.  Inside, the products lose no digits to
@@ -69,51 +72,49 @@ def _checked_lag(tau, t: int, lowest: int) -> int:
     return int(tau)
 
 
-def _ldexp(c: np.ndarray, k: int) -> np.ndarray:
-    """``c * 2^k`` for a complex array, exact unless it leaves the double range."""
-    out = np.empty(c.shape, dtype=np.complex128)
-    np.ldexp(c.real, k, out=out.real)
-    np.ldexp(c.imag, k, out=out.imag)
-    return out
+def _planes(a: np.ndarray) -> np.ndarray:
+    """New real part planes ``(..., 2d, T)`` of a complex ``(..., T, d)`` series.
 
-
-def _as_complex(parts: np.ndarray) -> np.ndarray:
-    """Complex ``(..., d)`` values from their ``2d`` parts, real parts first."""
-    d = parts.shape[-1] // 2
-    return parts[..., :d] + 1j * parts[..., d:]
-
-
-def _centered(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """``(y, mu, shift)``: centered part planes, time mean and scale of a series.
-
-    ``a`` is a shaped complex ``(..., T, d)`` series, copied into new
-    planes ``y`` of shape ``(..., 2d, T)``, or real part planes (the lab's
-    draws), which are centered in place.  One pass takes the largest
-    part: a non-finite one raises ``NonFiniteError``, and one outside
-    ``[2^-SCALE_EXPONENT, 2^SCALE_EXPONENT]`` sets ``shift`` so that ``y``
-    holds the planes of ``a * 2^shift``, whose largest part lies in
-    ``[1/2, 1)``.  ``mu`` is the complex mean of ``a`` itself.
+    ``concatenate`` keeps the memory order of ``a`` (ties in C order), so
+    the planes of a component-major series (``generate``'s) or of one
+    component are contiguous runs of time, like the lab's draws, and
+    those of a row-major series (a CSV's) stay time-major.
     """
-    planes = not np.iscomplexobj(a)
-    parts = (a,) if planes else (a.real, a.imag)
-    top = np.max([np.max(p) for p in parts] + [-np.min(p) for p in parts])
+    return np.concatenate((np.swapaxes(a.real, -1, -2), np.swapaxes(a.imag, -1, -2)), axis=-2)
+
+
+def _complex(planes: np.ndarray) -> np.ndarray:
+    """The complex ``(..., T, d)`` series of part planes, each component one run of memory."""
+    d = planes.shape[-2] // 2
+    out = np.empty(planes.shape[:-2] + (d, planes.shape[-1]), dtype=np.complex128)
+    out.real, out.imag = planes[..., :d, :], planes[..., d:, :]
+    return np.swapaxes(out, -1, -2)
+
+
+def _centered(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(y, mu, shift)``: part planes centered in place, their time mean and scale.
+
+    ``y`` holds real part planes ``(..., 2d, T)`` and is overwritten.  One
+    pass each takes the largest and the smallest part: a non-finite one
+    raises ``NonFiniteError``, and a largest modulus outside
+    ``[2^-SCALE_EXPONENT, 2^SCALE_EXPONENT]`` sets ``shift`` so that ``y``
+    ends as the centered planes of the input times ``2^shift``, whose
+    largest part lies in ``[1/2, 1)``.  ``mu`` is the complex mean of the
+    input itself.
+    """
+    # np.max, not max(): a NaN in either place must reach the check
+    top = np.max([np.max(y), -np.min(y)])
     if not np.isfinite(top):
         raise NonFiniteError("time series contains non-finite entries")
     shift = 0
     if top and not 2.0 ** -SCALE_EXPONENT <= top <= 2.0 ** SCALE_EXPONENT:
         shift = -math.frexp(top)[1]
-    if planes:
-        y = np.ldexp(a, shift, out=a) if shift else a
-        mean = y.mean(axis=-1)
-        y -= mean[..., None]
-        mu = _as_complex(mean)
-    else:
-        a = _ldexp(a, shift) if shift else a
-        mu = a.mean(axis=-2)
-        d = a.shape[-1]
-        y = np.empty(a.shape[:-2] + (2 * d, a.shape[-2]))
-        np.subtract(np.swapaxes(a.real, -1, -2), mu.real[..., None], out=y[..., :d, :])
-        np.subtract(np.swapaxes(a.imag, -1, -2), mu.imag[..., None], out=y[..., d:, :])
+        np.ldexp(y, shift, out=y)
+    mean = y.mean(axis=-1)
+    # C order: on time-major planes the default order takes a 64 KB ufunc
+    # buffer, which moves the heap and a CLI run's peak memory
+    np.subtract(y, mean[..., None], out=y, order="C")
+    mu = _complex(mean[..., None])[..., 0, :]
     return y, (_ldexp(mu, -shift) if shift else mu), shift
 
 
@@ -149,7 +150,7 @@ def autocov_unsym(x, tau: int) -> np.ndarray:
     """
     a = _shaped(x)
     tau = _checked_lag(tau, a.shape[-2], 0)
-    y, _, shift = _centered(a)
+    y, _, shift = _centered(_planes(a))
     s = _cross_products(y, tau)[1]
     return _ldexp(s, -2 * shift) if shift else s
 

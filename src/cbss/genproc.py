@@ -31,6 +31,7 @@ from numpy.polynomial import hermite_e
 
 from . import fourier, linalg
 from .errors import ConfigError, DimensionError, SingularMatrixError
+from .estimators import _complex
 
 #: Largest Hermite degree handled by the double-precision recurrence.
 MAX_HERMITE_DEGREE = 60
@@ -645,14 +646,6 @@ def _draw(model: ModelSpec, length: int, seeds) -> tuple[np.ndarray, np.ndarray]
     return x, z
 
 
-def _complex_block(planes: np.ndarray) -> np.ndarray:
-    """``(B, T, d)`` complex view of component-major memory from ``(B, 2d, T)`` planes."""
-    d = planes.shape[1] // 2
-    out = np.empty((planes.shape[0], d, planes.shape[2]), dtype=np.complex128)
-    out.real, out.imag = planes[:, :d], planes[:, d:]
-    return out.transpose(0, 2, 1)
-
-
 def generate(model: ModelSpec, length: int, seed) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``(x, z)``: observed and latent series of the mixing model.
 
@@ -679,9 +672,11 @@ def generate(model: ModelSpec, length: int, seed) -> tuple[np.ndarray, np.ndarra
         raise DimensionError(f"need at least {MIN_LENGTH} observations, got {t}")
     stacked = isinstance(seed, list)
     x, z = _draw(model, t, seed if stacked else [seed])
-    # one at a time, so that a latent plane block is freed before x is converted
-    z = _complex_block(z)
-    x = _complex_block(x)
+    if x is z:
+        x = None
+    # one at a time, so that each plane block is freed once it is converted
+    z = _complex(z)
+    x = z.copy(order="K") if x is None else _complex(x)
     return (x, z) if stacked else (x[0], z[0])
 
 

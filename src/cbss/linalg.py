@@ -57,6 +57,12 @@ def _conj_t(m: np.ndarray) -> np.ndarray:
     return np.swapaxes(m.conj(), -1, -2)
 
 
+def _ldexp(m: np.ndarray, k) -> np.ndarray:
+    """``m * 2^k`` for a complex array, exact unless it leaves the double range;
+    ``k`` is an int or, to scale each row by its own power, ints of shape ``(..., 1)``."""
+    return np.ldexp(np.ascontiguousarray(m).view(np.float64), k).view(np.complex128)
+
+
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
     """``(m + m^H) / 2``: exactly conjugate symmetric."""
     return 0.5 * (m + _conj_t(m))

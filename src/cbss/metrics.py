@@ -99,7 +99,7 @@ def _optimum(block: np.ndarray) -> float:
 def _pow2_scaled(m: np.ndarray, axis=None) -> np.ndarray:
     """``m`` divided by the smallest power of two above its largest modulus along ``axis``."""
     _, exponent = np.frexp(np.max(np.abs(m), axis=axis, keepdims=True))
-    return np.ldexp(np.ascontiguousarray(m).view(np.float64), -exponent).view(np.complex128)
+    return linalg._ldexp(m, -exponent)
 
 
 def md_index(gamma_hat, mixing):

@@ -18,9 +18,9 @@ from . import linalg
 from .errors import DimensionError, PhaseError
 # ``autocov_sym`` and ``sample_mean`` are unused here but stay bound: bench/layers.py
 # traces them, and tests/test_bench_sites.py checks that they resolve
-from .estimators import (_centered, _checked_lag, _cross_products, _ldexp, _shaped, as_timeseries,
+from .estimators import (_centered, _checked_lag, _cross_products, _planes, _shaped, as_timeseries,
                          autocov_sym, sample_mean)
-from .linalg import _conj_t, _eigh, _hermitian_part, _inv_sqrt
+from .linalg import _conj_t, _eigh, _hermitian_part, _inv_sqrt, _ldexp
 
 #: Diagonal or inner-product moduli at or below this, relative to the scale
 #: of their rows, are treated as phase-undefined.
@@ -138,7 +138,7 @@ def unmix(x, tau: int) -> UnmixingResult:
     """
     a = _shaped(x)
     tau = _checked_lag(tau, a.shape[-2], 1)
-    return _fit_centered(*_centered(a), tau)[0]
+    return _fit_centered(*_centered(_planes(a)), tau)[0]
 
 
 def apply_unmixing(result: UnmixingResult, x) -> np.ndarray:
@@ -162,7 +162,7 @@ def lag_sweep(x, taus) -> list[dict]:
     a = _shaped(x)
     if a.ndim == 3:
         raise DimensionError(f"lag_sweep takes one (T, d) series, got a block of shape {a.shape}")
-    centered = _centered(a)
+    centered = _centered(_planes(a))
     rows = []
     for tau in taus:
         res = _fit_centered(*centered, _checked_lag(tau, len(a), 1))[0]

@@ -98,14 +98,15 @@ def test_unmix_rejects_non_finite_cell(tmp_path, cell):
 
 
 def test_unmix_fits_at_any_scale_and_a_degenerate_series_is_numerical_failure(tmp_path):
-    # finite cells whose cross products overflow double precision used to
-    # end in exit 3; the fit now runs them at unit scale
+    # finite cells whose cross products overflow or underflow double
+    # precision used to end in exit 3; the fit now runs them at unit scale
     x, _ = genproc.generate(short_range_model(), 256, seed=4)
-    cli.write_complex_csv(tmp_path / "x.csv", x * 1e200)
-    proc = run_cli("unmix", "--input", "x.csv", "--tau", "1", "--out", "y_", cwd=tmp_path)
-    assert proc.returncode == 0 and proc.stderr == ""
-    np.testing.assert_allclose(cli.read_complex_csv(tmp_path / "y_gamma.csv") * 1e200,
-                               unmixing.unmix(x, 1).gamma, rtol=1e-9)
+    for scale in (1e200, 1e-300, 1e300, 2.0 ** 1000, 2.0 ** -1000):
+        cli.write_complex_csv(tmp_path / "x.csv", x * scale)
+        proc = run_cli("unmix", "--input", "x.csv", "--tau", "1", "--out", "y_", cwd=tmp_path)
+        assert proc.returncode == 0 and proc.stderr == "", scale
+        np.testing.assert_allclose(cli.read_complex_csv(tmp_path / "y_gamma.csv") * scale,
+                                   unmixing.unmix(x, 1).gamma, rtol=1e-9, err_msg=str(scale))
     # a zero component leaves S0 singular
     x[:, 1] = 0.0
     cli.write_complex_csv(tmp_path / "x.csv", x)

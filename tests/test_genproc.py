@@ -406,6 +406,22 @@ def test_lab_draw_planes_equal_generate_bit_for_bit(mixed):
         assert np.array_equal(planes[:, 3:], np.swapaxes(block.imag, 1, 2))
 
 
+def test_generate_without_mixing_peaks_at_two_block_sizes():
+    # the planes and their complex conversion, then z and its copy x: the
+    # planes used to stay alive under the name x until x was converted
+    import tracemalloc
+
+    model = short_range_model()
+    genproc.generate(model, 65536, 1)  # fills the sampler's caches
+    tracemalloc.start()
+    try:
+        genproc.generate(model, 65536, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * (65536 * model.d * 16)
+
+
 @pytest.mark.parametrize("seed", [3, [3], [3, 4, 5]], ids=["single", "B=1", "B=3"])
 def test_generate_time_axis_is_contiguous_per_component(seed):
     # component-major memory: each component's path is one contiguous run

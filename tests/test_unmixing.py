@@ -184,7 +184,7 @@ def assert_sweep_matches_unmix(x, taus):
         direct = unmixing.unmix(x, row["tau"])
         np.testing.assert_array_equal(row["lambdas"], direct.lambdas)
         assert row["eigen_gap"] == direct.eigen_gap
-        centered = estimators._centered(estimators.as_timeseries(x))
+        centered = estimators._centered(estimators._planes(estimators.as_timeseries(x)))
         _, s0, s_tau = unmixing._fit_centered(*centered, row["tau"])
         np.testing.assert_array_equal(s0, estimators.autocov_sym(x, 0))
         np.testing.assert_array_equal(s_tau, estimators.autocov_sym(x, row["tau"]))
