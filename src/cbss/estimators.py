@@ -137,8 +137,8 @@ def _cross_products(y: np.ndarray, tau: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sample_mean(x) -> np.ndarray:
-    """Arithmetic mean of each component."""
-    return as_timeseries(x, min_length=1).mean(axis=-2)
+    """Arithmetic mean of each component: the ``mu`` that ``unmix`` fits."""
+    return _centered(_planes(_shaped(x, min_length=1)))[1]
 
 
 def autocov_unsym(x, tau: int) -> np.ndarray:

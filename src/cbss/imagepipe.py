@@ -9,9 +9,10 @@ mapped back for display.
 
 The chain runs on the three channel planes, never reducing over a
 length-3 pixel axis, and reads the centered coordinate of an 8-bit
-channel and its modulus from 256-entry tables.  Every expression keeps
-the operation order of the plain ``(..., 3)`` formulas, so the results
-are bitwise the same as theirs.
+channel and its modulus from 256-entry tables.  Its kernels work in
+place on reused planes, yet keep the operation order of the plain
+``(..., 3)`` formulas (``x**2`` is ``x*x``; complex by real is the same
+complex division), so the results are bitwise the same as theirs.
 
 Images use 8-bit binary PPM (P6, maxval 255) for bit-exact round trips.
 Vectorization is column-major, so lag 1 steps down a column and lag
@@ -67,6 +68,8 @@ _CENTERED = 2.0 * (np.arange(256, dtype=float) / 255.0) - 1.0
 _MODULUS = np.abs(_CENTERED)
 #: Level a winning channel snaps to: ``sign(p)`` mapped back to 8 bits.
 _SNAP = np.where(_CENTERED >= 0.0, 255, 0).astype(np.uint8)
+#: Whether ``|p| < 1``: every level but 0 and 255.
+_INTERIOR = np.arange(256) % 255 != 0
 
 
 def _planes(points: np.ndarray) -> tuple:
@@ -74,41 +77,49 @@ def _planes(points: np.ndarray) -> tuple:
 
 
 def _max_modulus(s0, s1, s2):
-    return np.maximum(np.maximum(np.abs(s0), np.abs(s1)), np.abs(s2))
-
-
-def _check_surface(p0, p1, p2) -> None:
-    if np.any(np.abs(_max_modulus(p0, p1, p2) - 1.0) > 1e-9):
-        raise ConfigError("points must lie on the cube surface (max|p_i| = 1)")
+    m = np.abs(s0)
+    return np.maximum(np.maximum(m, np.abs(s1), out=m), np.abs(s2), out=m)
 
 
 def _cube_to_sphere(p0, p1, p2) -> tuple:
-    norm = np.sqrt(p0 * p0 + p1 * p1 + p2 * p2)
-    return p0 / norm, p1 / norm, p2 / norm
+    """Project the float planes ``p`` radially onto the unit sphere, in place."""
+    norm = p0 * p0
+    norm += p1 * p1
+    norm += p2 * p2
+    np.sqrt(norm, out=norm)
+    for pk in (p0, p1, p2):
+        pk /= norm
+    return p0, p1, p2
 
 
 def _stereographic(s0, s1, s2):
-    """``zeta = (s1 + i s2) / (1 - s3)``; the north pole is rejected."""
+    """``zeta = (s1 + i s2) / (1 - s3)``; the north pole is rejected.  Overwrites ``s``."""
     if np.any(s2 >= 1.0 - NORTH_POLE_TOL):
         raise ValueError("north-pole point cannot be projected")
+    z = np.empty(s0.shape, dtype=np.complex128)
+    z.real, z.imag = s0, s1
     # for s3 near 1 the plain difference cancels; on the unit sphere
     # 1 - s3 = (s1^2 + s2^2)/(1 + s3) keeps full relative accuracy
-    plane_sq = s0 ** 2 + s1 ** 2
     upper = s2 > 0.0
-    denom = np.where(upper, plane_sq / np.where(upper, 1.0 + s2, 1.0), 1.0 - s2)
-    return (s0 + 1j * s1) / denom
+    denom = np.multiply(s0, s0, out=s0)
+    denom += np.multiply(s1, s1, out=s1)
+    np.divide(denom, np.add(1.0, s2, out=s1), out=denom, where=upper)
+    np.subtract(1.0, s2, out=denom, where=~upper)
+    return np.divide(z, denom, out=z)
 
 
 def _stereographic_inverse(z) -> tuple:
     # |z|^2 overflows above about 1.3e154; such points map to the north pole
     with np.errstate(over="ignore", invalid="ignore"):
         sq = np.abs(z) ** 2
+        pole = np.isinf(sq)
         denom = sq + 1.0
-        s = 2.0 * z.real / denom, 2.0 * z.imag / denom, (sq - 1.0) / denom
-    pole = np.isinf(sq)
-    if not np.any(pole):
-        return s
-    return tuple(np.where(pole, v, sk) for v, sk in zip((0.0, 0.0, 1.0), s))
+        sq -= 1.0
+        s = tuple(np.divide(v, denom, out=v) for v in (2.0 * z.real, 2.0 * z.imag, sq))
+    if np.any(pole):
+        for v, sk in zip((0.0, 0.0, 1.0), s):
+            np.copyto(sk, v, where=pole)
+    return s
 
 
 def color_correct(img: RgbImage) -> RgbImage:
@@ -135,9 +146,10 @@ def rgb_to_complex(img: RgbImage) -> np.ndarray:
     No 8-bit pixel lands on the north pole: the pole needs
     ``p = (0, 0, 1)``, and no 8-bit level has ``p = 2c - 1 = 0``.
     """
-    p = [np.take(_CENTERED, plane) for plane in _planes(img.pixels)]
-    _check_surface(*p)
-    return _stereographic(*_cube_to_sphere(*p))
+    planes = _planes(img.pixels)
+    if np.any(np.logical_and.reduce([np.take(_INTERIOR, plane) for plane in planes])):
+        raise ConfigError("points must lie on the cube surface (max|p_i| = 1)")
+    return _stereographic(*_cube_to_sphere(*(np.take(_CENTERED, plane) for plane in planes)))
 
 
 def complex_to_rgb(values: np.ndarray) -> RgbImage:
@@ -150,14 +162,14 @@ def complex_to_rgb(values: np.ndarray) -> RgbImage:
     for plane, sk in zip(_planes(out), s):
         # scale out to the cube surface, then round (p + 1) / 2 to the nearest
         # of the 256 levels, clipped to [0, 255]
-        c = sk / m
-        c += 1.0
-        c /= 2.0
-        c *= 255.0
-        np.clip(np.round(c, out=c), 0, 255, out=c)
+        sk /= m
+        sk += 1.0
+        sk /= 2.0
+        sk *= 255.0
+        np.clip(np.round(sk, out=sk), 0, 255, out=sk)
         # cast in the input's memory order: a column-major input then
         # pays for the transposing copy in bytes rather than in floats
-        plane[...] = c.astype(np.uint8)
+        plane[...] = sk.astype(np.uint8)
     return RgbImage(width=width, height=height, pixels=out)
 
 
@@ -205,17 +217,22 @@ def separate_images(images, tau: int = 1, identity: bool = False,
     if any(im.width != w or im.height != h for im in images):
         raise DimensionError("images must share dimensions")
 
-    complex_imgs = [rgb_to_complex(color_correct(im)) for im in images]
     if identity:
-        rendered = [complex_to_rgb(ci) for ci in complex_imgs]
+        rendered = [complex_to_rgb(rgb_to_complex(color_correct(im))) for im in images]
         return SeparationResult(mixed=rendered, unmixed=list(rendered), md=0.0)
 
+    # one image at a time, column-major: lag 1 = next pixel down, lag ``height`` = next column
+    series = np.empty((w * h, 3), dtype=np.complex128)
+    for k, im in enumerate(images):
+        series[:, k].reshape((w, h))[...] = rgb_to_complex(color_correct(im)).T
     a = random_mixing(seed)
-    # column-major: lag 1 = next pixel down, lag ``height`` = next column
-    observed = np.stack([ci.flatten(order="F") for ci in complex_imgs], axis=1) @ a.T
+    observed = series @ a.T
+    del series
     mixed_imgs = _render(observed, w, h)
     result = unmix(observed, tau)
-    unmixed_imgs = _render(apply_unmixing(result, observed), w, h)
+    latent = apply_unmixing(result, observed)
+    del observed
+    unmixed_imgs = _render(latent, w, h)
     return SeparationResult(mixed=mixed_imgs, unmixed=unmixed_imgs,
                             md=md_index(result.gamma, a))
 
@@ -241,12 +258,11 @@ def read_ppm(path) -> RgbImage:
     width, height, maxval = map(int, header.groups())
     if maxval != 255:
         raise ConfigError(f"{path}: only maxval 255 is supported, got {maxval}")
-    pos = header.end()
-    raw = data[pos:pos + width * height * 3]
-    if len(raw) != width * height * 3:
+    size = width * height * 3
+    if len(data) - header.end() < size:
         raise ConfigError(f"{path}: truncated pixel data")
-    pixels = np.frombuffer(raw, dtype=np.uint8).reshape((height, width, 3))
-    return RgbImage(width=width, height=height, pixels=pixels.copy())
+    pixels = np.frombuffer(data, dtype=np.uint8, count=size, offset=header.end())
+    return RgbImage(width=width, height=height, pixels=pixels.reshape((height, width, 3)).copy())
 
 
 def write_ppm(img: RgbImage, path) -> None:

@@ -25,6 +25,8 @@ from .linalg import _conj_t, _eigh, _hermitian_part, _inv_sqrt, _ldexp
 #: Diagonal or inner-product moduli at or below this, relative to the scale
 #: of their rows, are treated as phase-undefined.
 PHASE_TOL = 1e-14
+#: Rows ``apply_unmixing`` centers and maps at a time.
+APPLY_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -142,12 +144,22 @@ def unmix(x, tau: int) -> UnmixingResult:
 
 
 def apply_unmixing(result: UnmixingResult, x) -> np.ndarray:
-    """Recover the latent series: row ``t`` maps to ``gamma (x_t - mu)``."""
+    """Recover the latent series: row ``t`` maps to ``gamma (x_t - mu)``.
+
+    Blocks of rows go straight into the result, with no centered copy of
+    the series beside it.  The last block takes the remainder: numpy maps a
+    lone row through the matrix-vector kernel, which rounds differently.
+    """
     a = as_timeseries(x, min_length=1)
     if a.shape[-1] != result.gamma.shape[-1]:
         raise DimensionError(
             f"series has {a.shape[-1]} components, unmixing matrix is {result.gamma.shape}")
-    return (a - result.mu[..., None, :]) @ np.swapaxes(result.gamma, -1, -2)
+    mu, gamma_t, t = result.mu[..., None, :], np.swapaxes(result.gamma, -1, -2), a.shape[-2]
+    out = np.empty(np.broadcast_shapes(a.shape, result.mu.shape[:-1] + a.shape[-2:]), complex)
+    edges = [*range(0, max(t - APPLY_BLOCK_ROWS, 0) + 1, APPLY_BLOCK_ROWS), t]
+    for start, stop in zip(edges, edges[1:]):
+        np.matmul(a[..., start:stop, :] - mu, gamma_t, out=out[..., start:stop, :])
+    return out
 
 
 def lag_sweep(x, taus) -> list[dict]:

@@ -1,7 +1,8 @@
-"""Shared model builders, the CLI subprocess environment and the
-acceptance-verdict summary hook."""
+"""Shared model builders, the CLI subprocess environment, a traced
+memory peak and the acceptance-verdict summary hook."""
 
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,22 @@ def cli_env():
     rest = env.get("PYTHONPATH")
     env["PYTHONPATH"] = root + (os.pathsep + rest if rest else "")
     return env
+
+
+def traced_peak(call) -> int:
+    """Peak bytes that Python and numpy hold during ``call()`` beyond those
+    held before it; warm the call up first, or its imports count too."""
+    outer = tracemalloc.is_tracing()
+    if not outer:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not outer:
+            tracemalloc.stop()
 
 
 def ar1_parts(phis):

@@ -45,6 +45,14 @@ def test_csv_round_trip(tmp_path, rng):
     np.testing.assert_array_equal(cli.read_complex_csv(path), [[1.5 - 2j], [1e-3j]])
 
 
+def test_csv_bytes_do_not_depend_on_memory_layout(tmp_path, rng):
+    values = rng.standard_normal((40, 6)) + 1j * rng.standard_normal((40, 6))
+    for view in (np.asfortranarray(values), values[3::2, ::-2]):
+        cli.write_complex_csv(tmp_path / "view.csv", view)
+        cli.write_complex_csv(tmp_path / "copy.csv", np.ascontiguousarray(view))
+        assert (tmp_path / "view.csv").read_bytes() == (tmp_path / "copy.csv").read_bytes()
+
+
 def test_csv_rejects_malformed(tmp_path):
     path = tmp_path / "bad.csv"
     for text, message in [

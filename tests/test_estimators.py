@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from cbss import estimators
+from cbss import estimators, genproc, unmixing
 from cbss.errors import DimensionError, NonFiniteError
+
+from conftest import short_range_model
 
 X3 = np.array([1.0, 1j, -1.0])
 
@@ -34,6 +36,16 @@ def test_mean_antisymmetric_pairs():
     v = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
     x = np.vstack([v, -v])
     np.testing.assert_allclose(estimators.sample_mean(x), np.zeros(3), atol=1e-15)
+
+
+@pytest.mark.parametrize("layout", ["component-major", "row-major", "stacked"])
+def test_sample_mean_is_the_fitted_mu(layout):
+    # the mean apply_unmixing subtracts, to the last bit
+    seed = [np.random.SeedSequence(3, spawn_key=(r,)) for r in range(3)] if layout == "stacked" else 3
+    x = genproc.generate(short_range_model(), 1000, seed)[0]
+    if layout == "row-major":
+        x = np.ascontiguousarray(x)
+    assert np.array_equal(estimators.sample_mean(x), unmixing.unmix(x, 1).mu)
 
 
 def test_autocov_hand_values():

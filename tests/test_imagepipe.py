@@ -5,6 +5,8 @@ from cbss import imagepipe as ip
 from cbss import unmixing
 from cbss.errors import ConfigError, DimensionError
 
+from conftest import traced_peak
+
 
 def gradient_images(w=96, h=64):
     """Three structured test images with distinct spatial autocovariances."""
@@ -162,16 +164,22 @@ def test_huge_values_render_the_north_pole_colour():
     assert got.tolist() == [[[128, 128, 255]] * 4]
 
 
+def planes(*values):
+    """One single-point float plane per value, for the in-place kernels."""
+    return np.array(values, dtype=float)[:, None]
+
+
 def test_cube_sphere_examples():
-    np.testing.assert_allclose(ip._cube_to_sphere(1.0, 0.0, 0.0), [1.0, 0.0, 0.0], atol=1e-15)
-    np.testing.assert_allclose(ip._cube_to_sphere(1.0, 1.0, 1.0),
-                               np.ones(3) / np.sqrt(3), atol=1e-15)
+    np.testing.assert_allclose(ip._cube_to_sphere(*planes(1.0, 0.0, 0.0)),
+                               planes(1.0, 0.0, 0.0), atol=1e-15)
+    np.testing.assert_allclose(ip._cube_to_sphere(*planes(1.0, 1.0, 1.0)),
+                               np.ones((3, 1)) / np.sqrt(3), atol=1e-15)
 
 
 def test_cube_sphere_round_trip(rng):
     pixels = surface_pixels(rng, 500)
     p = 2.0 * (pixels.pixels[0] / 255.0) - 1.0
-    s = ip._cube_to_sphere(*ip._planes(p))
+    s = ip._cube_to_sphere(*ip._planes(p.copy()))
     back = np.stack([sk / ip._max_modulus(*s) for sk in s], axis=-1)
     assert np.max(np.abs(back - p)) < 1e-12
 
@@ -184,14 +192,14 @@ def test_cube_to_sphere_rejects_off_surface():
 
 
 def test_stereographic_examples():
-    np.testing.assert_allclose(ip._stereographic(0.0, 0.0, -1.0), 0.0, atol=1e-15)
-    np.testing.assert_allclose(ip._stereographic(1.0, 0.0, 0.0), 1.0, atol=1e-15)
-    np.testing.assert_allclose(ip._stereographic(0.0, 1.0, 0.0), 1j, atol=1e-15)
+    np.testing.assert_allclose(ip._stereographic(*planes(0.0, 0.0, -1.0)), [0.0], atol=1e-15)
+    np.testing.assert_allclose(ip._stereographic(*planes(1.0, 0.0, 0.0)), [1.0], atol=1e-15)
+    np.testing.assert_allclose(ip._stereographic(*planes(0.0, 1.0, 0.0)), [1j], atol=1e-15)
 
 
 def test_stereographic_rejects_north_pole():
     with pytest.raises(ValueError):
-        ip._stereographic(0.0, 0.0, 1.0)
+        ip._stereographic(*planes(0.0, 0.0, 1.0))
 
 
 def test_stereographic_plane_round_trip(rng):
@@ -236,6 +244,18 @@ def test_separate_images_seeded_run():
     for a, b in zip(res.unmixed, again.unmixed):
         np.testing.assert_array_equal(a.pixels, b.pixels)
     assert res.md == again.md
+
+
+@pytest.mark.parametrize("identity, bound", [(False, 3.0), (True, 2.0)])
+def test_separate_images_memory_peak(identity, bound):
+    # in units of the (w h, 3) complex series: the seeded run holds about
+    # two at once (the series and its mixture, the mixture and its latent
+    # series), the identity run never builds one
+    ip.separate_images(gradient_images(w=8, h=8), identity=identity, seed=5)
+    imgs = gradient_images(w=256, h=256)
+    series_bytes = 256 * 256 * 3 * np.dtype(np.complex128).itemsize
+    peak = traced_peak(lambda: ip.separate_images(imgs, identity=identity, seed=5))
+    assert peak <= bound * series_bytes, peak / series_bytes
 
 
 def test_separate_images_dimension_mismatch():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from cbss import estimators, genproc, linalg, metrics, unmixing
 from cbss.errors import DimensionError, NonFiniteError, PhaseError
 
-from conftest import random_mixing, short_range_model
+from conftest import random_mixing, short_range_model, traced_peak
 
 
 def test_scalar_series_closed_form():
@@ -23,6 +23,31 @@ def test_fixed_point_on_whitened_data():
     y = unmixing.apply_unmixing(first, x)
     second = unmixing.unmix(y, 1)
     assert np.max(np.abs(second.gamma - np.eye(3))) < 1e-8
+
+
+BLOCK = unmixing.APPLY_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("t", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+def test_apply_unmixing_in_row_blocks_is_exact(t, rng):
+    def series(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    x, block = series(t, 3), series(2, t, 3)
+    fit = unmixing.unmix(series(64, 3), 1)
+    stacked = unmixing.unmix(series(2, 64, 3), 1)
+    for res, data in ((fit, x), (fit, np.asfortranarray(x)), (stacked, block), (stacked, x)):
+        want = (data - res.mu[..., None, :]) @ np.swapaxes(res.gamma, -1, -2)
+        got = unmixing.apply_unmixing(res, data)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_apply_unmixing_holds_no_centered_copy(rng):
+    x = rng.standard_normal((65536, 3)) + 1j * rng.standard_normal((65536, 3))
+    fit = unmixing.unmix(x[:64], 1)
+    unmixing.apply_unmixing(fit, x[:64])
+    peak = traced_peak(lambda: unmixing.apply_unmixing(fit, x))
+    assert peak <= 1.25 * x.nbytes, peak / x.nbytes
 
 
 def test_defining_equations(rng):
