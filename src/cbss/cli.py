@@ -9,11 +9,11 @@ Commands::
     cbss image    --inputs a.ppm b.ppm c.ppm --seed N --tau 1 --out dir
 
 Exit codes: 0 success, 2 configuration or parse error (also a file that
-cannot be opened, read, decoded or written, a non-object JSON config and
-a negative seed), 3 numerical failure, 4 experiment failure budget
-exceeded.  Every command is deterministic given its arguments and seed;
-numbers are written with 17 significant digits so CSV round trips are
-lossless.
+cannot be opened, read, decoded or written, a non-object JSON config, a
+negative seed and a length too large to allocate), 3 numerical failure,
+4 experiment failure budget exceeded.  Every command is deterministic
+given its arguments and seed; numbers are written with 17 significant
+digits so CSV round trips are lossless.
 
 Complex series CSV layout: header ``re_1,im_1,...,re_d,im_d``, one time
 step per row.  Square complex matrices use the same layout with one
@@ -46,17 +46,20 @@ CSV_BLOCK_ROWS = 4096
 # CSV helpers
 # ---------------------------------------------------------------------------
 
+def _header(d: int) -> str:
+    return ",".join(f"re_{k + 1},im_{k + 1}" for k in range(d))
+
+
 def write_complex_csv(path, values: np.ndarray) -> None:
     a = np.asarray(values, dtype=np.complex128)
     if a.ndim == 1:
         a = a[:, None]
     d = a.shape[1]
-    header = ",".join(f"re_{k + 1},im_{k + 1}" for k in range(d))
     row = ",".join([FLOAT_FMT] * (2 * d)) + "\n"
     # re_1, im_1, ... in memory order: no copy for a C-ordered series
     cells = np.ascontiguousarray(a).view(np.float64)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(header + "\n")
+        fh.write(_header(d) + "\n")
         # one format per block of rows: fast, and the text in memory stays small
         for start in range(0, len(cells), CSV_BLOCK_ROWS):
             block = cells[start:start + CSV_BLOCK_ROWS]
@@ -67,9 +70,10 @@ def read_complex_csv(path) -> np.ndarray:
     with open(path, "r", encoding="ascii") as fh:
         lines = (ln for ln in fh if not ln.isspace())
         try:
-            header = next(lines, "").strip().split(",")
-            if len(header) % 2 != 0 or header[0] != "re_1":
-                raise ConfigError("expected header re_1,im_1,...,re_d,im_d")
+            header = [cell.strip() for cell in next(lines, "").split(",")]
+            expected = _header(max(len(header) // 2, 1))
+            if header != expected.split(","):
+                raise ConfigError(f"expected header {expected}")
             first = next(lines, None)
             if first is None:
                 raise ConfigError("no data rows")
@@ -222,4 +226,7 @@ def main(argv=None) -> int:
         return 4
     except (CbssError, OSError, UnicodeError) as exc:
         print(f"cbss: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"cbss: cannot allocate memory: {exc}", file=sys.stderr)
         return 2

@@ -1,10 +1,9 @@
 """Sample mean and lagged autocovariance estimators for complex series.
 
-A time series is a ``(T, d)`` complex array, one observation per row; a
-stacked block of ``B`` series of equal length is ``(B, T, d)``, and every
-estimator returns one result per series along the leading axis.  The
-lag-``tau`` cross products are always centered with the full-sample
-mean; the divisor is ``T - 1`` at lag zero and ``T - tau`` otherwise.
+A time series is one ``(T, d)`` complex array, one observation per row
+(1-D input is one component); a 3-D block is refused.  The lag-``tau``
+cross products are always centered with the full-sample mean; the
+divisor is ``T - 1`` at lag zero and ``T - tau`` otherwise.
 
 The products run on part planes, the one layout this module converts
 to (``_planes``) and from (``_complex``): a series becomes ``2d`` real
@@ -14,9 +13,10 @@ ones.  ``_centered`` centers planes in place: the estimators and
 centered rows, the lags come from the two real Gram products
 ``p0 = y y^T`` and ``p_tau = y[:, :T-tau] y[:, tau:]^T``, and
 ``S = ((rr + ii) + i (ir - ri)) / divisor`` from the real-real,
-imaginary-imaginary and mixed blocks of ``p``.  A stacked series takes
-the same product as it would alone, so ``autocov_sym(x, 0)`` and
-``autocov_sym(x, tau)`` equal the fit's ``S0`` and ``S_tau`` bit for bit.
+imaginary-imaginary and mixed blocks of ``p``, so ``autocov_sym(x, 0)``
+and ``autocov_sym(x, tau)`` equal the fit's ``S0`` and ``S_tau`` bit for
+bit.  The lab's blocks ``(B, 2d, T)`` go through the same kernels, each
+series taking the product it would take alone.
 
 The products are scale-free: a series far from unit scale is brought to
 it by one power of two, which is exact, and the results are scaled back.
@@ -39,24 +39,21 @@ SCALE_EXPONENT = 400
 
 
 def _shaped(x, min_length: int = 2) -> np.ndarray:
-    """``x`` as a ``(T, d)`` complex128 array or ``(B, T, d)`` block, finite or not."""
+    """``x`` as one ``(T, d)`` complex128 series, finite or not."""
     a = np.asarray(x, dtype=np.complex128)
     if a.ndim == 1:
         a = a[:, None]
-    if a.ndim not in (2, 3):
-        raise DimensionError(f"time series must be 1-D, 2-D or a 3-D block, got shape {a.shape}")
-    if a.shape[-2] < min_length:
-        raise DimensionError(f"need at least {min_length} observations, got {a.shape[-2]}")
-    if a.shape[-1] < 1:
+    if a.ndim != 2:
+        raise DimensionError(f"time series must be 1-D or 2-D, got shape {a.shape}")
+    if a.shape[0] < min_length:
+        raise DimensionError(f"need at least {min_length} observations, got {a.shape[0]}")
+    if a.shape[1] < 1:
         raise DimensionError("need at least one component")
     return a
 
 
 def as_timeseries(x, min_length: int = 2) -> np.ndarray:
-    """Coerce to a finite ``(T, d)`` complex128 array or ``(B, T, d)`` block.
-
-    1-D input is treated as a single-component series.
-    """
+    """Coerce to a finite ``(T, d)`` complex128 array; 1-D input is one component."""
     a = _shaped(x, min_length)
     if not np.isfinite(a).all():
         raise NonFiniteError("time series contains non-finite entries")
@@ -73,14 +70,14 @@ def _checked_lag(tau, t: int, lowest: int) -> int:
 
 
 def _planes(a: np.ndarray) -> np.ndarray:
-    """New real part planes ``(..., 2d, T)`` of a complex ``(..., T, d)`` series.
+    """New real part planes ``(2d, T)`` of a complex ``(T, d)`` series.
 
     ``concatenate`` keeps the memory order of ``a`` (ties in C order), so
     the planes of a component-major series (``generate``'s) or of one
     component are contiguous runs of time, like the lab's draws, and
     those of a row-major series (a CSV's) stay time-major.
     """
-    return np.concatenate((np.swapaxes(a.real, -1, -2), np.swapaxes(a.imag, -1, -2)), axis=-2)
+    return np.concatenate((a.real.T, a.imag.T))
 
 
 def _complex(planes: np.ndarray) -> np.ndarray:
@@ -149,7 +146,7 @@ def autocov_unsym(x, tau: int) -> np.ndarray:
     ``[0, T - 2]``; any other lag raises ``DimensionError``.
     """
     a = _shaped(x)
-    tau = _checked_lag(tau, a.shape[-2], 0)
+    tau = _checked_lag(tau, len(a), 0)
     y, _, shift = _centered(_planes(a))
     s = _cross_products(y, tau)[1]
     return _ldexp(s, -2 * shift) if shift else s

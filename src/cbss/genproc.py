@@ -436,7 +436,9 @@ def _sqrt_spectrum(autocov) -> np.ndarray:
 
 
 def _rngs(seeds) -> list:
-    """One generator per seed; a seed numpy refuses, such as -1, raises ``ConfigError``."""
+    """One generator per seed, an int or a ``SeedSequence``; any other seed, a
+    list included, or one numpy refuses, such as -1, raises ``ConfigError``."""
+    seeds = [s if isinstance(s, np.random.SeedSequence) else json_int(s, "seed") for s in seeds]
     try:
         return [np.random.default_rng(s) for s in seeds]
     except ValueError as exc:
@@ -653,31 +655,24 @@ def generate(model: ModelSpec, length: int, seed) -> tuple[np.ndarray, np.ndarra
     components; every part is centered with its Hermite mean ``a_0``, and
     rescaled under ``normalize``.  ``x = z A^T + location`` rowwise, and
     it is a separate array from ``z`` even when it holds the same values.
-    Deterministic per seed: a series draws from one generator seeded by
-    its seed, and the parts take their normals from it in model order
+    In both, each component's path ``x[:, j]`` is one run of memory.
+
+    ``seed`` is an int or a ``SeedSequence``; anything else, a list
+    included, raises ``ConfigError``.  The series draws from one generator
+    seeded by it, and the parts take their normals from it in model order
     (the ``d`` real parts, then the ``d`` imaginary ones), each exactly
     its own count: ``T`` for ``iid`` and ``ar1``, the embedding size
     ``m`` for ``fgn``.  Adding or removing a part, or switching one
-    between ``fgn`` and another kind, shifts the draws of the parts after
-    it.
-
-    ``seed`` is an int or a ``SeedSequence``.  A list of them draws a
-    stacked block instead: ``x`` and ``z`` are then ``(B, T, d)``, and
-    block row ``b`` equals the single draw from ``seed[b]``.  Either way
-    the time axis is contiguous: each component's path ``x[..., j]`` is
-    one run of memory.
+    between ``fgn`` and another kind, shifts the draws of the parts after it.
     """
     t = json_int(length, "length")
     if t < MIN_LENGTH:
         raise DimensionError(f"need at least {MIN_LENGTH} observations, got {t}")
-    stacked = isinstance(seed, list)
-    x, z = _draw(model, t, seed if stacked else [seed])
-    if x is z:
-        x = None
+    x, z = _draw(model, t, [seed])
+    x = None if x is z else x[0]
     # one at a time, so that each plane block is freed once it is converted
-    z = _complex(z)
-    x = z.copy(order="K") if x is None else _complex(x)
-    return (x, z) if stacked else (x[0], z[0])
+    z = _complex(z[0])
+    return z.copy(order="K") if x is None else _complex(x), z
 
 
 def population_lambdas(model: ModelSpec, tau: int) -> np.ndarray:

@@ -9,8 +9,8 @@ mapped back for display.
 
 The chain runs on the three channel planes, never reducing over a
 length-3 pixel axis, and reads the centered coordinate of an 8-bit
-channel and its modulus from 256-entry tables.  Its kernels work in
-place on reused planes, yet keep the operation order of the plain
+channel and the rank of its modulus from 256-entry tables.  Its kernels
+work in place on reused planes, yet keep the operation order of the plain
 ``(..., 3)`` formulas (``x**2`` is ``x*x``; complex by real is the same
 complex division), so the results are bitwise the same as theirs.
 
@@ -63,9 +63,11 @@ class RgbImage:
 
 #: Centered coordinate ``p = 2c - 1`` of each 8-bit level.
 _CENTERED = 2.0 * (np.arange(256, dtype=float) / 255.0) - 1.0
-#: Its modulus ``|p|``, exactly as the float formula gives it, so that
-#: comparisons and ties match (``|p(v)| == |p(255 - v)|`` fails for some v).
-_MODULUS = np.abs(_CENTERED)
+#: Dense rank (0..179) of its modulus ``|p|`` among the float moduli, so that
+#: comparisons and ties match the floats' (``|p(v)| == |p(255 - v)|`` fails for
+#: some v); ranked in Python, as a numpy sort would page in 0.4 MB at import.
+_MODULUS = dict(zip(sorted(set(np.abs(_CENTERED).tolist())), range(256)))
+_MODULUS = np.array([_MODULUS[m] for m in np.abs(_CENTERED).tolist()], dtype=np.uint8)
 #: Level a winning channel snaps to: ``sign(p)`` mapped back to 8 bits.
 _SNAP = np.where(_CENTERED >= 0.0, 255, 0).astype(np.uint8)
 #: Whether ``|p| < 1``: every level but 0 and 255.

@@ -39,9 +39,9 @@ class UnmixingResult:
     spacing of ``lambdas``.  Identifiability needs distinct values, so a
     tiny gap is reported rather than treated as an error; as a rule of
     thumb, components whose gap is below ``1e-3`` times the spread
-    ``lambdas[0] - lambdas[-1]`` should not be trusted.  A fit of a
-    stacked ``(B, T, d)`` block holds one of each per series, stacked
-    along the leading axis.
+    ``lambdas[0] - lambdas[-1]`` should not be trusted.  The lab's fits
+    of drawn plane blocks hold one of each per series, stacked along the
+    leading axis.
     """
 
     gamma: np.ndarray
@@ -124,41 +124,39 @@ def _fit_centered(y: np.ndarray, mu: np.ndarray, shift: int, tau: int):
 def unmix(x, tau: int) -> UnmixingResult:
     """Fit the unmixing matrix from the lag-0 and lag-``tau`` autocovariances.
 
-    ``x`` is one ``(T, d)`` series or a stacked ``(B, T, d)`` block, which
-    is validated once and fitted series by series.  The fit is scale-free:
-    ``unmix(c * x).gamma`` is ``unmix(x).gamma / c`` up to rounding for
-    any ``c`` that keeps ``x`` finite and normal.
+    ``x`` is one ``(T, d)`` series.  The fit is scale-free: ``unmix(c * x).gamma``
+    is ``unmix(x).gamma / c`` up to rounding for any ``c`` that keeps ``x``
+    finite and normal.
 
     Raises
     ------
     DimensionError
-        If ``tau`` is not an integer in ``[1, T-2]``.
+        If ``x`` is not one series or ``tau`` is not an integer in ``[1, T-2]``.
     NonFiniteError
         If ``x`` holds a NaN or an infinity.
     NotPositiveDefiniteError
         If the sample covariance is degenerate.
     """
     a = _shaped(x)
-    tau = _checked_lag(tau, a.shape[-2], 1)
+    tau = _checked_lag(tau, len(a), 1)
     return _fit_centered(*_centered(_planes(a)), tau)[0]
 
 
 def apply_unmixing(result: UnmixingResult, x) -> np.ndarray:
-    """Recover the latent series: row ``t`` maps to ``gamma (x_t - mu)``.
+    """Recover the latent series: row ``t`` of one ``(T, d)`` series maps to ``gamma (x_t - mu)``.
 
     Blocks of rows go straight into the result, with no centered copy of
     the series beside it.  The last block takes the remainder: numpy maps a
     lone row through the matrix-vector kernel, which rounds differently.
     """
     a = as_timeseries(x, min_length=1)
-    if a.shape[-1] != result.gamma.shape[-1]:
+    if result.gamma.shape != (a.shape[1], a.shape[1]):
         raise DimensionError(
-            f"series has {a.shape[-1]} components, unmixing matrix is {result.gamma.shape}")
-    mu, gamma_t, t = result.mu[..., None, :], np.swapaxes(result.gamma, -1, -2), a.shape[-2]
-    out = np.empty(np.broadcast_shapes(a.shape, result.mu.shape[:-1] + a.shape[-2:]), complex)
-    edges = [*range(0, max(t - APPLY_BLOCK_ROWS, 0) + 1, APPLY_BLOCK_ROWS), t]
+            f"series has {a.shape[1]} components, unmixing matrix is {result.gamma.shape}")
+    out = np.empty(a.shape, complex)
+    edges = [*range(0, max(len(a) - APPLY_BLOCK_ROWS, 0) + 1, APPLY_BLOCK_ROWS), len(a)]
     for start, stop in zip(edges, edges[1:]):
-        np.matmul(a[..., start:stop, :] - mu, gamma_t, out=out[..., start:stop, :])
+        np.matmul(a[start:stop] - result.mu, result.gamma.T, out=out[start:stop])
     return out
 
 
@@ -172,8 +170,8 @@ def lag_sweep(x, taus) -> list[dict]:
     lags and preferring a large gap is the practical selection rule.
     """
     a = _shaped(x)
-    if a.ndim == 3:
-        raise DimensionError(f"lag_sweep takes one (T, d) series, got a block of shape {a.shape}")
+    if not hasattr(taus, "__iter__"):
+        raise DimensionError(f"taus must be an iterable of lags, got {taus!r}")
     centered = _centered(_planes(a))
     rows = []
     for tau in taus:

@@ -416,39 +416,42 @@ def test_pool_hands_out_longest_blocks_first_one_per_message(monkeypatch):
 
 def test_residual_score_matches_three_estimator_calls():
     # one validation and centering: the same operations as autocov_sym twice
-    # and unmix on generate's series, so the rows are bitwise equal
+    # and unmix on each of generate's series, so the rows are bitwise equal
     cfg = small_cfg(tau=2)
     lam = genproc.population_lambdas(cfg.model, cfg.tau)
     seeds = [np.random.SeedSequence(9, spawn_key=(0, r)) for r in range(4)]
-    x = genproc.generate(cfg.model, 256, seeds)[0]
-    s0, st = estimators.autocov_sym(x, 0), estimators.autocov_sym(x, cfg.tau)
-    gain = unmixing.unmix(x, cfg.tau).gamma
-    diag = np.diagonal(gain, axis1=1, axis2=2)
-    r_diag = np.max(np.abs((diag - 1.0) - 0.5 * (1.0 - np.diagonal(s0, axis1=1, axis2=2))),
-                    axis=1)
-    resid = (lam[None, :] - lam[:, None]) * gain - (lam[:, None] * s0 - st)
-    off = resid[:, ~np.eye(len(lam), dtype=bool)]
-    r_off = np.max(np.hypot(off.real, off.imag), axis=1, initial=0.0)
-    # the lab scores the drawn planes of the same series
+    want = []
+    for seed in seeds:
+        x = genproc.generate(cfg.model, 256, seed)[0]
+        s0, st = estimators.autocov_sym(x, 0), estimators.autocov_sym(x, cfg.tau)
+        gain = unmixing.unmix(x, cfg.tau).gamma
+        r_diag = np.max(np.abs((np.diag(gain) - 1.0) - 0.5 * (1.0 - np.diag(s0))))
+        resid = (lam[None, :] - lam[:, None]) * gain - (lam[:, None] * s0 - st)
+        off = resid[~np.eye(len(lam), dtype=bool)]
+        want.append((r_diag, np.max(np.hypot(off.real, off.imag), initial=0.0)))
+    # the lab scores the drawn planes of the same series as one block
     got = asymlab._residual_score(cfg, genproc._draw(cfg.model, 256, seeds)[0], lam)
-    assert np.array_equal(got, np.column_stack((r_diag, r_off)))
+    assert np.array_equal(got, np.array(want))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
 def test_lab_fit_equals_unmix_of_generated_series_bit_for_bit(d):
-    # the lab centers the drawn planes in place, unmix a copy of them:
-    # one centering, one mean, one fit
+    # the lab centers the drawn planes in place, unmix a copy of one row's
+    # series: one centering, one mean, one fit
     base = short_range_model((0.9, 0.7, 0.5, 0.3, 0.1)[:d])
-    model = genproc.ModelSpec(d=d, components=base.components,
+    mixed = genproc.ModelSpec(d=d, components=base.components,
                               mixing=np.eye(d) + 0.3j * np.eye(d)[::-1] + 0.2)
-    for length in (16, 127, 1023, 4096):
-        for size in (1, 4):
-            seeds = [np.random.SeedSequence(5, spawn_key=(d, length, r)) for r in range(size)]
-            lab = asymlab._fit_drawn(genproc._draw(model, length, seeds)[0], 1)[0]
-            public = unmixing.unmix(genproc.generate(model, length, seeds)[0], 1)
-            for name in ("gamma", "lambdas", "mu", "eigen_gap"):
-                assert np.array_equal(getattr(lab, name), getattr(public, name)), \
-                    (length, size, name)
+    for model in (base, mixed):
+        for length in (16, 127, 1023, 4096):
+            for size in (1, 4):
+                seeds = [np.random.SeedSequence(5, spawn_key=(d, length, r))
+                         for r in range(size)]
+                lab = asymlab._fit_drawn(genproc._draw(model, length, seeds)[0], 1)[0]
+                for rep, seed in enumerate(seeds):
+                    public = unmixing.unmix(genproc.generate(model, length, seed)[0], 1)
+                    for name in ("gamma", "lambdas", "mu", "eigen_gap"):
+                        assert np.array_equal(getattr(lab, name)[rep], getattr(public, name)), \
+                            (model is mixed, length, size, rep, name)
 
 
 def test_worker_count_is_capped_by_cores_and_tasks(monkeypatch):

@@ -41,7 +41,7 @@ def test_csv_round_trip(tmp_path, rng):
     cli.write_complex_csv(path, tall)
     np.testing.assert_array_equal(cli.read_complex_csv(path), tall)
     # blank and whitespace-only lines are skipped; CRLF and padded cells parse
-    path.write_bytes(b"re_1,im_1\r\n\r\n 1.5 , -2\r\n \t \r\n0,1e-3\r\n\n")
+    path.write_bytes(b" re_1 ,im_1\t\r\n\r\n 1.5 , -2\r\n \t \r\n0,1e-3\r\n\n")
     np.testing.assert_array_equal(cli.read_complex_csv(path), [[1.5 - 2j], [1e-3j]])
 
 
@@ -56,8 +56,12 @@ def test_csv_bytes_do_not_depend_on_memory_layout(tmp_path, rng):
 def test_csv_rejects_malformed(tmp_path):
     path = tmp_path / "bad.csv"
     for text, message in [
-        ("col_a,col_b\n1,2\n", "expected header"),
-        ("", "expected header"),
+        ("col_a,col_b\n1,2\n", "expected header re_1,im_1"),
+        ("", "expected header re_1,im_1"),
+        # planar and unnamed cells: only the interleaved header is read as d series
+        ("re_1,re_2,im_1,im_2\n1,2,3,4\n", "expected header re_1,im_1,re_2,im_2"),
+        ("re_1,im_1,foo,bar\n1,2,3,4\n", "expected header re_1,im_1,re_2,im_2"),
+        ("re_1,im_1,re_2\n1,2,3\n", "expected header re_1,im_1$"),
         ("re_1,im_1\n", "no data rows"),
         ("re_1,im_1\n\n  \n", "no data rows"),
         ("re_1,im_1\n1,2\n3,4,5,6\n", "number of columns"),
@@ -207,6 +211,22 @@ def test_rate_bundled_long_range_config(tmp_path):
     assert -0.3 <= summary["fitted_slope"] <= -0.1
     assert summary["regime"] == "long-range"
     assert abs(summary["theoretical_exponent"] + 0.2) < 1e-12
+
+
+def test_a_length_too_large_to_allocate_exits_2(tmp_path):
+    # 10^14 samples take petabytes, which numpy refuses at once
+    write_model_config(tmp_path / "model.json", short_range_model())
+    cfg = {"model": short_range_model().to_dict(), "t_grid": [16, 32, 10 ** 14],
+           "replications": 50, "seed": 5}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    for args in (("simulate", "--config", "model.json", "--T", 10 ** 14, "--seed", 1,
+                  "--out", "x.csv"),
+                 ("rate", "--config", "cfg.json", "--out", "out")):
+        proc = run_cli(*args, cwd=tmp_path, CBSS_THREADS="1")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("cbss: cannot allocate memory: "), proc.stderr
+        assert "100000000000000" in proc.stderr and "Traceback" not in proc.stderr
+        assert not (tmp_path / "x.csv").exists() and not (tmp_path / "out").exists()
 
 
 def test_rate_rejects_zero_replications(tmp_path):

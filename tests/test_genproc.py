@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import sympy
 
-from cbss import genproc
+from cbss import estimators, genproc
 from cbss.errors import ConfigError, DimensionError
 
 from conftest import short_range_model
@@ -214,7 +214,7 @@ def test_generate_trivial_mixing_returns_latents():
     np.testing.assert_array_equal(x, z)
     assert x.shape == (128, 3)
     # no identity product and no zero add: x is z byte for byte, in its own memory
-    for seed in (3, [3, 4]):
+    for seed in (3, np.random.SeedSequence(4)):
         x, z = genproc.generate(model, 256, seed)
         assert x.tobytes() == z.tobytes()
         assert x.strides == z.strides
@@ -226,7 +226,7 @@ def test_generate_with_mixing_and_location_maps_every_row():
     location = np.array([1.0 - 2.0j, 0.5j, -3.0])
     model = genproc.ModelSpec(d=3, components=short_range_model().components,
                               mixing=mixing, location=location)
-    x, z = genproc.generate(model, 256, [5, 6])
+    x, z = genproc.generate(model, 256, 5)
     np.testing.assert_allclose(x, z @ mixing.T + location, rtol=0, atol=1e-13)
 
 
@@ -346,14 +346,18 @@ def test_generate_fgn_parts_advance_the_stream_by_their_embedding_size():
     assert_generate_matches_reference(drivers, 100, 77)
 
 
-@pytest.mark.parametrize("seed, count", [(5, 1), ([5], 1), ([5, 6, 7], 3)],
-                         ids=["single", "B=1", "B=3"])
-def test_generate_makes_one_generator_per_series(monkeypatch, seed, count):
+@pytest.mark.parametrize("seed", [5, [5], [5, 6, 7]], ids=["single", "B=1", "B=3"])
+def test_generate_makes_one_generator_per_series(monkeypatch, seed):
+    # generate draws one series; the lab's _draw a block, one series per seed
     made = []
     default_rng = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng", lambda s: made.append(s) or default_rng(s))
-    genproc.generate(genproc.ModelSpec(d=3, components=short_range_model().components), 64, seed)
-    assert len(made) == count
+    model = genproc.ModelSpec(d=3, components=short_range_model().components)
+    if isinstance(seed, list):
+        genproc._draw(model, 64, seed)
+    else:
+        genproc.generate(model, 64, seed)
+    assert made == (seed if isinstance(seed, list) else [seed])
 
 
 @pytest.mark.parametrize("kind, param", [("iid", 0.0), ("ar1", 0.0), ("ar1", -0.7),
@@ -378,19 +382,18 @@ def test_generate_block_rows_equal_single_draws(length):
     model = genproc.ModelSpec(d=2, components=parts, mixing=[[1.0, 0.5j], [0.2, 1.0]],
                               location=[1.0 - 2.0j, 0.5])
     seeds = [np.random.SeedSequence(11, spawn_key=(2, rep)) for rep in range(4)]
-    x, z = genproc.generate(model, length, seeds)
+    x, z = (estimators._complex(planes) for planes in genproc._draw(model, length, seeds))
     assert x.shape == z.shape == (4, length, 2)
-    for rep in range(4):
-        one_x, one_z = genproc.generate(model, length,
-                                        np.random.SeedSequence(11, spawn_key=(2, rep)))
-        np.testing.assert_array_equal(x[rep], one_x)
-        np.testing.assert_array_equal(z[rep], one_z)
+    for rep, seed in enumerate(seeds):
+        one_x, one_z = genproc.generate(model, length, seed)
+        assert x[rep].tobytes() == one_x.tobytes()
+        assert z[rep].tobytes() == one_z.tobytes()
 
 
 @pytest.mark.parametrize("mixed", [False, True], ids=["latent", "mixed"])
 def test_lab_draw_planes_equal_generate_bit_for_bit(mixed):
-    # the lab fits the part planes of _draw; generate returns the same
-    # values as complex blocks, and x is a distinct array even when it is z
+    # the lab fits the part planes of _draw; generate returns each row's
+    # values as one complex series, and x is a distinct array even when it is z
     model = short_range_model()
     if mixed:
         model = genproc.ModelSpec(d=3, components=model.components, location=[1.0, -1.0j, 0.5],
@@ -399,11 +402,12 @@ def test_lab_draw_planes_equal_generate_bit_for_bit(mixed):
     x_planes, z_planes = genproc._draw(model, 1000, seeds)
     assert x_planes.shape == z_planes.shape == (3, 6, 1000)
     assert (x_planes is z_planes) != mixed
-    x, z = genproc.generate(model, 1000, seeds)
-    assert not np.shares_memory(x, z)
-    for planes, block in ((x_planes, x), (z_planes, z)):
-        assert np.array_equal(planes[:, :3], np.swapaxes(block.real, 1, 2))
-        assert np.array_equal(planes[:, 3:], np.swapaxes(block.imag, 1, 2))
+    for rep, seed in enumerate(seeds):
+        x, z = genproc.generate(model, 1000, seed)
+        assert not np.shares_memory(x, z)
+        for planes, series in ((x_planes[rep], x), (z_planes[rep], z)):
+            assert np.array_equal(planes[:3], series.real.T)
+            assert np.array_equal(planes[3:], series.imag.T)
 
 
 def test_generate_without_mixing_peaks_at_two_block_sizes():
@@ -424,10 +428,15 @@ def test_generate_without_mixing_peaks_at_two_block_sizes():
 
 @pytest.mark.parametrize("seed", [3, [3], [3, 4, 5]], ids=["single", "B=1", "B=3"])
 def test_generate_time_axis_is_contiguous_per_component(seed):
-    # component-major memory: each component's path is one contiguous run
+    # component-major memory: each component's path is one contiguous run,
+    # in generate's series and in the complex rows of the lab's plane blocks
     model = genproc.ModelSpec(d=2, components=short_range_model((0.8, 0.2)).components,
                               mixing=[[1.0, 0.5j], [0.2, 1.0]], location=[1.0, -1.0j])
-    for a in genproc.generate(model, 100, seed):
+    if isinstance(seed, list):
+        pairs = (estimators._complex(planes) for planes in genproc._draw(model, 100, seed))
+    else:
+        pairs = genproc.generate(model, 100, seed)
+    for a in pairs:
         assert a.strides[-2] == a.itemsize
         assert a.strides[-1] == 100 * a.itemsize
 

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 import cbss
-from cbss import genproc, metrics, unmixing
+from cbss import estimators, genproc, metrics, unmixing
 from cbss import imagepipe as ip
-from cbss.errors import CbssError
+from cbss.errors import CbssError, ConfigError, DimensionError, PhaseError, SingularMatrixError
+
+from conftest import short_range_model
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SUBMODULES = {info.name for info in pkgutil.iter_modules(cbss.__path__)}
@@ -50,22 +52,53 @@ def test_import_cbss_binds_only_the_version():
 
 
 WHITE_R = np.r_[1.0, np.zeros(7)]
+IID = genproc.ModelSpec(d=1, components=[genproc.LatentComponentSpec(genproc.Driver("iid"))] * 2)
+#: A block of series: public series calls take one ``(T, d)`` series only.
+EMPTY_BLOCK = np.zeros((0, 64, 3))
 
 
-@pytest.mark.parametrize("call", [
-    lambda: metrics.solve_assignment([[np.nan, 1.0], [1.0, 0.0]]),
-    lambda: metrics.solve_assignment(np.zeros((0, 0))),
-    lambda: unmixing.standardize_phase(np.zeros((0, 0))),
-    lambda: genproc.hermite_poly(-1, 0.5),
-    lambda: genproc.hermite_poly(genproc.MAX_HERMITE_DEGREE + 1, 0.5),
-    lambda: genproc.sample_stationary_gaussian(2.0 * WHITE_R, 4, 0),
-    lambda: genproc.sample_stationary_gaussian(WHITE_R, 4, -1),
-    lambda: genproc.generate(genproc.ModelSpec(d=1, components=[
-        genproc.LatentComponentSpec(genproc.Driver("iid"))] * 2), 16, -1),
-    lambda: genproc.hermite_rank(genproc.Transform("coeffs", coeffs=(3.0, 1e-12))),
-    lambda: ip.rgb_to_complex(ip.RgbImage(1, 1, np.full((1, 1, 3), 128, dtype=np.uint8))),
+def series(seed=1):
+    return genproc.generate(short_range_model(), 64, seed)[0]
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: metrics.solve_assignment([[np.nan, 1.0], [1.0, 0.0]]), CbssError),
+    (lambda: metrics.solve_assignment(np.zeros((0, 0))), CbssError),
+    (lambda: unmixing.standardize_phase(np.zeros((0, 0))), CbssError),
+    (lambda: genproc.hermite_poly(-1, 0.5), CbssError),
+    (lambda: genproc.hermite_poly(genproc.MAX_HERMITE_DEGREE + 1, 0.5), CbssError),
+    (lambda: genproc.sample_stationary_gaussian(2.0 * WHITE_R, 4, 0), CbssError),
+    (lambda: genproc.sample_stationary_gaussian(WHITE_R, 4, -1), CbssError),
+    (lambda: genproc.sample_stationary_gaussian(WHITE_R, 4, [1, 2]), ConfigError),
+    (lambda: genproc.generate(IID, 16, -1), CbssError),
+    (lambda: genproc.hermite_rank(genproc.Transform("coeffs", coeffs=(3.0, 1e-12))), CbssError),
+    (lambda: ip.rgb_to_complex(ip.RgbImage(1, 1, np.full((1, 1, 3), 128, dtype=np.uint8))),
+     CbssError),
+    (lambda: unmixing.unmix(EMPTY_BLOCK, 1), DimensionError),
+    (lambda: unmixing.unmix(np.stack([series(1), series(2)]), 1), DimensionError),
+    (lambda: unmixing.lag_sweep(EMPTY_BLOCK, [1]), DimensionError),
+    (lambda: unmixing.apply_unmixing(unmixing.unmix(series(), 1), EMPTY_BLOCK), DimensionError),
+    (lambda: unmixing.apply_unmixing(unmixing.unmix(series(), 1), np.stack([series()] * 3)),
+     DimensionError),
+    (lambda: estimators.as_timeseries(EMPTY_BLOCK), DimensionError),
+    (lambda: estimators.sample_mean(EMPTY_BLOCK), DimensionError),
+    (lambda: estimators.autocov_unsym(EMPTY_BLOCK, 0), DimensionError),
+    (lambda: estimators.autocov_sym(EMPTY_BLOCK, 0), DimensionError),
+    (lambda: genproc.generate(IID, 64, []), ConfigError),
+    (lambda: genproc.generate(IID, 64, [1, 2]), ConfigError),
+    (lambda: unmixing.lag_sweep(series(), 1), DimensionError),
+    # matrix calls still score a stack, as the lab's fits come: the second
+    # matrix fails on its own, which only a scored stack can show
+    (lambda: unmixing.align_phase_to(np.stack([np.eye(2), np.eye(2)[::-1]]), np.eye(2)),
+     PhaseError),
+    (lambda: metrics.md_index(np.stack([np.eye(2), np.diag([1.0, 0.0])]), np.eye(2)),
+     SingularMatrixError),
 ], ids=["nan-cost", "empty-cost", "empty-phase", "degree-1", "degree-61", "r0-2",
-        "sampler-seed-1", "generate-seed-1", "rank", "off-surface"])
-def test_public_calls_raise_a_package_error(call):
-    with pytest.raises(CbssError):
+        "sampler-seed-1", "sampler-list-seed", "generate-seed-1", "rank", "off-surface",
+        "unmix-empty-block", "unmix-block", "lag-sweep-block", "apply-empty-block", "apply-block",
+        "as-timeseries-block", "sample-mean-block", "autocov-unsym-block", "autocov-sym-block",
+        "generate-empty-list", "generate-list", "lag-sweep-int", "align-stack", "md-stack"])
+def test_public_calls_raise_a_package_error(call, error):
+    with pytest.raises(error):
         call()
+

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cbss import estimators, genproc, linalg, metrics, unmixing
-from cbss.errors import DimensionError, NonFiniteError, PhaseError
+from cbss import asymlab, estimators, genproc, linalg, metrics, unmixing
+from cbss.errors import DimensionError, PhaseError
 
 from conftest import random_mixing, short_range_model, traced_peak
 
@@ -33,12 +33,11 @@ def test_apply_unmixing_in_row_blocks_is_exact(t, rng):
     def series(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    x, block = series(t, 3), series(2, t, 3)
+    x = series(t, 3)
     fit = unmixing.unmix(series(64, 3), 1)
-    stacked = unmixing.unmix(series(2, 64, 3), 1)
-    for res, data in ((fit, x), (fit, np.asfortranarray(x)), (stacked, block), (stacked, x)):
-        want = (data - res.mu[..., None, :]) @ np.swapaxes(res.gamma, -1, -2)
-        got = unmixing.apply_unmixing(res, data)
+    for data in (x, np.asfortranarray(x)):
+        want = (data - fit.mu) @ fit.gamma.T
+        got = unmixing.apply_unmixing(fit, data)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
@@ -297,12 +296,6 @@ def test_numpy_integer_lags_are_accepted():
                                   estimators.autocov_sym(x, 0))
 
 
-def test_lag_sweep_refuses_a_stacked_block():
-    x = genproc.generate(short_range_model(), 64, [1, 2])[0]
-    with pytest.raises(DimensionError, match="one"):
-        unmixing.lag_sweep(x, [1, 2])
-
-
 def test_lag_sweep_single_tau():
     x, _ = genproc.generate(short_range_model(), 512, seed=6)
     rows = unmixing.lag_sweep(x, [1])
@@ -326,32 +319,26 @@ def test_lag_sweep_ranks_separating_lag_first():
     assert rows[0]["tau"] == 1
 
 
-def stacked_block(d, reps=6, length=300):
-    """A ``(reps, length, d)`` block of mixed AR(1) series and its mixing."""
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_stacked_calls_equal_per_matrix_calls(monkeypatch, d):
+    # the lab fits a block of mixed AR(1) series and scores the stacked fit
     rng = np.random.default_rng(40 + d)
     mixing = random_mixing(rng, d)
     model = short_range_model(phis=tuple(np.linspace(0.9, 0.1, d)), mixing=mixing)
-    seeds = [np.random.SeedSequence(d, spawn_key=(rep,)) for rep in range(reps)]
-    return genproc.generate(model, length, seeds)[0], mixing
-
-
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
-def test_stacked_calls_equal_per_matrix_calls(monkeypatch, d):
-    x, mixing = stacked_block(d)
+    seeds = [np.random.SeedSequence(d, spawn_key=(rep,)) for rep in range(6)]
     refined = []
     real_lsa = metrics.linear_sum_assignment
     monkeypatch.setattr(metrics, "linear_sum_assignment",
                         lambda cost: refined.append(1) or real_lsa(cost))
-    res = unmixing.unmix(x, 1)
+    res, s0, s1 = asymlab._fit_drawn(genproc._draw(model, 300, seeds)[0], 1)
     aligned = unmixing.align_phase_to(res.gamma, linalg.inverse(mixing))
     scores = metrics.md_index(res.gamma, mixing)
     # above ENUMERATION_MAX_D the assignment is refined by the Hungarian solver
     assert bool(refined) == (d > metrics.ENUMERATION_MAX_D)
-    for tau in (0, 2):
-        stacked = estimators.autocov_sym(x, tau)
-        for rep, series in enumerate(x):
-            np.testing.assert_array_equal(stacked[rep], estimators.autocov_sym(series, tau))
-    for rep, series in enumerate(x):
+    for rep, seed in enumerate(seeds):
+        series = genproc.generate(model, 300, seed)[0]
+        np.testing.assert_array_equal(s0[rep], estimators.autocov_sym(series, 0))
+        np.testing.assert_array_equal(s1[rep], estimators.autocov_sym(series, 1))
         one = unmixing.unmix(series, 1)
         np.testing.assert_array_equal(res.gamma[rep], one.gamma)
         np.testing.assert_array_equal(res.lambdas[rep], one.lambdas)
@@ -362,35 +349,17 @@ def test_stacked_calls_equal_per_matrix_calls(monkeypatch, d):
         assert scores[rep] == metrics.md_index(one.gamma, mixing)
 
 
-def test_stacked_block_is_validated_once(monkeypatch):
-    x, _ = stacked_block(3)
-    # the finiteness check is the largest-part pass of ``_centered``
-    checks = []
-    real_check = unmixing._centered
-    monkeypatch.setattr(unmixing, "_centered", lambda a: checks.append(1) or real_check(a))
-    unmixing.unmix(x, 1)
-    assert len(checks) == 1
-    # one non-finite value in one series refuses the whole block at that check
-    x[4, 17, 2] = complex(np.nan, 0.0)
-    with pytest.raises(NonFiniteError):
-        unmixing.unmix(x, 1)
-    assert len(checks) == 2
-    with pytest.raises(NonFiniteError):
-        estimators.autocov_sym(x, 1)
-
-
 @pytest.mark.parametrize("layout", ["component-major block", "row-major series"])
 def test_public_estimators_leave_their_input_unchanged(layout):
-    # only the lab may center a series in place, one it drew itself
-    x = genproc.generate(short_range_model(), 256, [np.random.SeedSequence(5, spawn_key=(r,))
-                                                    for r in range(3)])[0]
-    if layout == "row-major series":
-        x = np.ascontiguousarray(x[0])
-    before = x.tobytes()
+    # only the lab may center a series in place, one it drew itself: not
+    # even a series that is a row of a component-major block
+    block = estimators._complex(genproc._draw(short_range_model(), 256, [5, 6, 7])[0])
+    x = block[1] if layout == "component-major block" else np.ascontiguousarray(block[1])
+    before = block.tobytes()
     unmixing.unmix(x, 1)
     estimators.autocov_sym(x, 2)
     estimators.autocov_unsym(x, 0)
     estimators.sample_mean(x)
-    if x.ndim == 2:
-        unmixing.lag_sweep(x, (1, 2))
-    assert x.tobytes() == before
+    unmixing.lag_sweep(x, (1, 2))
+    unmixing.apply_unmixing(unmixing.unmix(x, 1), x)
+    assert block.tobytes() == before and np.array_equal(x, block[1])
