@@ -273,10 +273,15 @@ def _gain_score(cfg: RateExperimentConfig, y, extra):
     off_err = np.max(np.abs(gain[:, ~np.eye(d, dtype=bool)]), axis=1, initial=0.0)
     if cfg.error_metric == "md":
         err = md_index(res.gamma, mixing)
-    elif cfg.error_metric == "frobenius_after_alignment":
-        err = np.sqrt(np.sum((np.abs(aligned - gamma_ref) ** 2).reshape(b, -1), axis=1))
     else:
-        err = np.max(np.abs(aligned - gamma_ref).reshape(b, -1), axis=1)
+        # at the reference's scale, one exact power of two off: no square overflows
+        _, shift = np.frexp(np.max(np.abs(gamma_ref)))
+        diff = np.abs(linalg._ldexp(aligned, -shift) - linalg._ldexp(gamma_ref, -shift))
+        if cfg.error_metric == "frobenius_after_alignment":
+            err = np.sqrt(np.sum((diff ** 2).reshape(b, -1), axis=1))
+        else:
+            err = np.max(diff.reshape(b, -1), axis=1)
+        err = np.ldexp(err, shift)
     return np.column_stack((err, diag_err, off_err, gain.reshape(b, -1).view(float)))
 
 

@@ -30,7 +30,7 @@ import numpy as np
 from numpy.polynomial import hermite_e
 
 from . import fourier, linalg
-from .errors import ConfigError, DimensionError, SingularMatrixError
+from .errors import ConfigError, DimensionError, NumericalError
 from .estimators import _complex
 
 #: Largest Hermite degree handled by the double-precision recurrence.
@@ -45,27 +45,6 @@ MIN_LENGTH = 16
 AR1_BLOCK = 64
 #: ``k!`` for ``k <= MAX_HERMITE_DEGREE``, each correctly rounded: ``E[H_k(X)^2]``.
 _FACTORIALS = np.array([math.factorial(k) for k in range(MAX_HERMITE_DEGREE + 1)], dtype=float)
-
-
-# ---------------------------------------------------------------------------
-# Hermite polynomials
-# ---------------------------------------------------------------------------
-
-def hermite_poly(k: int, x):
-    """Probabilists' Hermite polynomial ``H_k`` evaluated at ``x``.
-
-    Uses the three-term recurrence ``H_{k+1}(x) = x H_k(x) - k H_{k-1}(x)``
-    (``hermite_e.hermevander``); degrees above ``MAX_HERMITE_DEGREE`` are
-    rejected to stay inside the range where double precision is trustworthy.
-    """
-    k = json_int(k, "degree")
-    if k < 0:
-        raise ConfigError("degree must be non-negative")
-    if k > MAX_HERMITE_DEGREE:
-        raise ConfigError(f"degree {k} beyond guard {MAX_HERMITE_DEGREE}")
-    x = np.asarray(x, dtype=float)
-    out = hermite_e.hermevander(x, k)[..., k]
-    return out if x.ndim else float(out[0])
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +226,12 @@ class Transform:
         degree = {"identity": 1, "square_centered": 2}.get(self.kind, self.degree)
         return np.eye(1, degree + 1, degree)[0]
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        if self.kind == "identity":
+    def apply(self, x: np.ndarray, shift: int = 0) -> np.ndarray:
+        """The transform of ``x`` divided by ``2^shift``, evaluated from the
+        coefficients divided by it: exact, and finite at any coefficient scale."""
+        if self.kind == "identity" and not shift:
             return x
-        return hermite_e.hermeval(x, self.series())
+        return hermite_e.hermeval(x, np.ldexp(self.series(), -shift))
 
     def to_dict(self) -> dict:
         if self.kind == "hermite":
@@ -337,6 +318,10 @@ class ModelSpec:
             raise ConfigError(f"normalize must be true or false, got {self.normalize!r}")
         if self.centering not in ("empirical", "population"):
             raise ConfigError(f"unknown centering mode {self.centering!r}")
+        for idx, spec in enumerate(self.components if self.normalize else ()):
+            if not _unit_series(spec.transform)[1].any():
+                raise ConfigError(f"components[{idx}]: cannot normalize a transform whose "
+                                  "a_1, a_2, ... are all zero or negligible against a_0")
         for name, shape, what in (("mixing", (self.d, self.d), f"a {self.d}x{self.d} matrix"),
                                   ("location", (self.d,), f"a vector of {self.d}")):
             if getattr(self, name) is not None:
@@ -349,8 +334,8 @@ class ModelSpec:
         if self.mixing is not None:
             try:
                 linalg.inverse(self.mixing)
-            except SingularMatrixError as exc:
-                raise ConfigError(f"mixing must be nonsingular: {exc}") from exc
+            except NumericalError as exc:
+                raise ConfigError(f"mixing must have a finite inverse: {exc}") from exc
 
     def mixing_matrix(self) -> np.ndarray:
         if self.mixing is None:
@@ -420,10 +405,10 @@ def embedding_spectrum(autocov) -> np.ndarray:
 
 
 def _sqrt_spectrum(autocov) -> np.ndarray:
-    """Square roots of the embedding eigenvalues, negative ones clamped at zero.
+    """Square roots of the embedding's half spectrum, negative eigenvalues clamped at zero.
 
     Warns with a ``RuntimeWarning`` when the clamped mass exceeds
-    ``CLAMP_REPORT_TOL`` relative to the total.
+    ``CLAMP_REPORT_TOL`` relative to the total over the full spectrum.
     """
     eigs = embedding_spectrum(autocov)
     clamped = -float(eigs[eigs < 0].sum())
@@ -432,7 +417,7 @@ def _sqrt_spectrum(autocov) -> np.ndarray:
         warnings.warn(
             f"circulant embedding clamped relative eigenvalue mass {clamped / total:.3e}",
             RuntimeWarning, stacklevel=3)
-    return np.sqrt(np.clip(eigs, 0.0, None))
+    return np.sqrt(np.clip(eigs[:eigs.size // 2 + 1], 0.0, None))
 
 
 def _rngs(seeds) -> list:
@@ -475,26 +460,6 @@ def _embedding_paths(sqrt_eigs: np.ndarray, n: int, rngs) -> np.ndarray:
     paths = np.fft.irfft(spectrum, m)[:, :n]
     paths *= np.sqrt(m)
     return paths
-
-
-def sample_stationary_gaussian(autocov, n: int, seed) -> np.ndarray:
-    """Exact draw of a stationary Gaussian path via circulant embedding.
-
-    ``autocov`` holds ``r(0..N-1)`` with ``r(0) = 1`` and ``N >= n``; the
-    embedding has size ``2(N-1)``, so callers wanting power-of-two FFTs
-    should supply ``N = 2^k + 1``.  Negative embedding eigenvalues are
-    clamped at zero; when the clamped mass exceeds ``CLAMP_REPORT_TOL``
-    relative to the total a ``RuntimeWarning`` reports it.
-    """
-    r = np.asarray(autocov, dtype=float)
-    n = json_int(n, "n")
-    if n < 1:
-        raise DimensionError("need n >= 1")
-    if r.ndim != 1 or r.size < max(n, 2):
-        raise DimensionError(f"need autocovariances at lags 0..N-1 with N >= max(n, 2) = {max(n, 2)}")
-    if abs(r[0] - 1.0) > 1e-12:
-        raise ConfigError(f"autocov must be normalized to r(0) = 1, got {r[0]}")
-    return _embedding_paths(_sqrt_spectrum(r)[:r.size], n, _rngs([seed]))[0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -551,23 +516,32 @@ def _sample_driver(driver: Driver, n: int, rngs) -> np.ndarray:
     if driver.kind == "ar1":
         return _ar1_paths(driver.param, n, rngs)
     length = 1 << max(int(np.ceil(np.log2(max(n - 1, 8)))), 3)
-    return _embedding_paths(_driver_sqrt_spectrum(driver, length)[:length + 1], n, rngs)
+    return _embedding_paths(_driver_sqrt_spectrum(driver, length), n, rngs)
 
 
 # ---------------------------------------------------------------------------
 # Transform moments and Hermite ranks
 # ---------------------------------------------------------------------------
 
-def _term_variances(transform: Transform) -> np.ndarray:
-    """``k! a_k^2``: the variance of each Hermite term of the transform."""
-    a = transform.series()
-    return _FACTORIALS[:a.size] * a ** 2
+def _unit_series(transform: Transform) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(c, v, shift)``: the centered Hermite coefficients ``0, a_1, a_2, ...``
+    divided by ``2^shift``, and the variances ``k! c_k^2``, ``k >= 1``, of
+    their terms.  ``2^shift`` brings the largest ``c_k`` into ``[1, 2)``, or
+    lower where ``a_0 / 2^shift`` would overflow; dividing by it is exact."""
+    c = transform.series()
+    a0, c[0] = c[0], 0.0
+    shift = max(math.frexp(np.max(np.abs(c)))[1] - 1, math.frexp(a0)[1] - 1024)
+    c = np.ldexp(c, -shift)
+    return c, (_FACTORIALS[:c.size] * c ** 2)[1:], shift
 
 
 @functools.lru_cache(maxsize=None)
-def transform_moments(transform: Transform) -> tuple[float, float]:
-    """Mean ``a_0`` and variance ``sum_{k>=1} k! a_k^2`` under a standard Gaussian."""
-    return float(transform.series()[0]), float(_term_variances(transform)[1:].sum())
+def transform_moments(transform: Transform) -> tuple[float, float, int]:
+    """``(mean, var, shift)`` under a standard Gaussian: the mean ``a_0`` of
+    the transform, and the variance ``sum_{k>=1} k! (a_k / 2^shift)^2`` of
+    the transform divided by ``2^shift``, with ``shift`` from ``_unit_series``."""
+    _, terms, shift = _unit_series(transform)
+    return float(transform.series()[0]), float(terms.sum()), shift
 
 
 def hermite_rank(transform: Transform) -> tuple[int, int]:
@@ -579,15 +553,11 @@ def hermite_rank(transform: Transform) -> tuple[int, int]:
     series with itself.  Raises ``ConfigError`` when no coefficient clears
     the threshold (rank undeterminable).
     """
-    centered = transform.series()
-    centered[0] = 0.0
-    # a series reaching 1 is scaled below it by a power of two, which is
-    # exact, and the square's threshold with it: the product cannot overflow
-    shift = max(math.frexp(float(np.max(np.abs(centered))))[1], 0)
-    unit = np.ldexp(centered, -shift)
-    square_tol = math.ldexp(RANK_COEFF_TOL, -2 * shift)
-    return (_first_nonzero(centered, RANK_COEFF_TOL),
-            _first_nonzero(hermite_e.hermemul(unit, unit), square_tol))
+    q1 = _first_nonzero(transform.series(), RANK_COEFF_TOL)
+    # at unit scale, with the square's threshold scaled alike: the product cannot overflow
+    unit, _, shift = _unit_series(transform)
+    return q1, _first_nonzero(hermite_e.hermemul(unit, unit),
+                              math.ldexp(RANK_COEFF_TOL, -2 * shift))
 
 
 def _first_nonzero(coeffs: np.ndarray, tol: float) -> int:
@@ -624,13 +594,13 @@ def _draw(model: ModelSpec, length: int, seeds) -> tuple[np.ndarray, np.ndarray]
     z = np.empty((len(rngs), 2 * d, length))
     for idx, spec in enumerate(model.components):
         raw = _sample_driver(spec.driver, length, rngs)
-        mean, var = transform_moments(spec.transform)
-        y = spec.transform.apply(raw)
+        mean, var, shift = transform_moments(spec.transform)
+        # a normalized part is formed divided by 2^shift; ModelSpec checked var > 0
+        shift = shift if model.normalize else 0
+        y = spec.transform.apply(raw, shift)
         if mean:
-            y -= mean
+            y -= math.ldexp(mean, -shift)
         if model.normalize:
-            if var <= 0:
-                raise ConfigError("transform has zero variance; cannot normalize")
             np.divide(y, np.sqrt(2.0 * var), out=z[:, idx])
         else:
             z[:, idx] = y
@@ -684,20 +654,16 @@ def population_lambdas(model: ModelSpec, tau: int) -> np.ndarray:
     scaling as :func:`generate`.
     """
     tau = json_int(tau, "tau")
-    out = np.empty(model.d)
-    for comp in range(model.d):
-        total = 0.0
-        for idx in (comp, comp + model.d):
-            spec = model.components[idx]
-            rho = float(spec.driver.autocov(np.array([tau]))[0])
-            terms = _term_variances(spec.transform)[1:]
-            cov = float(np.sum(terms * rho ** np.arange(1, terms.size + 1)))
-            if model.normalize:
-                total += cov / (2.0 * float(terms.sum()))
-            else:
-                total += cov
-        out[comp] = total
-    return out
+    parts = []
+    for spec in model.components:
+        rho = float(spec.driver.autocov(np.array([tau]))[0])
+        # from the series at unit scale, which is exact: no square overflows or underflows
+        _, terms, shift = _unit_series(spec.transform)
+        cov = float(np.sum(terms * rho ** np.arange(1, terms.size + 1)))
+        parts.append(cov / (2.0 * float(terms.sum())) if model.normalize
+                     else float(np.ldexp(cov, 2 * shift)))
+    # each component: its real part, then its imaginary part
+    return np.add(parts[:model.d], parts[model.d:])
 
 
 # ---------------------------------------------------------------------------

@@ -63,9 +63,15 @@ def _ldexp(m: np.ndarray, k) -> np.ndarray:
     return np.ldexp(np.ascontiguousarray(m).view(np.float64), k).view(np.complex128)
 
 
+def _pow2_scaled(m: np.ndarray, axis=None) -> np.ndarray:
+    """``m`` divided by the smallest power of two above its largest modulus along ``axis``."""
+    _, exponent = np.frexp(np.max(np.abs(m), axis=axis, keepdims=True))
+    return _ldexp(m, -exponent)
+
+
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
-    """``(m + m^H) / 2``: exactly conjugate symmetric."""
-    return 0.5 * (m + _conj_t(m))
+    """``m / 2 + m^H / 2``: exactly conjugate symmetric, and finite for finite ``m``."""
+    return 0.5 * m + 0.5 * _conj_t(m)
 
 
 def _checked_hermitian(m) -> np.ndarray:
@@ -155,7 +161,8 @@ def inverse(m) -> np.ndarray:
 
     Raises ``SingularMatrixError`` when the smallest singular value is at
     or below ``n * eps`` times the largest, the zero matrix included.  The
-    rule is scale-free: ``c * m`` inverts exactly when ``m`` does.
+    rule is scale-free: ``c * m`` passes it exactly when ``m`` does.  An
+    inverse beyond the double range raises ``NonFiniteError``.
     """
     a = as_cmatrix(m)
     if a.ndim != 2:
@@ -169,6 +176,9 @@ def inverse(m) -> np.ndarray:
         raise SingularMatrixError(
             f"singular values span [{s[-1]:.3e}, {s[0]:.3e}]; singular to tolerance")
     try:
-        return np.linalg.inv(a)
+        inv = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"LU factorization failed: {exc}") from None
+    if not np.isfinite(inv).all():
+        raise NonFiniteError(f"inverse not finite: singular values span [{s[-1]:.3e}, {s[0]:.3e}]")
+    return inv

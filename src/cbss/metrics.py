@@ -20,6 +20,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionError, NonFiniteError, SingularMatrixError
+from .linalg import _pow2_scaled
 
 #: Relative slack when deciding that two assignment totals tie.
 ASSIGNMENT_TIE_RTOL = 1e-12
@@ -96,12 +97,6 @@ def _optimum(block: np.ndarray) -> float:
     return float(block[rows, cols].sum())
 
 
-def _pow2_scaled(m: np.ndarray, axis=None) -> np.ndarray:
-    """``m`` divided by the smallest power of two above its largest modulus along ``axis``."""
-    _, exponent = np.frexp(np.max(np.abs(m), axis=axis, keepdims=True))
-    return linalg._ldexp(m, -exponent)
-
-
 def md_index(gamma_hat, mixing):
     """Minimum-distance index of ``gamma_hat`` against the mixing matrix.
 
@@ -122,11 +117,12 @@ def md_index(gamma_hat, mixing):
     d = a.shape[0]
     if d < 2:
         raise DimensionError("the score is undefined for d < 2")
+    a = _pow2_scaled(a)
     try:
         linalg.inverse(a)
     except SingularMatrixError:
         raise SingularMatrixError("mixing matrix is singular to tolerance") from None
-    sq = np.abs(_pow2_scaled(_pow2_scaled(g, axis=-1) @ _pow2_scaled(a), axis=-1)) ** 2
+    sq = np.abs(_pow2_scaled(_pow2_scaled(g, axis=-1) @ a, axis=-1)) ** 2
     row_norms = sq.sum(axis=-1)
     if np.any(row_norms == 0.0):
         raise SingularMatrixError("gain matrix has a zero row; score undefined")

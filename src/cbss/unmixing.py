@@ -20,7 +20,7 @@ from .errors import DimensionError, PhaseError
 # traces them, and tests/test_bench_sites.py checks that they resolve
 from .estimators import (_centered, _checked_lag, _cross_products, _planes, _shaped, as_timeseries,
                          autocov_sym, sample_mean)
-from .linalg import _conj_t, _eigh, _hermitian_part, _inv_sqrt, _ldexp
+from .linalg import _conj_t, _eigh, _hermitian_part, _inv_sqrt, _ldexp, _pow2_scaled
 
 #: Diagonal or inner-product moduli at or below this, relative to the scale
 #: of their rows, are treated as phase-undefined.
@@ -89,14 +89,17 @@ def align_phase_to(gamma_hat, gamma_ref) -> np.ndarray:
     stack of matrices, each aligned to the same reference.  Raises
     ``PhaseError`` when some row pair is orthogonal (alignment undefined):
     ``|u|`` is at most ``PHASE_TOL`` times the product of the two row norms.
+    Both are formed from rows divided by powers of two, which is exact, so
+    no product overflows or underflows and the rotation is free of scale.
     """
     g = linalg.as_cmatrix(gamma_hat)
     ref = linalg.as_cmatrix(gamma_ref)
     if g.shape[-2:] != ref.shape or ref.ndim != 2:
         raise DimensionError(f"shape mismatch: {g.shape} vs {ref.shape}")
-    u = np.sum(g * np.conj(ref), axis=-1)
+    gs, rs = _pow2_scaled(g, axis=-1), _pow2_scaled(ref, axis=-1)
+    u = np.sum(gs * np.conj(rs), axis=-1)
     mod = np.abs(u)
-    small = mod <= PHASE_TOL * np.linalg.norm(g, axis=-1) * np.linalg.norm(ref, axis=-1)
+    small = mod <= PHASE_TOL * np.linalg.norm(gs, axis=-1) * np.linalg.norm(rs, axis=-1)
     if np.any(small):
         bad = int(np.argmax(small)) % mod.shape[-1]
         raise PhaseError(f"row {bad} is orthogonal to its reference; alignment undefined")

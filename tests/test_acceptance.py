@@ -227,7 +227,13 @@ def test_criterion_9_image_pipeline():
             f"seeded synthetic MD {seeded_md:.3f} < 0.3)")
 
 
-def test_criterion_10_cli_determinism(tmp_path):
+def run_cli_command_set(tmp_path, tag: str) -> dict:
+    """Run criterion 10's seeded commands once in ``tmp_path``: ``simulate``,
+    ``unmix``, ``md``, ``rate`` and ``image`` with and without ``--identity``.
+
+    Returns ``{output name: bytes}``; ``tag`` keeps the output names of
+    two runs in one directory apart.
+    """
     def run(*args):
         proc = subprocess.run([sys.executable, "-m", "cbss", *map(str, args)],
                               capture_output=True, cwd=tmp_path, env=cli_env())
@@ -241,25 +247,26 @@ def test_criterion_10_cli_determinism(tmp_path):
     (tmp_path / "rate.json").write_text(json.dumps(rate_cfg))
     for idx, img in enumerate(gradient_images(w=40, h=30), start=1):
         ip.write_ppm(img, tmp_path / f"in{idx}.ppm")
+    write_complex_csv(tmp_path / "eye.csv", np.eye(3, dtype=complex))
 
-    outputs = {}
-    for tag in ("a", "b"):
-        run("simulate", "--config", "model.json", "--T", "512", "--seed", "3",
-            "--out", f"x_{tag}.csv")
-        run("unmix", "--input", f"x_{tag}.csv", "--tau", "1", "--out", f"fit_{tag}_")
-        write_complex_csv(tmp_path / "eye.csv", np.eye(3, dtype=complex))
-        md_stdout = run("md", "--gamma", f"fit_{tag}_gamma.csv", "--mixing", "eye.csv")
-        run("rate", "--config", "rate.json", "--out", f"rate_{tag}")
-        run("image", "--inputs", "in1.ppm", "in2.ppm", "in3.ppm", "--seed", "9",
-            "--tau", "1", "--out", f"img_{tag}")
-        blob = [md_stdout]
-        for name in (f"x_{tag}.csv", f"fit_{tag}_gamma.csv", f"fit_{tag}_lambdas.csv",
-                     f"fit_{tag}_latent.csv"):
-            blob.append((tmp_path / name).read_bytes())
-        for name in ("report.csv", "summary.json"):
-            blob.append((tmp_path / f"rate_{tag}" / name).read_bytes())
-        for name in ("mixed_1.ppm", "unmixed_3.ppm", "metrics.json"):
-            blob.append((tmp_path / f"img_{tag}" / name).read_bytes())
-        outputs[tag] = blob
-    ok = all(x == y for x, y in zip(outputs["a"], outputs["b"]))
+    run("simulate", "--config", "model.json", "--T", "512", "--seed", "3",
+        "--out", f"x_{tag}.csv")
+    run("unmix", "--input", f"x_{tag}.csv", "--tau", "1", "--out", f"fit_{tag}_")
+    outputs = {"md stdout": run("md", "--gamma", f"fit_{tag}_gamma.csv", "--mixing", "eye.csv")}
+    run("rate", "--config", "rate.json", "--out", f"rate_{tag}")
+    run("image", "--inputs", "in1.ppm", "in2.ppm", "in3.ppm", "--seed", "9",
+        "--tau", "1", "--out", f"img_{tag}")
+    run("image", "--inputs", "in1.ppm", "in2.ppm", "in3.ppm", "--seed", "9",
+        "--tau", "1", "--out", f"ident_{tag}", "--identity")
+    names = [f"x_{tag}.csv", f"fit_{tag}_gamma.csv", f"fit_{tag}_lambdas.csv",
+             f"fit_{tag}_latent.csv", f"rate_{tag}/report.csv", f"rate_{tag}/summary.json"]
+    names += [f"{folder}_{tag}/{name}" for folder in ("img", "ident")
+              for name in ("mixed_1.ppm", "unmixed_3.ppm", "metrics.json")]
+    for name in names:
+        outputs[name.replace(f"_{tag}", "")] = (tmp_path / name).read_bytes()
+    return outputs
+
+
+def test_criterion_10_cli_determinism(tmp_path):
+    ok = run_cli_command_set(tmp_path, "a") == run_cli_command_set(tmp_path, "b")
     verdict(10, ok, "seeded CLI runs of simulate/unmix/md/rate/image are byte-identical")

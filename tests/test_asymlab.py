@@ -85,6 +85,31 @@ def test_config_validation():
         small_cfg(seed=-5)
 
 
+@pytest.mark.parametrize("metric", asymlab.ERROR_METRICS)
+def test_rate_report_is_free_of_the_mixing_scale(metric):
+    # at mixing A 1e200 or A 1e-200 every replication used to fail with
+    # PhaseError, and once alignment worked the errors read 0.0 at 2^600
+    # and NaN at 2^-600
+    a = np.array([[1.0, 0.3 + 0.2j], [-0.4j, 0.9]])
+
+    def report(k):
+        mixing = np.ldexp(a.real, k) + 1j * np.ldexp(a.imag, k)
+        model = short_range_model(phis=(0.8, 0.2), mixing=mixing)
+        return asymlab.run_rate_experiment(small_cfg(model=model, error_metric=metric)).to_dict()
+
+    base = report(0)
+    for k in (600, -600, 1000, -1000):
+        scaled = report(k)
+        if metric == "md":
+            assert scaled == base, k
+            continue
+        assert scaled["failures"] == 0
+        # the error median and IQR scale, the gain columns do not
+        assert [[t, np.ldexp(med, k), np.ldexp(iqr, k), *rest]
+                for t, med, iqr, *rest in scaled["per_t"]] == base["per_t"], k
+        assert scaled["fitted_slope"] == pytest.approx(base["fitted_slope"], abs=1e-12)
+
+
 def test_config_json_round_trip():
     cfg = small_cfg(error_metric="md")
     back = asymlab.RateExperimentConfig.from_dict(cfg.to_dict())
@@ -118,6 +143,14 @@ def _has_rank(part):
     return True
 
 
+def _normalizable(part):
+    try:
+        genproc.ModelSpec(d=1, components=[part, part])
+    except ConfigError:
+        return False
+    return True
+
+
 @st.composite
 def _rate_configs(draw):
     d = draw(st.integers(1, 3))
@@ -133,9 +166,12 @@ def _rate_configs(draw):
     parts = draw(st.lists(_PARTS, min_size=2 * d, max_size=2 * d))
     # the config refuses a long-range part whose rank it cannot determine
     assume(all(_has_rank(p) for p in parts if p.driver.is_long_range()))
+    normalize = draw(st.booleans())
+    # and a normalized model a part it cannot bring to unit variance
+    assume(not normalize or all(_normalizable(p) for p in parts))
     model = genproc.ModelSpec(
         d=d, components=parts,
-        mixing=mixing, location=location, normalize=draw(st.booleans()),
+        mixing=mixing, location=location, normalize=normalize,
         centering=draw(st.sampled_from(["empirical", "population"])))
     grid = sorted(draw(st.sets(st.integers(genproc.MIN_LENGTH, 1 << 20), min_size=3,
                                max_size=6)))

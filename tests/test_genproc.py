@@ -17,27 +17,33 @@ def rodrigues_hermite(k):
     return sympy.lambdify(x, sympy.expand(expr), "numpy")
 
 
+def hermite(k):
+    """``H_k`` as the transform that generation applies; ``H_0`` as a series."""
+    if k == 0:
+        return genproc.Transform("coeffs", coeffs=(1.0,))
+    return genproc.Transform("hermite", degree=k)
+
+
 def test_hermite_small_values():
-    assert genproc.hermite_poly(2, 1.0) == 0.0
-    assert genproc.hermite_poly(3, 2.0) == 2.0
+    assert hermite(2).apply(1.0) == 0.0
+    assert hermite(3).apply(2.0) == 2.0
     xs = np.linspace(-4, 4, 9)
-    np.testing.assert_array_equal(genproc.hermite_poly(0, xs), np.ones(9))
+    np.testing.assert_array_equal(hermite(0).apply(xs), np.ones(9))
 
 
 def test_hermite_matches_rodrigues_oracle():
     xs = np.linspace(-5, 5, 41)
     for k in range(11):
         oracle = rodrigues_hermite(k)(xs) * np.ones_like(xs)
-        got = genproc.hermite_poly(k, xs)
+        got = hermite(k).apply(xs)
         scale = np.maximum(np.abs(oracle), 1.0)
         assert np.max(np.abs(got - oracle) / scale) < 1e-9
 
 
 def test_hermite_degree_guard():
-    with pytest.raises(ValueError):
-        genproc.hermite_poly(61, 0.0)
-    with pytest.raises(ValueError):
-        genproc.hermite_poly(-1, 0.0)
+    for degree in (61, 0, -1):
+        with pytest.raises(ValueError):
+            genproc.Transform("hermite", degree=degree)
 
 
 def test_fgn_autocov_values():
@@ -61,23 +67,28 @@ def test_fgn_autocov_domain():
         genproc.fgn_autocov(1.0, 1)
 
 
+def fgn_draws(hurst, n, seeds):
+    """Rows of the fGn sampler that ``generate`` and the lab run: the padded,
+    cached embedding, one row per seed."""
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    return genproc._sample_driver(genproc.Driver("fgn", hurst), n, rngs)
+
+
 def test_sampler_white_noise():
+    # H = 1/2 is white noise through the embedding
     n = 4096
-    r = np.zeros(n + 1)
-    r[0] = 1.0
-    s = genproc.sample_stationary_gaussian(r, n, seed=0)
+    s = fgn_draws(0.5, n, [0])[0]
     assert s.shape == (n,)
     lag1 = np.mean(s[:-1] * s[1:])
     assert abs(lag1) < 3.0 / np.sqrt(n)
 
 
 def test_sampler_deterministic():
-    r = genproc.fgn_autocov(0.8, np.arange(257))
-    a = genproc.sample_stationary_gaussian(r, 256, seed=42)
-    b = genproc.sample_stationary_gaussian(r, 256, seed=42)
-    np.testing.assert_array_equal(a, b)
-    c = genproc.sample_stationary_gaussian(r, 256, seed=43)
-    assert not np.array_equal(a, c)
+    a = fgn_draws(0.8, 256, [42])
+    np.testing.assert_array_equal(a, fgn_draws(0.8, 256, [42]))
+    assert not np.array_equal(a, fgn_draws(0.8, 256, [43]))
+    # a length below the padded one draws the same path, cut short
+    np.testing.assert_array_equal(fgn_draws(0.8, 200, [42]), a[:, :200])
 
 
 def test_sampler_matches_fgn_autocovariance():
@@ -85,13 +96,9 @@ def test_sampler_matches_fgn_autocovariance():
     # product averages are unbiased for the autocovariance
     n, reps = 4096, 200
     hurst = 0.9
-    r = genproc.fgn_autocov(hurst, np.arange(n + 1))
-    acc = np.zeros((reps, 5))
-    for rep in range(reps):
-        s = genproc.sample_stationary_gaussian(
-            r, n, seed=np.random.SeedSequence(9, spawn_key=(rep,)))
-        for lag in range(1, 6):
-            acc[rep, lag - 1] = np.mean(s[:-lag] * s[lag:])
+    r = genproc.fgn_autocov(hurst, np.arange(6))
+    s = fgn_draws(hurst, n, [np.random.SeedSequence(9, spawn_key=(rep,)) for rep in range(reps)])
+    acc = np.stack([np.mean(s[:, :-lag] * s[:, lag:], axis=1) for lag in range(1, 6)], axis=1)
     means = acc.mean(axis=0)
     stderr = acc.std(axis=0, ddof=1) / np.sqrt(reps)
     for lag in range(1, 6):
@@ -101,9 +108,9 @@ def test_sampler_matches_fgn_autocovariance():
 def test_sampler_warns_on_invalid_covariance():
     # this sequence is not a valid covariance; its embedding has a
     # negative eigenvalue that gets clamped and reported
-    r = np.array([1.0, 0.99, 0.0])
     with pytest.warns(RuntimeWarning):
-        genproc.sample_stationary_gaussian(r, 3, seed=0)
+        half = genproc._sqrt_spectrum([1.0, 0.99, 0.0])
+    assert half.shape == (3,)
 
 
 def test_generate_with_quadratic_transform():
@@ -118,20 +125,11 @@ def test_generate_with_quadratic_transform():
     assert np.max(z.real) > np.max(-z.real)
 
 
-def test_sampler_validation():
-    with pytest.raises(ValueError):
-        genproc.sample_stationary_gaussian(np.array([2.0, 0.5]), 2, seed=0)
-    with pytest.raises(DimensionError):
-        genproc.sample_stationary_gaussian(np.array([1.0, 0.5]), 8, seed=0)
-
-
 def test_integer_arguments_are_not_truncated():
-    # 2.7 used to evaluate H_2, and 4.9 samples used to draw 4
+    # degree 2.7 used to evaluate H_2
     with pytest.raises(ConfigError, match="degree"):
-        genproc.hermite_poly(2.7, 0.5)
-    with pytest.raises(ConfigError, match=r"\bn\b"):
-        genproc.sample_stationary_gaussian(genproc.fgn_autocov(0.7, np.arange(9)), 4.9, seed=0)
-    assert genproc.hermite_poly(np.int64(2), 1.0) == 0.0
+        genproc.Transform("hermite", degree=2.7)
+    assert genproc.Transform("hermite", degree=np.int64(2)).apply(1.0) == 0.0
     # 64.9 used to give 64 rows, and lag 1.9 the lag-1 values
     model = short_range_model()
     with pytest.raises(ConfigError, match="length"):
@@ -150,6 +148,41 @@ def test_fgn_embedding_is_nonnegative():
         assert neg_mass / float(np.abs(eigs).sum()) < 1e-8
 
 
+def _coeffs_latent(coeffs):
+    """Latent series and lag-1 lambda of a normalized fGn and AR(1) model
+    whose parts all take the transform ``coeffs``."""
+    transform = genproc.Transform("coeffs", coeffs=coeffs)
+    parts = [genproc.LatentComponentSpec(genproc.Driver(*driver), transform)
+             for driver in (("fgn", 0.9), ("ar1", 0.5))]
+    model = genproc.ModelSpec(d=1, components=parts)
+    return genproc.generate(model, 300, seed=4)[1], genproc.population_lambdas(model, 1)
+
+
+@pytest.mark.parametrize("k", [600, -600, 1000, -1000])
+def test_normalized_parts_are_free_of_the_coefficient_scale(k):
+    # sum k! a_k^2 used to overflow: coefficients (0, 1e160) gave an
+    # all-zero latent series and NaN lambdas
+    z, lam = _coeffs_latent((0.0, 1.0, 0.5))
+    z_k, lam_k = _coeffs_latent(tuple(np.ldexp([0.0, 1.0, 0.5], k)))
+    assert z_k.tobytes() == z.tobytes()
+    np.testing.assert_array_equal(lam_k, lam)
+    z_dec, lam_dec = _coeffs_latent((0.0, 1e160))
+    z_one, lam_one = _coeffs_latent((0.0, 1.0))
+    np.testing.assert_allclose(z_dec, z_one, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(lam_dec, lam_one, rtol=1e-15)
+
+
+def test_normalized_model_refuses_a_part_without_variance():
+    # a part holding only a_0 used to pass the config and fail in every draw
+    iid = genproc.LatentComponentSpec(genproc.Driver("iid"))
+    for coeffs in ((3.0,), (0.0, 0.0), (1e300, 1e-300)):
+        part = genproc.LatentComponentSpec(genproc.Driver("iid"),
+                                           genproc.Transform("coeffs", coeffs=coeffs))
+        with pytest.raises(ConfigError, match=r"components\[1\]: cannot normalize"):
+            genproc.ModelSpec(d=1, components=[iid, part])
+        genproc.ModelSpec(d=1, components=[iid, part], normalize=False)
+
+
 def test_rank_identity():
     assert genproc.hermite_rank(genproc.Transform("identity")) == (1, 2)
 
@@ -164,7 +197,7 @@ def test_rank_pure_hermite():
     for k in range(1, genproc.MAX_HERMITE_DEGREE + 1):
         transform = genproc.Transform("hermite", degree=k)
         assert genproc.hermite_rank(transform) == (k, 2), k
-        assert genproc.transform_moments(transform) == (0.0, float(math.factorial(k))), k
+        assert genproc.transform_moments(transform) == (0.0, float(math.factorial(k)), 0), k
     top = genproc.MAX_HERMITE_DEGREE
     np.testing.assert_array_equal(genproc.Transform("hermite", degree=top).series(),
                                   np.eye(top + 1)[top])
@@ -178,7 +211,7 @@ def test_transform_coeffs_normalize_to_a_tuple_of_floats():
     assert all(f == forms[0] and hash(f) == hash(forms[0]) for f in forms)
     assert forms[0].coeffs == (0.0, 1.0, 0.5)
     assert all(type(c) is float for c in forms[2].coeffs)
-    assert {genproc.transform_moments(f) for f in forms} == {(0.0, 1.5)}
+    assert {genproc.transform_moments(f) for f in forms} == {(0.0, 1.5, 0)}
     for bad in ([], [0.0, np.inf], [0.0, True], ["1"]):
         with pytest.raises(ConfigError, match="coeff"):
             genproc.Transform("coeffs", coeffs=bad)

@@ -3,9 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
-from cbss import linalg
+from cbss import genproc, linalg, metrics
 from cbss.errors import (
     CbssError,
+    ConfigError,
     DimensionError,
     NonFiniteError,
     NotHermitianError,
@@ -153,3 +154,23 @@ def test_inverse_at_extreme_scales(exponent):
                          np.zeros((3, 3))):
             with pytest.raises(SingularMatrixError):
                 linalg.inverse(np.array(singular) * scale)
+
+
+def test_inverse_beyond_the_double_range_is_refused():
+    # the inverse of 2^-1030 A used to be NaN, with no error, so a mixing of
+    # 1e-310 A passed the config and failed every replication
+    a = np.array([[1.0, 0.3 + 0.2j], [-0.4j, 0.9]])
+    with pytest.raises(NonFiniteError):
+        linalg.inverse(np.ldexp(a.real, -1030) + 1j * np.ldexp(a.imag, -1030))
+    parts = [genproc.LatentComponentSpec(genproc.Driver("iid"))] * 4
+    with pytest.raises(ConfigError, match="mixing"):
+        genproc.ModelSpec(d=2, components=parts, mixing=1e-310 * a)
+    # the score checks the mixing at unit scale
+    assert metrics.md_index(np.eye(2) * 1e-310, np.eye(2) * 1e-310) == 0.0
+
+
+def test_hermitian_part_of_the_largest_doubles():
+    # m + m^H used to overflow before it was halved, giving NaN
+    big = np.diag([1e308, 1e308])
+    np.testing.assert_array_equal(linalg.hermitian_eig(big).values, [1e308, 1e308])
+    np.testing.assert_allclose(linalg.herm_inv_sqrt(big), np.eye(2) / 1e154, rtol=1e-15)

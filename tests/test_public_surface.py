@@ -51,7 +51,6 @@ def test_import_cbss_binds_only_the_version():
     assert public <= SUBMODULES
 
 
-WHITE_R = np.r_[1.0, np.zeros(7)]
 IID = genproc.ModelSpec(d=1, components=[genproc.LatentComponentSpec(genproc.Driver("iid"))] * 2)
 #: A block of series: public series calls take one ``(T, d)`` series only.
 EMPTY_BLOCK = np.zeros((0, 64, 3))
@@ -65,11 +64,6 @@ def series(seed=1):
     (lambda: metrics.solve_assignment([[np.nan, 1.0], [1.0, 0.0]]), CbssError),
     (lambda: metrics.solve_assignment(np.zeros((0, 0))), CbssError),
     (lambda: unmixing.standardize_phase(np.zeros((0, 0))), CbssError),
-    (lambda: genproc.hermite_poly(-1, 0.5), CbssError),
-    (lambda: genproc.hermite_poly(genproc.MAX_HERMITE_DEGREE + 1, 0.5), CbssError),
-    (lambda: genproc.sample_stationary_gaussian(2.0 * WHITE_R, 4, 0), CbssError),
-    (lambda: genproc.sample_stationary_gaussian(WHITE_R, 4, -1), CbssError),
-    (lambda: genproc.sample_stationary_gaussian(WHITE_R, 4, [1, 2]), ConfigError),
     (lambda: genproc.generate(IID, 16, -1), CbssError),
     (lambda: genproc.hermite_rank(genproc.Transform("coeffs", coeffs=(3.0, 1e-12))), CbssError),
     (lambda: ip.rgb_to_complex(ip.RgbImage(1, 1, np.full((1, 1, 3), 128, dtype=np.uint8))),
@@ -93,8 +87,7 @@ def series(seed=1):
      PhaseError),
     (lambda: metrics.md_index(np.stack([np.eye(2), np.diag([1.0, 0.0])]), np.eye(2)),
      SingularMatrixError),
-], ids=["nan-cost", "empty-cost", "empty-phase", "degree-1", "degree-61", "r0-2",
-        "sampler-seed-1", "sampler-list-seed", "generate-seed-1", "rank", "off-surface",
+], ids=["nan-cost", "empty-cost", "empty-phase", "generate-seed-1", "rank", "off-surface",
         "unmix-empty-block", "unmix-block", "lag-sweep-block", "apply-empty-block", "apply-block",
         "as-timeseries-block", "sample-mean-block", "autocov-unsym-block", "autocov-sym-block",
         "generate-empty-list", "generate-list", "lag-sweep-int", "align-stack", "md-stack"])
