@@ -30,12 +30,13 @@ import numpy as np
 from numpy.polynomial import hermite_e
 
 from . import fourier, linalg
-from .errors import ConfigError, DimensionError, NumericalError
+from .errors import ConfigError, DimensionError, NonFiniteError, NumericalError
 from .estimators import _complex
 
 #: Largest Hermite degree handled by the double-precision recurrence.
 MAX_HERMITE_DEGREE = 60
-#: Hermite coefficients below this are treated as zero in rank detection.
+#: Hermite coefficients below this at unit scale (the largest ``a_k``, ``k >= 1``,
+#: brought into ``[1, 2)``) are treated as zero in rank detection.
 RANK_COEFF_TOL = 1e-9
 #: Relative clamped eigenvalue mass above which the sampler warns.
 CLAMP_REPORT_TOL = 1e-8
@@ -172,12 +173,15 @@ class Driver:
             raise ConfigError(f"fgn Hurst index must lie in [0.5, 1), got {self.param}")
 
     def autocov(self, lags) -> np.ndarray:
-        lags = np.asarray(lags, dtype=float)
+        """Autocovariance at ``lags``; fGn's ``(|k+1|^{2H} - 2|k|^{2H} + |k-1|^{2H}) / 2``
+        decays like ``H(2H-1) k^{2H-2}``, which is non-summable for ``H > 1/2``."""
+        lags = np.abs(np.asarray(lags, dtype=float))
         if self.kind == "iid":
             return (lags == 0).astype(float)
         if self.kind == "ar1":
-            return self.param ** np.abs(lags)
-        return fgn_autocov(self.param, lags)
+            return self.param ** lags
+        h2 = 2.0 * self.param
+        return 0.5 * (np.abs(lags + 1) ** h2 - 2.0 * lags ** h2 + np.abs(lags - 1) ** h2)
 
     def is_long_range(self) -> bool:
         return self.kind == "fgn" and self.param > 0.5
@@ -225,13 +229,6 @@ class Transform:
             return np.asarray(self.coeffs, dtype=float)
         degree = {"identity": 1, "square_centered": 2}.get(self.kind, self.degree)
         return np.eye(1, degree + 1, degree)[0]
-
-    def apply(self, x: np.ndarray, shift: int = 0) -> np.ndarray:
-        """The transform of ``x`` divided by ``2^shift``, evaluated from the
-        coefficients divided by it: exact, and finite at any coefficient scale."""
-        if self.kind == "identity" and not shift:
-            return x
-        return hermite_e.hermeval(x, np.ldexp(self.series(), -shift))
 
     def to_dict(self) -> dict:
         if self.kind == "hermite":
@@ -288,12 +285,12 @@ class ModelSpec:
     """Mixing model: ``x_t = A z_t + location`` with subordinated latents.
 
     ``components`` lists the ``2d`` part specs, real parts first.  With
-    ``normalize`` set, every part is standardized with its closed-form
-    Hermite mean and variance (each part gets variance 1/2, so each complex
-    component has unit variance) and the generated latent block is
-    additionally sample-centered when ``centering`` is ``"empirical"``;
-    ``"population"`` keeps the raw sampling noise in the mean, which the
-    location-error diagnostics need.
+    ``normalize`` set, every part is divided by its closed-form Hermite
+    standard deviation (each part gets variance 1/2, so each complex
+    component has unit variance; a part without variance is refused) and
+    the generated latent block is additionally sample-centered when
+    ``centering`` is ``"empirical"``; ``"population"`` keeps the raw
+    sampling noise in the mean, which the location-error diagnostics need.
     """
 
     d: int
@@ -319,9 +316,9 @@ class ModelSpec:
         if self.centering not in ("empirical", "population"):
             raise ConfigError(f"unknown centering mode {self.centering!r}")
         for idx, spec in enumerate(self.components if self.normalize else ()):
-            if not _unit_series(spec.transform)[1].any():
+            if not transform_moments(spec.transform)[1]:
                 raise ConfigError(f"components[{idx}]: cannot normalize a transform whose "
-                                  "a_1, a_2, ... are all zero or negligible against a_0")
+                                  "a_1, a_2, ... are all zero")
         for name, shape, what in (("mixing", (self.d, self.d), f"a {self.d}x{self.d} matrix"),
                                   ("location", (self.d,), f"a vector of {self.d}")):
             if getattr(self, name) is not None:
@@ -375,20 +372,6 @@ class ModelSpec:
 # ---------------------------------------------------------------------------
 # Autocovariances and exact Gaussian sampling
 # ---------------------------------------------------------------------------
-
-def fgn_autocov(hurst: float, lags) -> np.ndarray:
-    """Autocovariance of unit-variance fGn with the given Hurst index.
-
-    ``r(k) = (|k+1|^{2H} - 2|k|^{2H} + |k-1|^{2H}) / 2``; decays like
-    ``H(2H-1) k^{2H-2}``, which is non-summable for ``H > 1/2``.
-    """
-    if not (0.5 <= hurst < 1.0):
-        raise ConfigError(f"Hurst index must lie in [0.5, 1), got {hurst}")
-    k = np.abs(np.asarray(lags, dtype=float))
-    h2 = 2.0 * hurst
-    out = 0.5 * (np.abs(k + 1) ** h2 - 2.0 * k ** h2 + np.abs(k - 1) ** h2)
-    return out if out.ndim else float(out)
-
 
 def embedding_spectrum(autocov) -> np.ndarray:
     """Eigenvalues of the circulant embedding of a covariance sequence.
@@ -523,50 +506,41 @@ def _sample_driver(driver: Driver, n: int, rngs) -> np.ndarray:
 # Transform moments and Hermite ranks
 # ---------------------------------------------------------------------------
 
-def _unit_series(transform: Transform) -> tuple[np.ndarray, np.ndarray, int]:
-    """``(c, v, shift)``: the centered Hermite coefficients ``0, a_1, a_2, ...``
-    divided by ``2^shift``, and the variances ``k! c_k^2``, ``k >= 1``, of
-    their terms.  ``2^shift`` brings the largest ``c_k`` into ``[1, 2)``, or
-    lower where ``a_0 / 2^shift`` would overflow; dividing by it is exact."""
-    c = transform.series()
-    a0, c[0] = c[0], 0.0
-    shift = max(math.frexp(np.max(np.abs(c)))[1] - 1, math.frexp(a0)[1] - 1024)
-    c = np.ldexp(c, -shift)
-    return c, (_FACTORIALS[:c.size] * c ** 2)[1:], shift
-
-
 @functools.lru_cache(maxsize=None)
-def transform_moments(transform: Transform) -> tuple[float, float, int]:
-    """``(mean, var, shift)`` under a standard Gaussian: the mean ``a_0`` of
-    the transform, and the variance ``sum_{k>=1} k! (a_k / 2^shift)^2`` of
-    the transform divided by ``2^shift``, with ``shift`` from ``_unit_series``."""
-    _, terms, shift = _unit_series(transform)
-    return float(transform.series()[0]), float(terms.sum()), shift
+def transform_moments(transform: Transform) -> tuple[np.ndarray, float, int]:
+    """``(c, var, shift)``, the transform at unit scale that every part, rank and
+    lambda reads: ``c`` (read-only) holds the centered Hermite coefficients
+    ``0, a_1, a_2, ...`` divided by ``2^shift``, which brings the largest into
+    ``[1, 2)``, and ``var = sum_{k>=1} k! c_k^2``.  Dividing by a power of two
+    is exact, so neither depends on the coefficients' scale or overflows."""
+    c = transform.series()
+    c[0] = 0.0
+    shift = math.frexp(np.max(np.abs(c)))[1] - 1
+    c = np.ldexp(c, -shift)
+    c.setflags(write=False)
+    return c, float((_FACTORIALS[1:c.size] * c[1:] ** 2).sum()), shift
 
 
 def hermite_rank(transform: Transform) -> tuple[int, int]:
     """Ranks ``(q1, q2)`` of the transform and of its centered square.
 
-    ``q1`` is the first index ``k >= 1`` with ``|a_k| > RANK_COEFF_TOL``
-    for the transform itself, ``q2`` the same for ``(f - E f)^2``, whose
-    coefficients come from the exact Hermite product of the centered
-    series with itself.  Raises ``ConfigError`` when no coefficient clears
-    the threshold (rank undeterminable).
+    ``q1`` is the first index ``k >= 1`` with ``|c_k| > RANK_COEFF_TOL`` for
+    the coefficients ``c`` of ``transform_moments``, ``q2`` the same for
+    their exact Hermite product with themselves: both are free of the
+    coefficients' scale.  Raises ``ConfigError`` when no coefficient clears
+    the threshold (rank undeterminable), as when ``a_1, a_2, ...`` are all 0.
     """
-    q1 = _first_nonzero(transform.series(), RANK_COEFF_TOL)
-    # at unit scale, with the square's threshold scaled alike: the product cannot overflow
-    unit, _, shift = _unit_series(transform)
-    return q1, _first_nonzero(hermite_e.hermemul(unit, unit),
-                              math.ldexp(RANK_COEFF_TOL, -2 * shift))
+    c = transform_moments(transform)[0]
+    return _first_nonzero(c), _first_nonzero(hermite_e.hermemul(c, c))
 
 
-def _first_nonzero(coeffs: np.ndarray, tol: float) -> int:
+def _first_nonzero(coeffs: np.ndarray) -> int:
     for k in range(1, coeffs.size):
-        if abs(coeffs[k]) > tol:
+        if abs(coeffs[k]) > RANK_COEFF_TOL:
             return k
     raise ConfigError(
         f"all Hermite coefficients up to degree {MAX_HERMITE_DEGREE} fall below "
-        f"{RANK_COEFF_TOL}; rank undeterminable")
+        f"{RANK_COEFF_TOL} at unit scale; rank undeterminable")
 
 
 def component_ranks(spec: LatentComponentSpec) -> tuple[int, int]:
@@ -594,16 +568,19 @@ def _draw(model: ModelSpec, length: int, seeds) -> tuple[np.ndarray, np.ndarray]
     z = np.empty((len(rngs), 2 * d, length))
     for idx, spec in enumerate(model.components):
         raw = _sample_driver(spec.driver, length, rngs)
-        mean, var, shift = transform_moments(spec.transform)
-        # a normalized part is formed divided by 2^shift; ModelSpec checked var > 0
-        shift = shift if model.normalize else 0
-        y = spec.transform.apply(raw, shift)
-        if mean:
-            y -= math.ldexp(mean, -shift)
+        c, var, shift = transform_moments(spec.transform)
+        # formed at unit scale, then scaled once: to variance 1/2 under normalize
+        # (ModelSpec checked var > 0), else by 2^shift, which ldexp applies
+        # where 2^-shift itself would leave the double range
+        y = raw if spec.transform.kind == "identity" else hermite_e.hermeval(raw, c)
         if model.normalize:
             np.divide(y, np.sqrt(2.0 * var), out=z[:, idx])
         else:
-            z[:, idx] = y
+            with np.errstate(over="ignore"):
+                np.ldexp(y, shift, out=z[:, idx])
+            if not np.isfinite(z[:, idx]).all():
+                raise NonFiniteError(f"components[{idx}]: the part overflows the double "
+                                     "range; set normalize or scale its coefficients down")
         # no part outlives its copy into z
         del raw, y
     if model.normalize and model.centering == "empirical":
@@ -622,10 +599,12 @@ def generate(model: ModelSpec, length: int, seed) -> tuple[np.ndarray, np.ndarra
     """Draw ``(x, z)``: observed and latent series of the mixing model.
 
     ``z`` stacks the ``2d`` subordinated parts into ``d`` complex
-    components; every part is centered with its Hermite mean ``a_0``, and
-    rescaled under ``normalize``.  ``x = z A^T + location`` rowwise, and
-    it is a separate array from ``z`` even when it holds the same values.
-    In both, each component's path ``x[:, j]`` is one run of memory.
+    components; every part is evaluated from its centered Hermite
+    coefficients and rescaled under ``normalize``, and an unnormalized part
+    beyond the double range raises ``NonFiniteError``.  ``x = z A^T +
+    location`` rowwise, and it is a separate array from ``z`` even when it
+    holds the same values.  In both, each component's path ``x[:, j]`` is
+    one run of memory.
 
     ``seed`` is an int or a ``SeedSequence``; anything else, a list
     included, raises ``ConfigError``.  The series draws from one generator
@@ -657,11 +636,10 @@ def population_lambdas(model: ModelSpec, tau: int) -> np.ndarray:
     parts = []
     for spec in model.components:
         rho = float(spec.driver.autocov(np.array([tau]))[0])
-        # from the series at unit scale, which is exact: no square overflows or underflows
-        _, terms, shift = _unit_series(spec.transform)
-        cov = float(np.sum(terms * rho ** np.arange(1, terms.size + 1)))
-        parts.append(cov / (2.0 * float(terms.sum())) if model.normalize
-                     else float(np.ldexp(cov, 2 * shift)))
+        # from the coefficients at unit scale: no square overflows or underflows
+        c, var, shift = transform_moments(spec.transform)
+        cov = float(np.sum(_FACTORIALS[1:c.size] * c[1:] ** 2 * rho ** np.arange(1, c.size)))
+        parts.append(cov / (2.0 * var) if model.normalize else float(np.ldexp(cov, 2 * shift)))
     # each component: its real part, then its imaginary part
     return np.add(parts[:model.d], parts[model.d:])
 

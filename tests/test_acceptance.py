@@ -227,9 +227,21 @@ def test_criterion_9_image_pipeline():
             f"seeded synthetic MD {seeded_md:.3f} < 0.3)")
 
 
+def hermite_model(normalize: bool) -> genproc.ModelSpec:
+    """One component: an fGn real part under ``coeffs`` ``(0, 1, 0.5)`` and an
+    AR(1) imaginary part under ``H_3``."""
+    parts = [genproc.LatentComponentSpec(genproc.Driver("fgn", 0.9),
+                                         genproc.Transform("coeffs", coeffs=(0.0, 1.0, 0.5))),
+             genproc.LatentComponentSpec(genproc.Driver("ar1", 0.5),
+                                         genproc.Transform("hermite", degree=3))]
+    return genproc.ModelSpec(d=1, components=parts, normalize=normalize)
+
+
 def run_cli_command_set(tmp_path, tag: str) -> dict:
     """Run criterion 10's seeded commands once in ``tmp_path``: ``simulate``,
-    ``unmix``, ``md``, ``rate`` and ``image`` with and without ``--identity``.
+    ``unmix``, ``md``, ``rate`` and ``image`` with and without ``--identity``,
+    and ``simulate --latent`` of a model with Hermite transforms, with and
+    without ``normalize``.
 
     Returns ``{output name: bytes}``; ``tag`` keeps the output names of
     two runs in one directory apart.
@@ -258,8 +270,13 @@ def run_cli_command_set(tmp_path, tag: str) -> dict:
         "--tau", "1", "--out", f"img_{tag}")
     run("image", "--inputs", "in1.ppm", "in2.ppm", "in3.ppm", "--seed", "9",
         "--tau", "1", "--out", f"ident_{tag}", "--identity")
+    for name, normalize in (("hermite", True), ("hermite_raw", False)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(hermite_model(normalize).to_dict()))
+        run("simulate", "--config", f"{name}.json", "--T", "512", "--seed", "3",
+            "--out", f"{name}_{tag}_x.csv", "--latent", f"{name}_{tag}_latent.csv")
     names = [f"x_{tag}.csv", f"fit_{tag}_gamma.csv", f"fit_{tag}_lambdas.csv",
-             f"fit_{tag}_latent.csv", f"rate_{tag}/report.csv", f"rate_{tag}/summary.json"]
+             f"fit_{tag}_latent.csv", f"rate_{tag}/report.csv", f"rate_{tag}/summary.json",
+             f"hermite_{tag}_latent.csv", f"hermite_raw_{tag}_latent.csv"]
     names += [f"{folder}_{tag}/{name}" for folder in ("img", "ident")
               for name in ("mixed_1.ppm", "unmixed_3.ppm", "metrics.json")]
     for name in names:

@@ -260,9 +260,12 @@ def _longrange_config():
     # a NaN location used to run every replication and then exit 4
     ("location", lambda c: c["model"].update(
         location={"re": [float("nan"), 0, 0], "im": [0, 0, float("inf")]})),
-    # an fGn part whose rank no coefficient determines used to end in a traceback
-    pytest.param("declared_ranks", lambda c: c["model"]["components"][1].update(
-        transform={"kind": "coeffs", "coeffs": [0, 1e-10]}), id="undeterminable-rank"),
+    # an fGn part whose rank no coefficient determines used to end in a
+    # traceback; unnormalized, since normalize refuses such a part first
+    pytest.param("declared_ranks", lambda c: (
+        c["model"].update(normalize=False),
+        c["model"]["components"][1].update(transform={"kind": "coeffs", "coeffs": [3.0, 0.0]})),
+        id="undeterminable-rank"),
 ])
 def test_rate_rejects_bad_model_fields_before_generating(tmp_path, field, edit):
     cfg = _longrange_config()
@@ -273,6 +276,40 @@ def test_rate_rejects_bad_model_fields_before_generating(tmp_path, field, edit):
     assert "Traceback" not in proc.stderr
     assert field in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_rate_ranks_are_free_of_the_coefficient_scale(tmp_path):
+    # coefficients (0, 2^-40, 2^-41) on the fGn part used to be refused with
+    # exit 2: no coefficient cleared the rank threshold at their own scale
+    for name, coeffs in (("small", [0, 2.0 ** -40, 2.0 ** -41]), ("unit", [0, 1.0, 0.5])):
+        cfg = {**_longrange_config(), "t_grid": [1024, 2048, 4096], "replications": 50}
+        cfg["model"]["components"][1]["transform"] = {"kind": "coeffs", "coeffs": coeffs}
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+        proc = run_cli("rate", "--config", f"{name}.json", "--out", name, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+    assert ((tmp_path / "small" / "summary.json").read_bytes()
+            == (tmp_path / "unit" / "summary.json").read_bytes())
+
+
+def test_an_unnormalized_part_beyond_the_double_range_fails(tmp_path):
+    # it used to be written as inf with exit 0, numpy's warnings on stderr
+    parts = [genproc.LatentComponentSpec(genproc.Driver("iid")),
+             genproc.LatentComponentSpec(genproc.Driver("ar1", 0.5), genproc.Transform(
+                 "coeffs", coeffs=(0.0, 1e308, 1e308)))]
+    model = genproc.ModelSpec(d=1, components=parts, normalize=False)
+    write_model_config(tmp_path / "model.json", model)
+    proc = run_cli("simulate", "--config", "model.json", "--T", "64", "--seed", "1",
+                   "--out", "x.csv", cwd=tmp_path)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("cbss: numerical failure: components[1]: "), proc.stderr
+    assert "Warning" not in proc.stderr and not (tmp_path / "x.csv").exists()
+    # in the lab every block fails, which exhausts the failure budget
+    cfg = {"model": model.to_dict(), "t_grid": [64, 128, 256], "replications": 50, "seed": 1}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    proc = run_cli("rate", "--config", "cfg.json", "--out", "out", cwd=tmp_path)
+    assert proc.returncode == 4, proc.stderr
+    assert "components[1]: the part overflows" in proc.stderr
+    assert "Warning" not in proc.stderr
 
 
 def _rename_key(obj, old, new):

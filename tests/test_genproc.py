@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import sympy
+from numpy.polynomial import hermite_e
 
 from cbss import estimators, genproc
 from cbss.errors import ConfigError, DimensionError
@@ -17,25 +18,33 @@ def rodrigues_hermite(k):
     return sympy.lambdify(x, sympy.expand(expr), "numpy")
 
 
-def hermite(k):
-    """``H_k`` as the transform that generation applies; ``H_0`` as a series."""
+def evaluate(transform, xs):
+    """The transform at ``xs`` from the unit-scale coefficients that generation
+    evaluates, brought back to the coefficients' own scale."""
+    c, _, shift = genproc.transform_moments(transform)
+    return np.ldexp(hermite_e.hermeval(xs, c), shift)
+
+
+def hermite(k, xs):
+    """``H_k(xs)`` as generation evaluates it; ``H_0``, which has no centered
+    part, from its series."""
     if k == 0:
-        return genproc.Transform("coeffs", coeffs=(1.0,))
-    return genproc.Transform("hermite", degree=k)
+        return hermite_e.hermeval(xs, genproc.Transform("coeffs", coeffs=(1.0,)).series())
+    return evaluate(genproc.Transform("hermite", degree=k), xs)
 
 
 def test_hermite_small_values():
-    assert hermite(2).apply(1.0) == 0.0
-    assert hermite(3).apply(2.0) == 2.0
+    assert hermite(2, 1.0) == 0.0
+    assert hermite(3, 2.0) == 2.0
     xs = np.linspace(-4, 4, 9)
-    np.testing.assert_array_equal(hermite(0).apply(xs), np.ones(9))
+    np.testing.assert_array_equal(hermite(0, xs), np.ones(9))
 
 
 def test_hermite_matches_rodrigues_oracle():
     xs = np.linspace(-5, 5, 41)
     for k in range(11):
         oracle = rodrigues_hermite(k)(xs) * np.ones_like(xs)
-        got = hermite(k).apply(xs)
+        got = hermite(k, xs)
         scale = np.maximum(np.abs(oracle), 1.0)
         assert np.max(np.abs(got - oracle) / scale) < 1e-9
 
@@ -46,25 +55,22 @@ def test_hermite_degree_guard():
             genproc.Transform("hermite", degree=degree)
 
 
+def fgn_autocov(hurst, lags):
+    return genproc.Driver("fgn", hurst).autocov(lags)
+
+
 def test_fgn_autocov_values():
     lags = np.arange(1, 10)
-    np.testing.assert_allclose(genproc.fgn_autocov(0.5, lags), np.zeros(9), atol=1e-15)
-    np.testing.assert_allclose(genproc.fgn_autocov(0.75, 1), np.sqrt(2) - 1, rtol=1e-14)
-    assert genproc.fgn_autocov(0.9, 0) == 1.0
+    np.testing.assert_allclose(fgn_autocov(0.5, lags), np.zeros(9), atol=1e-15)
+    np.testing.assert_allclose(fgn_autocov(0.75, 1), np.sqrt(2) - 1, rtol=1e-14)
+    assert fgn_autocov(0.9, 0) == 1.0
 
 
 def test_fgn_autocov_tail_constant():
     for hurst in (0.6, 0.75, 0.9):
         k = 1.0e6
-        got = k ** (2 - 2 * hurst) * genproc.fgn_autocov(hurst, k)
+        got = k ** (2 - 2 * hurst) * fgn_autocov(hurst, k)
         assert abs(got - hurst * (2 * hurst - 1)) < 0.01 * hurst * (2 * hurst - 1)
-
-
-def test_fgn_autocov_domain():
-    with pytest.raises(ConfigError):
-        genproc.fgn_autocov(0.3, 1)
-    with pytest.raises(ConfigError):
-        genproc.fgn_autocov(1.0, 1)
 
 
 def fgn_draws(hurst, n, seeds):
@@ -96,7 +102,7 @@ def test_sampler_matches_fgn_autocovariance():
     # product averages are unbiased for the autocovariance
     n, reps = 4096, 200
     hurst = 0.9
-    r = genproc.fgn_autocov(hurst, np.arange(6))
+    r = fgn_autocov(hurst, np.arange(6))
     s = fgn_draws(hurst, n, [np.random.SeedSequence(9, spawn_key=(rep,)) for rep in range(reps)])
     acc = np.stack([np.mean(s[:, :-lag] * s[:, lag:], axis=1) for lag in range(1, 6)], axis=1)
     means = acc.mean(axis=0)
@@ -129,7 +135,7 @@ def test_integer_arguments_are_not_truncated():
     # degree 2.7 used to evaluate H_2
     with pytest.raises(ConfigError, match="degree"):
         genproc.Transform("hermite", degree=2.7)
-    assert genproc.Transform("hermite", degree=np.int64(2)).apply(1.0) == 0.0
+    assert evaluate(genproc.Transform("hermite", degree=np.int64(2)), 1.0) == 0.0
     # 64.9 used to give 64 rows, and lag 1.9 the lag-1 values
     model = short_range_model()
     with pytest.raises(ConfigError, match="length"):
@@ -142,19 +148,19 @@ def test_integer_arguments_are_not_truncated():
 
 def test_fgn_embedding_is_nonnegative():
     for hurst in (0.7, 0.9, 0.95):
-        r = genproc.fgn_autocov(hurst, np.arange(2 ** 16 + 1))
+        r = fgn_autocov(hurst, np.arange(2 ** 16 + 1))
         eigs = genproc.embedding_spectrum(r)
         neg_mass = -float(eigs[eigs < 0].sum())
         assert neg_mass / float(np.abs(eigs).sum()) < 1e-8
 
 
-def _coeffs_latent(coeffs):
-    """Latent series and lag-1 lambda of a normalized fGn and AR(1) model
-    whose parts all take the transform ``coeffs``."""
+def _coeffs_latent(coeffs, normalize=True):
+    """Latent series and lag-1 lambda of an fGn and AR(1) model whose parts
+    all take the transform ``coeffs``."""
     transform = genproc.Transform("coeffs", coeffs=coeffs)
     parts = [genproc.LatentComponentSpec(genproc.Driver(*driver), transform)
              for driver in (("fgn", 0.9), ("ar1", 0.5))]
-    model = genproc.ModelSpec(d=1, components=parts)
+    model = genproc.ModelSpec(d=1, components=parts, normalize=normalize)
     return genproc.generate(model, 300, seed=4)[1], genproc.population_lambdas(model, 1)
 
 
@@ -172,10 +178,21 @@ def test_normalized_parts_are_free_of_the_coefficient_scale(k):
     np.testing.assert_allclose(lam_dec, lam_one, rtol=1e-15)
 
 
+@pytest.mark.parametrize("coeffs, normalize", [((1e10, 1e-100), True), ((1e300, 1.0), False)])
+def test_a_0_does_not_cancel_the_rest_of_a_part(coeffs, normalize):
+    # f(x) - a_0 used to cancel to an all-zero part when a_1, a_2, ... lay
+    # more than 2^53 below a_0
+    z, lam = _coeffs_latent(coeffs, normalize)
+    z_0, lam_0 = _coeffs_latent((0.0, *coeffs[1:]), normalize)
+    assert np.abs(z).max() > 0
+    assert z.tobytes() == z_0.tobytes()
+    np.testing.assert_array_equal(lam, lam_0)
+
+
 def test_normalized_model_refuses_a_part_without_variance():
     # a part holding only a_0 used to pass the config and fail in every draw
     iid = genproc.LatentComponentSpec(genproc.Driver("iid"))
-    for coeffs in ((3.0,), (0.0, 0.0), (1e300, 1e-300)):
+    for coeffs in ((3.0,), (0.0, 0.0), (1e300, 0.0)):
         part = genproc.LatentComponentSpec(genproc.Driver("iid"),
                                            genproc.Transform("coeffs", coeffs=coeffs))
         with pytest.raises(ConfigError, match=r"components\[1\]: cannot normalize"):
@@ -197,7 +214,9 @@ def test_rank_pure_hermite():
     for k in range(1, genproc.MAX_HERMITE_DEGREE + 1):
         transform = genproc.Transform("hermite", degree=k)
         assert genproc.hermite_rank(transform) == (k, 2), k
-        assert genproc.transform_moments(transform) == (0.0, float(math.factorial(k)), 0), k
+        c, var, shift = genproc.transform_moments(transform)
+        assert (var, shift) == (float(math.factorial(k)), 0), k
+        np.testing.assert_array_equal(c, transform.series())
     top = genproc.MAX_HERMITE_DEGREE
     np.testing.assert_array_equal(genproc.Transform("hermite", degree=top).series(),
                                   np.eye(top + 1)[top])
@@ -211,7 +230,9 @@ def test_transform_coeffs_normalize_to_a_tuple_of_floats():
     assert all(f == forms[0] and hash(f) == hash(forms[0]) for f in forms)
     assert forms[0].coeffs == (0.0, 1.0, 0.5)
     assert all(type(c) is float for c in forms[2].coeffs)
-    assert {genproc.transform_moments(f) for f in forms} == {(0.0, 1.5, 0)}
+    for f in forms:
+        c, var, shift = genproc.transform_moments(f)
+        assert (c.tolist(), var, shift) == ([0.0, 1.0, 0.5], 1.5, 0)
     for bad in ([], [0.0, np.inf], [0.0, True], ["1"]):
         with pytest.raises(ConfigError, match="coeff"):
             genproc.Transform("coeffs", coeffs=bad)
@@ -227,6 +248,14 @@ def test_rank_cubic():
 
 def test_rank_square_centered():
     assert genproc.hermite_rank(genproc.Transform("square_centered")) == (2, 2)
+
+
+def test_ranks_are_free_of_the_coefficient_scale():
+    # the ranks used to read a threshold at the coefficients' own scale:
+    # at 2^-40 and 2^-600 no coefficient cleared it
+    for k in (40, -40, 600, -600):
+        transform = genproc.Transform("coeffs", coeffs=tuple(np.ldexp([0.0, 1.0, 0.5], k)))
+        assert genproc.hermite_rank(transform) == (1, 1), k
 
 
 def test_rank_undeterminable():
@@ -623,8 +652,9 @@ def test_model_spec_validation():
         genproc.Driver("iid"), declared_ranks=[np.int64(1), 2]).declared_ranks == (1, 2)
     with pytest.raises(ConfigError):
         genproc.Driver("ar1", 1.5)
-    with pytest.raises(ConfigError):
-        genproc.Driver("fgn", 0.4)
+    for hurst in (0.3, 0.4, 1.0):
+        with pytest.raises(ConfigError):
+            genproc.Driver("fgn", hurst)
 
 
 @pytest.mark.parametrize("field, build", [

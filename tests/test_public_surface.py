@@ -65,7 +65,7 @@ def series(seed=1):
     (lambda: metrics.solve_assignment(np.zeros((0, 0))), CbssError),
     (lambda: unmixing.standardize_phase(np.zeros((0, 0))), CbssError),
     (lambda: genproc.generate(IID, 16, -1), CbssError),
-    (lambda: genproc.hermite_rank(genproc.Transform("coeffs", coeffs=(3.0, 1e-12))), CbssError),
+    (lambda: genproc.hermite_rank(genproc.Transform("coeffs", coeffs=(3.0, 0.0))), CbssError),
     (lambda: ip.rgb_to_complex(ip.RgbImage(1, 1, np.full((1, 1, 3), 128, dtype=np.uint8))),
      CbssError),
     (lambda: unmixing.unmix(EMPTY_BLOCK, 1), DimensionError),
