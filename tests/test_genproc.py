@@ -73,6 +73,12 @@ def test_fgn_autocov_tail_constant():
         assert abs(got - hurst * (2 * hurst - 1)) < 0.01 * hurst * (2 * hurst - 1)
 
 
+def test_fgn_autocov_domain():
+    for hurst in (0.3, 1.0):
+        with pytest.raises(ConfigError):
+            fgn_autocov(hurst, 1)
+
+
 def fgn_draws(hurst, n, seeds):
     """Rows of the fGn sampler that ``generate`` and the lab run: the padded,
     cached embedding, one row per seed."""
@@ -652,9 +658,8 @@ def test_model_spec_validation():
         genproc.Driver("iid"), declared_ranks=[np.int64(1), 2]).declared_ranks == (1, 2)
     with pytest.raises(ConfigError):
         genproc.Driver("ar1", 1.5)
-    for hurst in (0.3, 0.4, 1.0):
-        with pytest.raises(ConfigError):
-            genproc.Driver("fgn", hurst)
+    with pytest.raises(ConfigError):
+        genproc.Driver("fgn", 0.4)
 
 
 @pytest.mark.parametrize("field, build", [
