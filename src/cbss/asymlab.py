@@ -14,25 +14,31 @@ matrix, and aggregates alignment errors across a grid of sample lengths:
   outer product of the location-estimate error vanish.
 
 Replications are seeded by ``(grid index, replication index)`` spawn
-keys.  Each grid length's replications are drawn, fitted and scored in
-stacked blocks of ``BLOCK_SAMPLES // T`` series (at least one, at most
-all), validated once per block; a score function reduces each series of
-a block to a short vector of floats.  A block is drawn as the real part
-planes the model makes (``genproc._draw``), and the scores center it
-in place (``estimators._centered``), since the lab never reads a drawn
-block again: no complex copy of a block is made.  ``unmix`` centers a
-copy of the same planes the same way, so a lab fit equals ``unmix`` of
-``generate``'s series bit for bit.  A replication's row does not depend
-on its block, so reports are bit-identical no matter how many workers
-run the blocks (``CBSS_THREADS`` caps the pool; unset means serial,
-``0`` means all cores, and no value goes past the core count or the
-block count).  Each pool worker sets numpy's bundled OpenBLAS to one
-thread.  A block that fails with a numerical error (``NumericalError``
-or ``PhaseError``) is drawn again one replication at a time, and each
-failing replication is dropped from every statistic and counted in the
-report's ``failures``; when more than ``FAILURE_BUDGET`` of all
-replications fail, the experiment raises ``ExperimentError``.  Any
-other exception propagates.
+keys.  The lab runs in two stages.  The block stage draws each grid
+length's replications in stacked blocks of ``BLOCK_SAMPLES // T`` series
+(at least one, at most all) as the real part planes the model makes
+(``genproc._draw``), centers them in place (``estimators._centered``),
+since the lab never reads a drawn block again, and reduces each series
+to its lag-0 and lag-``tau`` Gram products and its mean
+(``estimators._cross_products``): no complex copy of a block is made.
+The length stage stacks a length's statistics in replication order, and
+one call of a score function fits, aligns and scores them all
+(``unmixing._fit_covariances``), reducing each series to a short vector
+of floats.  ``unmix`` takes the same centering, products and fit, so a
+lab fit equals ``unmix`` of ``generate``'s series bit for bit.  A
+replication's row depends neither on its block nor on the series stacked
+beside it, so reports are bit-identical no matter how many workers run
+the blocks (``CBSS_THREADS`` caps the pool; unset means serial, ``0``
+means all cores, and no value goes past the core count or the block
+count).  The workers return statistics and the parent scores them.
+Each pool worker sets numpy's bundled OpenBLAS to one thread.  A block
+whose draw or centering fails with a ``NumericalError`` is drawn again
+one replication at a time; a length whose score fails with a
+``NumericalError`` or ``PhaseError`` is scored again one replication at a
+time from its statistics, with no draw.  Each failing replication is
+dropped from every statistic and counted in the report's ``failures``;
+when more than ``FAILURE_BUDGET`` of all replications fail, the
+experiment raises ``ExperimentError``.  Any other exception propagates.
 """
 
 from __future__ import annotations
@@ -49,11 +55,11 @@ from . import linalg
 from .errors import ConfigError, DimensionError, ExperimentError, NumericalError, PhaseError
 # ``autocov_sym``, ``generate`` and ``unmix`` are unused here but stay bound:
 # bench/layers.py traces them, and tests/test_bench_sites.py checks that they resolve
-from .estimators import _centered, autocov_sym
+from .estimators import _centered, _cross_products, autocov_sym
 from .genproc import (MIN_LENGTH, ModelSpec, RateInfo, _build, _draw, _json_list, _require_type,
                       generate, json_int, json_object, population_lambdas, theoretical_gamma)
 from .metrics import md_index
-from .unmixing import _fit_centered, align_phase_to, unmix
+from .unmixing import _fit_covariances, align_phase_to, unmix
 
 ERROR_METRICS = ("md", "frobenius_after_alignment", "elementwise")
 #: Replication failure fraction above which an experiment aborts.
@@ -190,31 +196,48 @@ def _pin_blas() -> None:
         lib.scipy_openblas_set_num_threads64_(1)
 
 
-def _run_block(cfg, score, extra, task) -> list:
-    """Score replications ``start..stop-1`` of one length as one stacked block.
+def _run_block(cfg, task) -> list:
+    """The statistics of replications ``start..stop-1`` of one length, drawn as one block.
 
-    Returns one score row per replication, or a failed replication's
-    message in its place: a block that fails numerically is re-run one
+    Returns ``(s0, s_tau, mu, shift)`` per replication (``_centered`` and
+    ``_cross_products``), or a failed replication's message in its place:
+    a block whose draw or centering fails numerically is re-run one
     replication at a time.
     """
     t_index, start, stop = task
     try:
         seeds = [np.random.SeedSequence(cfg.seed, spawn_key=(t_index, rep))
                  for rep in range(start, stop)]
-        y = _draw(cfg.model, cfg.t_grid[t_index], seeds)[0]
-        return list(score(cfg, y, extra))
-    except (NumericalError, PhaseError) as exc:
+        y, mu, shift = _centered(_draw(cfg.model, cfg.t_grid[t_index], seeds)[0])
+        return list(zip(*_cross_products(y, cfg.tau), mu, [shift] * len(seeds)))
+    except NumericalError as exc:
         if stop - start == 1:
             return [f"{type(exc).__name__}: {exc}"]
     return [out for rep in range(start, stop)
-            for out in _run_block(cfg, score, extra, (t_index, rep, rep + 1))]
+            for out in _run_block(cfg, (t_index, rep, rep + 1))]
+
+
+def _score_length(cfg, score, extra, length: int, stats: list) -> list:
+    """Score rows of one length's statistics, stacked and scored at once.
+
+    A stacked score that fails numerically scores each replication alone,
+    and a failing one gets its message in place of its row.
+    """
+    try:
+        return list(score(cfg, length, [np.stack(column) for column in zip(*stats)], extra))
+    except (NumericalError, PhaseError) as exc:
+        if len(stats) == 1:
+            return [f"{type(exc).__name__}: {exc}"]
+    return [out for one in stats for out in _score_length(cfg, score, extra, length, [one])]
 
 
 def _map_replications(cfg: RateExperimentConfig, score, extra=None):
-    """Run ``score(cfg, y, extra)`` on every replication of every grid length.
+    """Run ``score(cfg, T, stats, extra)`` once on every grid length's replications.
 
-    ``y`` holds the observed part planes ``(B, 2d, T)`` of a drawn block
-    (``genproc._draw``) and ``score`` returns one row per series.
+    The blocks of ``_run_block`` reduce each replication to its statistics
+    ``(s0, s_tau, mu, shift)``, serially or on the pool.  The parent stacks
+    each length's statistics in replication order, one array per field,
+    into ``stats`` and ``score`` returns one row per replication.
     Returns ``(rows, failures)``: ``rows[t_index]`` stacks the score rows
     of that length's successful replications in replication order, and
     ``failures`` counts the dropped ones.  Raises ``ExperimentError`` when
@@ -225,13 +248,13 @@ def _map_replications(cfg: RateExperimentConfig, score, extra=None):
     for t_index, length in enumerate(cfg.t_grid):
         size = max(1, min(reps, BLOCK_SAMPLES // length))
         tasks += [(t_index, start, min(start + size, reps)) for start in range(0, reps, size)]
-    run = functools.partial(_run_block, cfg, score, extra)
+    run = functools.partial(_run_block, cfg)
     workers = _resolve_workers(len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         # longest blocks first, one per message, so no worker idles behind
-        # a long last block; the rows go back in replication order
+        # a long last block; the statistics go back in replication order
         order = sorted(range(len(tasks)), reverse=True,
                        key=lambda i: cfg.t_grid[tasks[i][0]] * (tasks[i][2] - tasks[i][1]))
         blocks = [None] * len(tasks)
@@ -240,7 +263,13 @@ def _map_replications(cfg: RateExperimentConfig, score, extra=None):
                 blocks[i] = block
     else:
         blocks = [run(task) for task in tasks]
-    out = [row for block in blocks for row in block]
+    stats = [one for block in blocks for one in block]
+    out = []
+    for t_index, length in enumerate(cfg.t_grid):
+        drawn = stats[t_index * reps:(t_index + 1) * reps]
+        good = [one for one in drawn if not isinstance(one, str)]
+        scored = iter(_score_length(cfg, score, extra, length, good) if good else ())
+        out += [one if isinstance(one, str) else next(scored) for one in drawn]
     failures = [o for o in out if isinstance(o, str)]
     if len(failures) > FAILURE_BUDGET * len(out):
         raise ExperimentError(
@@ -254,18 +283,12 @@ def _medians(rows, column: int) -> list:
     return [float(np.median(r[:, column])) for r in rows]
 
 
-# per-replication scores, one row per series of a stacked block ----------------
+# per-replication scores, one row per series of a grid length's stacked statistics
 
-def _fit_drawn(y, tau: int):
-    """``(result, s0, s_tau)`` of a drawn block's planes, which it centers in
-    place: the lab never reads a block after scoring it, and re-draws a failed one."""
-    return _fit_centered(*_centered(y), tau)
-
-
-def _gain_score(cfg: RateExperimentConfig, y, extra):
+def _gain_score(cfg: RateExperimentConfig, length: int, stats, extra):
     """``(error, diag_err, off_err, *gain as float pairs)`` against the truth."""
     mixing, gamma_ref = extra
-    res = _fit_drawn(y, cfg.tau)[0]
+    res = _fit_covariances(*stats, cfg.tau)[0]
     aligned = align_phase_to(res.gamma, gamma_ref)
     gain = aligned @ mixing
     b, d = gain.shape[:2]
@@ -291,8 +314,8 @@ def _truth(cfg: RateExperimentConfig):
     return mixing, linalg.inverse(mixing)
 
 
-def _residual_score(cfg: RateExperimentConfig, y, lam):
-    fit, s0, st = _fit_drawn(y, cfg.tau)
+def _residual_score(cfg: RateExperimentConfig, length: int, stats, lam):
+    fit, s0, st = _fit_covariances(*stats, cfg.tau)
     # trivial mixing: the gain is the standardized estimate
     gain = fit.gamma
     diag = np.diagonal(gain, axis1=1, axis2=2)
@@ -305,11 +328,11 @@ def _residual_score(cfg: RateExperimentConfig, y, lam):
     return np.column_stack((r_diag, r_off))
 
 
-def _mu_score(cfg: RateExperimentConfig, y, exponent):
+def _mu_score(cfg: RateExperimentConfig, length: int, stats, exponent):
     d = cfg.model.d
-    # the mean, and the finiteness check, of the centering that the fits run
-    mu_err = _centered(y)[1] - cfg.model.location_vector()
-    outer = mu_err[:, :, None] * np.conj(mu_err)[:, None, :] * (y.shape[-1] ** exponent)
+    # the mean of the centering that the fits run
+    mu_err = stats[2] - cfg.model.location_vector()
+    outer = mu_err[:, :, None] * np.conj(mu_err)[:, None, :] * (length ** exponent)
     diag_max = np.max(np.abs(np.diagonal(outer, axis1=1, axis2=2)), axis=1)
     off_max = np.max(np.abs(outer[:, ~np.eye(d, dtype=bool)]), axis=1, initial=0.0)
     return np.column_stack((off_max, diag_max))

@@ -630,16 +630,25 @@ def population_lambdas(model: ModelSpec, tau: int) -> np.ndarray:
     Uses the Hermite-expansion identity
     ``Cov[f(X_s), f(X_t)] = sum_k k! a_k^2 rho^k`` with ``rho`` the driver
     autocovariance, combining the real and imaginary parts with the same
-    scaling as :func:`generate`.
+    scaling as :func:`generate`.  On an unnormalized model, a part whose
+    autocovariance leaves the double range raises ``NonFiniteError``, even
+    where its draw stays finite.
     """
     tau = json_int(tau, "tau")
     parts = []
-    for spec in model.components:
+    for idx, spec in enumerate(model.components):
         rho = float(spec.driver.autocov(np.array([tau]))[0])
         # from the coefficients at unit scale: no square overflows or underflows
         c, var, shift = transform_moments(spec.transform)
         cov = float(np.sum(_FACTORIALS[1:c.size] * c[1:] ** 2 * rho ** np.arange(1, c.size)))
-        parts.append(cov / (2.0 * var) if model.normalize else float(np.ldexp(cov, 2 * shift)))
+        if model.normalize:
+            parts.append(cov / (2.0 * var))
+            continue
+        with np.errstate(over="ignore"):
+            parts.append(float(np.ldexp(cov, 2 * shift)))
+        if not math.isfinite(parts[-1]):
+            raise NonFiniteError(f"components[{idx}]: the lag-{tau} autocovariance overflows "
+                                 "the double range; set normalize or scale its coefficients down")
     # each component: its real part, then its imaginary part
     return np.add(parts[:model.d], parts[model.d:])
 

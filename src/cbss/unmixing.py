@@ -39,9 +39,9 @@ class UnmixingResult:
     spacing of ``lambdas``.  Identifiability needs distinct values, so a
     tiny gap is reported rather than treated as an error; as a rule of
     thumb, components whose gap is below ``1e-3`` times the spread
-    ``lambdas[0] - lambdas[-1]`` should not be trusted.  The lab's fits
-    of drawn plane blocks hold one of each per series, stacked along the
-    leading axis.
+    ``lambdas[0] - lambdas[-1]`` should not be trusted.  The lab's fit
+    of a grid length's stacked covariances holds one of each per series,
+    stacked along the leading axis.
     """
 
     gamma: np.ndarray
@@ -106,21 +106,27 @@ def align_phase_to(gamma_hat, gamma_ref) -> np.ndarray:
     return (np.conj(u) / mod)[..., None] * g
 
 
-def _fit_centered(y: np.ndarray, mu: np.ndarray, shift: int, tau: int):
-    """``(result, s0, s_tau)`` of a validated series or block, from its
-    centered part planes ``y`` at scale ``2^shift`` and its time mean ``mu``
-    (``_centered``), with ``tau`` in range: ``gamma`` is ``V^H s0^{-1/2}``
-    with ``V`` the eigenvectors of the whitened ``s_tau``, rows
-    phase-standardized and scaled back by ``2^shift``, which is exact.
-    ``s0`` and ``s_tau`` are those of ``y``."""
-    s0, s_tau = (_hermitian_part(s) for s in _cross_products(y, tau))
+def _fit_covariances(s0: np.ndarray, s_tau: np.ndarray, mu: np.ndarray, shift, tau: int):
+    """``(result, s0, s_tau)`` from the unsymmetrized lag-0 and lag-``tau``
+    autocovariances (``_cross_products``) of centered part planes at scale
+    ``2^shift`` and their time mean ``mu`` (``_centered``), one set or a
+    stack of them, ``shift`` an int or one int per matrix of the stack:
+    ``gamma`` is ``V^H s0^{-1/2}`` with ``V`` the eigenvectors of the
+    whitened ``s_tau``, rows phase-standardized and scaled back by
+    ``2^shift``, which is exact.  The returned ``s0`` and ``s_tau`` are the
+    Hermitian parts, still at scale ``2^shift``.  Each matrix of a stack gets
+    the numbers it would get alone, so the lab fits a grid length's
+    replications at once from the statistics of its blocks."""
+    s0, s_tau = _hermitian_part(s0), _hermitian_part(s_tau)
     sig0 = _inv_sqrt(s0)
     eig = _eigh(_hermitian_part(sig0 @ s_tau @ sig0))
     lam = eig.values
     gap = np.min(lam[..., :-1] - lam[..., 1:], axis=-1, initial=np.inf)
     gamma = _standardize(_conj_t(eig.vectors) @ sig0)
-    result = UnmixingResult(gamma=_ldexp(gamma, shift) if shift else gamma, lambdas=lam, mu=mu,
-                            tau=tau, eigen_gap=float(gap) if gap.ndim == 0 else gap)
+    if np.any(shift):
+        gamma = _ldexp(gamma, np.asarray(shift)[..., None, None])
+    result = UnmixingResult(gamma=gamma, lambdas=lam, mu=mu, tau=tau,
+                            eigen_gap=float(gap) if gap.ndim == 0 else gap)
     return result, s0, s_tau
 
 
@@ -142,7 +148,8 @@ def unmix(x, tau: int) -> UnmixingResult:
     """
     a = _shaped(x)
     tau = _checked_lag(tau, len(a), 1)
-    return _fit_centered(*_centered(_planes(a)), tau)[0]
+    y, mu, shift = _centered(_planes(a))
+    return _fit_covariances(*_cross_products(y, tau), mu, shift, tau)[0]
 
 
 def apply_unmixing(result: UnmixingResult, x) -> np.ndarray:
@@ -175,10 +182,11 @@ def lag_sweep(x, taus) -> list[dict]:
     a = _shaped(x)
     if not hasattr(taus, "__iter__"):
         raise DimensionError(f"taus must be an iterable of lags, got {taus!r}")
-    centered = _centered(_planes(a))
+    y, mu, shift = _centered(_planes(a))
     rows = []
     for tau in taus:
-        res = _fit_centered(*centered, _checked_lag(tau, len(a), 1))[0]
+        tau = _checked_lag(tau, len(a), 1)
+        res = _fit_covariances(*_cross_products(y, tau), mu, shift, tau)[0]
         rows.append({"tau": res.tau, "lambdas": res.lambdas, "eigen_gap": res.eigen_gap})
     rows.sort(key=lambda r: -r["eigen_gap"])
     return rows

@@ -28,6 +28,11 @@ def two_component_model(phis=(0.8, 0.2)):
     return short_range_model(phis=phis)
 
 
+def stacked(block):
+    """The lab's stacked statistics ``(s0, s_tau, mu, shift)`` of a block's rows."""
+    return [np.stack(column) for column in zip(*block)]
+
+
 def test_slope_fit_exact_power_law():
     ts = [2 ** k for k in range(10, 16)]
     slope, stderr = asymlab.fit_loglog_slope(ts, [t ** -0.5 for t in ts])
@@ -453,7 +458,7 @@ def test_pool_hands_out_longest_blocks_first_one_per_message(monkeypatch):
 def test_residual_score_matches_three_estimator_calls():
     # one validation and centering: the same operations as autocov_sym twice
     # and unmix on each of generate's series, so the rows are bitwise equal
-    cfg = small_cfg(tau=2)
+    cfg = small_cfg(tau=2, seed=9, t_grid=(256, 512, 1024))
     lam = genproc.population_lambdas(cfg.model, cfg.tau)
     seeds = [np.random.SeedSequence(9, spawn_key=(0, r)) for r in range(4)]
     want = []
@@ -465,15 +470,15 @@ def test_residual_score_matches_three_estimator_calls():
         resid = (lam[None, :] - lam[:, None]) * gain - (lam[:, None] * s0 - st)
         off = resid[~np.eye(len(lam), dtype=bool)]
         want.append((r_diag, np.max(np.hypot(off.real, off.imag), initial=0.0)))
-    # the lab scores the drawn planes of the same series as one block
-    got = asymlab._residual_score(cfg, genproc._draw(cfg.model, 256, seeds)[0], lam)
+    # the lab draws the same series as one block and scores their statistics
+    got = asymlab._residual_score(cfg, 256, stacked(asymlab._run_block(cfg, (0, 0, 4))), lam)
     assert np.array_equal(got, np.array(want))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
 def test_lab_fit_equals_unmix_of_generated_series_bit_for_bit(d):
     # the lab centers the drawn planes in place, unmix a copy of one row's
-    # series: one centering, one mean, one fit
+    # series: one centering, one mean, the same Gram products and one fit
     base = short_range_model((0.9, 0.7, 0.5, 0.3, 0.1)[:d])
     mixed = genproc.ModelSpec(d=d, components=base.components,
                               mixing=np.eye(d) + 0.3j * np.eye(d)[::-1] + 0.2)
@@ -482,7 +487,9 @@ def test_lab_fit_equals_unmix_of_generated_series_bit_for_bit(d):
             for size in (1, 4):
                 seeds = [np.random.SeedSequence(5, spawn_key=(d, length, r))
                          for r in range(size)]
-                lab = asymlab._fit_drawn(genproc._draw(model, length, seeds)[0], 1)[0]
+                y, mu, shift = estimators._centered(genproc._draw(model, length, seeds)[0])
+                lab = unmixing._fit_covariances(*estimators._cross_products(y, 1), mu, shift,
+                                                1)[0]
                 for rep, seed in enumerate(seeds):
                     public = unmixing.unmix(genproc.generate(model, length, seed)[0], 1)
                     for name in ("gamma", "lambdas", "mu", "eigen_gap"):
@@ -564,9 +571,42 @@ def test_a_block_failing_after_in_place_centering_is_redrawn(monkeypatch, score)
     monkeypatch.setattr(asymlab, "_draw", zeroing)
     rows, failures = asymlab._map_replications(cfg, score, extra)
     assert failures == 1
-    # the other replications of the failed block were drawn again, not re-centered
+    # the other replications of the failed length were scored again alone,
+    # from the statistics of their in-place centered blocks
     monkeypatch.setattr(asymlab, "BLOCK_SAMPLES", 1)
     single, failures = asymlab._map_replications(cfg, score, extra)
+    assert failures == 1
+    for got, want in zip(rows, single):
+        assert np.array_equal(got, want)
+
+
+def test_a_failing_fit_is_scored_again_alone_and_not_drawn_again(monkeypatch):
+    cfg = small_cfg()
+    truth = asymlab._truth(cfg)
+    monkeypatch.delenv("CBSS_THREADS", raising=False)
+    real_draw = asymlab._draw
+    drawn = []
+
+    def zeroing(model, length, seeds):
+        # a zero component of replication 3 of the middle length: its
+        # singular S0 fails the stacked fit of that length
+        x, z = real_draw(model, length, seeds)
+        drawn.append([seed.spawn_key for seed in seeds])
+        for row, seed in zip(x, seeds):
+            if seed.spawn_key == (1, 3):
+                row[[1, model.d + 1]] = 0.0
+        return x, z
+
+    monkeypatch.setattr(asymlab, "_draw", zeroing)
+    rows, failures = asymlab._map_replications(cfg, asymlab._gain_score, truth)
+    assert failures == 1
+    # the block of the failing replication was drawn once, with its neighbours
+    block = [keys for keys in drawn if (1, 3) in keys]
+    assert len(block) == 1 and len(block[0]) > 1
+    assert sorted(key for keys in drawn for key in keys) == sorted(
+        (t_index, rep) for t_index in range(3) for rep in range(cfg.replications))
+    monkeypatch.setattr(asymlab, "BLOCK_SAMPLES", 1)
+    single, failures = asymlab._map_replications(cfg, asymlab._gain_score, truth)
     assert failures == 1
     for got, want in zip(rows, single):
         assert np.array_equal(got, want)
@@ -575,10 +615,11 @@ def test_a_block_failing_after_in_place_centering_is_redrawn(monkeypatch, score)
 @pytest.mark.parametrize("score", ["gain", "residual", "mu"])
 def test_one_lab_block_peaks_at_about_two_block_sizes(score):
     # the block is drawn straight into its part planes, which hold as many
-    # bytes as the complex block, and fitted there from two small Gram
-    # matrices: no complex block, no copy of it and no conjugate buffer.
-    # The rest of the peak is one part's sampler temporaries, the fGn
-    # spectrum and paths under the long-range model
+    # bytes as the complex block, and reduced there to two small Gram
+    # matrices and a mean: no complex block, no copy of it and no conjugate
+    # buffer.  The rest of the peak is one part's sampler temporaries, the
+    # fGn spectrum and paths under the long-range model; scoring the
+    # block's statistics adds matrices of d x d entries only
     import tracemalloc
 
     model = long_range_model(centering="population") if score == "mu" else short_range_model()
@@ -588,10 +629,10 @@ def test_one_lab_block_peaks_at_about_two_block_sizes(score):
                     "residual": (asymlab._residual_score, genproc.population_lambdas(model, 1)),
                     "mu": (asymlab._mu_score, 0.5)}[score]
     task = (2, 0, 4)
-    asymlab._run_block(cfg, score, extra, task)  # fills the sampler's caches
+    asymlab._run_block(cfg, task)  # fills the sampler's caches
     tracemalloc.start()
     try:
-        asymlab._run_block(cfg, score, extra, task)
+        score(cfg, 4096, stacked(asymlab._run_block(cfg, task)), extra)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -599,18 +640,29 @@ def test_one_lab_block_peaks_at_about_two_block_sizes(score):
 
 
 POOL_BLAS = """
+import os
 import numpy as np
 from cbss import asymlab
 
-def threads(cfg, y, extra):
-    return np.full((len(y), 1), float(asymlab._openblas().scipy_openblas_get_num_threads64_()))
+PARENT = os.getpid()
+real_draw = asymlab._draw
+
+def probed_draw(model, length, seeds):
+    # the BLAS thread count of the process that draws the block, on file
+    assert os.getpid() != PARENT, "a block was drawn in the parent"
+    with open(f"threads-{os.getpid()}", "a") as f:
+        f.write(f"{asymlab._openblas().scipy_openblas_get_num_threads64_()}\\n")
+    return real_draw(model, length, seeds)
 
 if __name__ == "__main__":
     asymlab.os.cpu_count = lambda: 2
+    asymlab._draw = probed_draw  # before the pool forks its workers
     cfg = asymlab.RateExperimentConfig(model=asymlab.ModelSpec.from_dict({CONFIG}), tau=1,
                                        t_grid=(64, 128, 256), replications=50, seed=1)
-    rows, _ = asymlab._map_replications(cfg, threads)
-    print(sorted({int(v) for v in np.concatenate(rows)[:, 0]}))
+    asymlab._map_replications(cfg, asymlab._gain_score, asymlab._truth(cfg))
+    files = [name for name in os.listdir() if name.startswith("threads-")]
+    assert files and f"threads-{PARENT}" not in files
+    print(sorted({int(line) for name in files for line in open(name)}))
 """
 
 

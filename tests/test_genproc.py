@@ -6,9 +6,9 @@ import sympy
 from numpy.polynomial import hermite_e
 
 from cbss import estimators, genproc
-from cbss.errors import ConfigError, DimensionError
+from cbss.errors import ConfigError, DimensionError, NonFiniteError
 
-from conftest import short_range_model
+from conftest import ar1_parts, short_range_model
 
 
 def rodrigues_hermite(k):
@@ -582,6 +582,14 @@ def test_population_lambdas_ar1():
                                [0.9, 0.5, 0.1], atol=1e-12)
     np.testing.assert_allclose(genproc.population_lambdas(model, 2),
                                [0.81, 0.25, 0.01], atol=1e-12)
+    # an unnormalized part whose draw is finite but whose autocovariance is
+    # not used to give an infinite lambda with an overflow warning
+    big = genproc.LatentComponentSpec(genproc.Driver("ar1", 0.5),
+                                      genproc.Transform("coeffs", coeffs=(0, 1e200, 1e200)))
+    model = genproc.ModelSpec(d=1, components=[ar1_parts((0.5,))[0], big], normalize=False)
+    assert np.isfinite(genproc.generate(model, 64, 1)[1]).all()
+    with pytest.raises(NonFiniteError, match=r"components\[1\]: the lag-1 autocovariance"):
+        genproc.population_lambdas(model, 1)
 
 
 def test_population_lambdas_quadratic_transform():

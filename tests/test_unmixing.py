@@ -208,8 +208,9 @@ def assert_sweep_matches_unmix(x, taus):
         direct = unmixing.unmix(x, row["tau"])
         np.testing.assert_array_equal(row["lambdas"], direct.lambdas)
         assert row["eigen_gap"] == direct.eigen_gap
-        centered = estimators._centered(estimators._planes(estimators.as_timeseries(x)))
-        _, s0, s_tau = unmixing._fit_centered(*centered, row["tau"])
+        y, mu, shift = estimators._centered(estimators._planes(estimators.as_timeseries(x)))
+        _, s0, s_tau = unmixing._fit_covariances(*estimators._cross_products(y, row["tau"]),
+                                                 mu, shift, row["tau"])
         np.testing.assert_array_equal(s0, estimators.autocov_sym(x, 0))
         np.testing.assert_array_equal(s_tau, estimators.autocov_sym(x, row["tau"]))
 
@@ -330,7 +331,8 @@ def test_stacked_calls_equal_per_matrix_calls(monkeypatch, d):
     real_lsa = metrics.linear_sum_assignment
     monkeypatch.setattr(metrics, "linear_sum_assignment",
                         lambda cost: refined.append(1) or real_lsa(cost))
-    res, s0, s1 = asymlab._fit_drawn(genproc._draw(model, 300, seeds)[0], 1)
+    y, mu, shift = estimators._centered(genproc._draw(model, 300, seeds)[0])
+    res, s0, s1 = unmixing._fit_covariances(*estimators._cross_products(y, 1), mu, shift, 1)
     aligned = unmixing.align_phase_to(res.gamma, linalg.inverse(mixing))
     scores = metrics.md_index(res.gamma, mixing)
     # above ENUMERATION_MAX_D the assignment is refined by the Hungarian solver
