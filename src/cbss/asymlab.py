@@ -18,11 +18,11 @@ keys.  The lab runs in two stages.  The block stage draws each grid
 length's replications in stacked blocks of ``BLOCK_SAMPLES // T`` series
 (at least one, at most all) as the real part planes the model makes
 (``genproc._draw``), centers them in place (``estimators._centered``),
-since the lab never reads a drawn block again, and reduces each series
-to its lag-0 and lag-``tau`` Gram products and its mean
+since the lab never reads a drawn block again, and reduces them to their
+stacked lag-0 and lag-``tau`` Gram products and means
 (``estimators._cross_products``): no complex copy of a block is made.
-The length stage stacks a length's statistics in replication order, and
-one call of a score function fits, aligns and scores them all
+The length stage concatenates a length's block statistics in replication
+order, and one call of a score function fits, aligns and scores them all
 (``unmixing._fit_covariances``), reducing each series to a short vector
 of floats.  ``unmix`` takes the same centering, products and fit, so a
 lab fit equals ``unmix`` of ``generate``'s series bit for bit.  A
@@ -31,14 +31,15 @@ beside it, so reports are bit-identical no matter how many workers run
 the blocks (``CBSS_THREADS`` caps the pool; unset means serial, ``0``
 means all cores, and no value goes past the core count or the block
 count).  The workers return statistics and the parent scores them.
-Each pool worker sets numpy's bundled OpenBLAS to one thread.  A block
-whose draw or centering fails with a ``NumericalError`` is drawn again
-one replication at a time; a length whose score fails with a
-``NumericalError`` or ``PhaseError`` is scored again one replication at a
-time from its statistics, with no draw.  Each failing replication is
-dropped from every statistic and counted in the report's ``failures``;
-when more than ``FAILURE_BUDGET`` of all replications fail, the
-experiment raises ``ExperimentError``.  Any other exception propagates.
+Each pool worker sets numpy's bundled OpenBLAS to one thread.  Both
+stages isolate a failure alike (``_each_alone``): a block whose draw or
+centering fails with a ``NumericalError``, or a length whose score fails
+with a ``NumericalError`` or ``PhaseError``, runs again one replication
+at a time, the score from the statistics, with no draw.  Each failing
+replication is dropped from every statistic and counted in the report's
+``failures``; past ``FAILURE_BUDGET`` of all replications the experiment
+raises ``ExperimentError``, naming a length's draw failures before its
+score failures.  Any other exception propagates.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import linalg
-from .errors import ConfigError, DimensionError, ExperimentError, NumericalError, PhaseError
+from .errors import (ConfigError, DimensionError, ExperimentError, NonFiniteError, NumericalError,
+                     PhaseError)
 # ``autocov_sym``, ``generate`` and ``unmix`` are unused here but stay bound:
 # bench/layers.py traces them, and tests/test_bench_sites.py checks that they resolve
 from .estimators import _centered, _cross_products, autocov_sym
@@ -196,52 +198,45 @@ def _pin_blas() -> None:
         lib.scipy_openblas_set_num_threads64_(1)
 
 
+def _each_alone(run, start: int, stop: int, errors) -> list:
+    """``[run(start, stop)]``, else ``run(i, i + 1)`` for each index alone:
+    an index failing with ``errors`` gets its message in place of its result."""
+    try:
+        return [run(start, stop)]
+    except errors as exc:
+        if stop - start == 1:
+            return [f"{type(exc).__name__}: {exc}"]
+    return [out for i in range(start, stop) for out in _each_alone(run, i, i + 1, errors)]
+
+
 def _run_block(cfg, task) -> list:
     """The statistics of replications ``start..stop-1`` of one length, drawn as one block.
 
-    Returns ``(s0, s_tau, mu, shift)`` per replication (``_centered`` and
-    ``_cross_products``), or a failed replication's message in its place:
-    a block whose draw or centering fails numerically is re-run one
-    replication at a time.
+    Returns the stacked ``(s0, s_tau, mu, shift)`` of each run of
+    replications that drew (``_centered`` and ``_cross_products``, one
+    shift per replication) and a failed replication's message in its place.
     """
     t_index, start, stop = task
-    try:
+
+    def statistics(start, stop):
         seeds = [np.random.SeedSequence(cfg.seed, spawn_key=(t_index, rep))
                  for rep in range(start, stop)]
         y, mu, shift = _centered(_draw(cfg.model, cfg.t_grid[t_index], seeds)[0])
-        return list(zip(*_cross_products(y, cfg.tau), mu, [shift] * len(seeds)))
-    except NumericalError as exc:
-        if stop - start == 1:
-            return [f"{type(exc).__name__}: {exc}"]
-    return [out for rep in range(start, stop)
-            for out in _run_block(cfg, (t_index, rep, rep + 1))]
+        return (*_cross_products(y, cfg.tau), mu, np.full(len(seeds), shift))
 
-
-def _score_length(cfg, score, extra, length: int, stats: list) -> list:
-    """Score rows of one length's statistics, stacked and scored at once.
-
-    A stacked score that fails numerically scores each replication alone,
-    and a failing one gets its message in place of its row.
-    """
-    try:
-        return list(score(cfg, length, [np.stack(column) for column in zip(*stats)], extra))
-    except (NumericalError, PhaseError) as exc:
-        if len(stats) == 1:
-            return [f"{type(exc).__name__}: {exc}"]
-    return [out for one in stats for out in _score_length(cfg, score, extra, length, [one])]
+    return _each_alone(statistics, start, stop, NumericalError)
 
 
 def _map_replications(cfg: RateExperimentConfig, score, extra=None):
     """Run ``score(cfg, T, stats, extra)`` once on every grid length's replications.
 
-    The blocks of ``_run_block`` reduce each replication to its statistics
-    ``(s0, s_tau, mu, shift)``, serially or on the pool.  The parent stacks
-    each length's statistics in replication order, one array per field,
-    into ``stats`` and ``score`` returns one row per replication.
-    Returns ``(rows, failures)``: ``rows[t_index]`` stacks the score rows
-    of that length's successful replications in replication order, and
-    ``failures`` counts the dropped ones.  Raises ``ExperimentError`` when
-    more than ``FAILURE_BUDGET`` of them failed.
+    The blocks of ``_run_block`` run serially or on the pool.  The parent
+    concatenates each length's block statistics in replication order into
+    ``stats``, one array per field, and ``score`` returns one row per
+    replication.  Returns ``(rows, failures)``: ``rows[t_index]`` stacks
+    the score rows of that length's successful replications in replication
+    order, and ``failures`` counts the dropped ones.  Raises
+    ``ExperimentError`` when more than ``FAILURE_BUDGET`` of them failed.
     """
     reps = cfg.replications
     tasks = []
@@ -254,29 +249,28 @@ def _map_replications(cfg: RateExperimentConfig, score, extra=None):
         from concurrent.futures import ProcessPoolExecutor
 
         # longest blocks first, one per message, so no worker idles behind
-        # a long last block; the statistics go back in replication order
-        order = sorted(range(len(tasks)), reverse=True,
-                       key=lambda i: cfg.t_grid[tasks[i][0]] * (tasks[i][2] - tasks[i][1]))
-        blocks = [None] * len(tasks)
+        # a long last block
+        order = sorted(tasks, reverse=True, key=lambda t: cfg.t_grid[t[0]] * (t[2] - t[1]))
         with ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas) as pool:
-            for i, block in zip(order, pool.map(run, [tasks[i] for i in order])):
-                blocks[i] = block
+            blocks = dict(zip(order, pool.map(run, order)))
     else:
-        blocks = [run(task) for task in tasks]
-    stats = [one for block in blocks for one in block]
+        blocks = {task: run(task) for task in tasks}
     out = []
     for t_index, length in enumerate(cfg.t_grid):
-        drawn = stats[t_index * reps:(t_index + 1) * reps]
-        good = [one for one in drawn if not isinstance(one, str)]
-        scored = iter(_score_length(cfg, score, extra, length, good) if good else ())
-        out += [one if isinstance(one, str) else next(scored) for one in drawn]
-    failures = [o for o in out if isinstance(o, str)]
-    if len(failures) > FAILURE_BUDGET * len(out):
+        drawn = [one for task in tasks if task[0] == t_index for one in blocks[task]]
+        stats = [np.concatenate(c) for c in zip(*(o for o in drawn if not isinstance(o, str)))]
+        # a length's draw failures, then its score rows and failures
+        out.append([o for o in drawn if isinstance(o, str)])
+        if stats:
+            out[-1] += _each_alone(
+                lambda start, stop: score(cfg, length, [c[start:stop] for c in stats], extra),
+                0, len(stats[0]), (NumericalError, PhaseError))
+    failures = [o for length in out for o in length if isinstance(o, str)]
+    if len(failures) > FAILURE_BUDGET * reps * len(out):
         raise ExperimentError(
-            f"{len(failures)} of {len(out)} replications failed; first: {failures[0]}")
-    rows = [np.array([o for o in out[i:i + reps] if not isinstance(o, str)])
-            for i in range(0, len(out), reps)]
-    return rows, len(failures)
+            f"{len(failures)} of {reps * len(out)} replications failed; first: {failures[0]}")
+    return [np.concatenate([o for o in length if not isinstance(o, str)])
+            for length in out], len(failures)
 
 
 def _medians(rows, column: int) -> list:
@@ -346,12 +340,16 @@ def fit_loglog_slope(lengths, values) -> tuple[float, float]:
     """Least-squares slope of ``log(values)`` against ``log(lengths)``.
 
     Returns ``(slope, stderr)``; the standard error comes from the usual
-    residual-variance formula (zero when only two points are given).
+    residual-variance formula (zero when only two points are given).  Both
+    sequences must be 1-D (else ``DimensionError``), positive and finite
+    (else ``NonFiniteError``).
     """
-    lx = np.log(np.asarray(lengths, dtype=float))
-    ly = np.log(np.asarray(values, dtype=float))
-    if lx.size != ly.size or lx.size < 2:
-        raise DimensionError("need equally many lengths and values, at least two")
+    lx, ly = np.asarray(lengths, dtype=float), np.asarray(values, dtype=float)
+    if lx.ndim != 1 or lx.shape != ly.shape or lx.size < 2:
+        raise DimensionError("need equally many lengths and values, at least two, both 1-D")
+    if not np.all((np.minimum(lx, ly) > 0) & (np.maximum(lx, ly) < np.inf)):
+        raise NonFiniteError("lengths and values must be positive and finite")
+    lx, ly = np.log(lx), np.log(ly)
     slope, intercept = np.polyfit(lx, ly, 1)
     n = lx.size
     if n == 2:
@@ -366,11 +364,14 @@ def normality_diagnostic(samples) -> float:
     """Two-sided KS statistic of the standardized samples against the standard normal.
 
     The samples are standardized internally (subtract mean, divide by the
-    sample standard deviation); at least 20 are needed.
+    sample standard deviation); at least 20 finite ones in a 1-D sequence
+    are needed.
     """
-    s = np.asarray(samples, dtype=float).reshape(-1)
-    if s.size < 20:
-        raise DimensionError(f"need at least 20 samples, got {s.size}")
+    s = np.asarray(samples, dtype=float)
+    if s.ndim != 1 or s.size < 20:
+        raise DimensionError(f"need at least 20 samples in one dimension, got shape {s.shape}")
+    if not np.isfinite(s).all():
+        raise NonFiniteError("the samples hold a NaN or an infinity")
     sd = s.std(ddof=1)
     if sd <= 0:
         raise NumericalError("zero variance; statistic undefined")

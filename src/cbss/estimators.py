@@ -143,13 +143,19 @@ def autocov_unsym(x, tau: int) -> np.ndarray:
 
     Entry ``(j, k)`` is ``sum_t (x_t[j] - mu[j]) * conj(x_{t+tau}[k] - mu[k])``
     divided by ``T - 1`` (lag 0) or ``T - tau``.  ``tau`` is an integer in
-    ``[0, T - 2]``; any other lag raises ``DimensionError``.
+    ``[0, T - 2]``; any other lag raises ``DimensionError``, and a matrix
+    that leaves the double range raises ``NonFiniteError``.
     """
     a = _shaped(x)
     tau = _checked_lag(tau, len(a), 0)
     y, _, shift = _centered(_planes(a))
     s = _cross_products(y, tau)[1]
-    return _ldexp(s, -2 * shift) if shift else s
+    if shift:
+        with np.errstate(over="ignore"):
+            s = _ldexp(s, -2 * shift)
+        if not np.isfinite(s).all():
+            raise NonFiniteError(f"the lag-{tau} autocovariance overflows the double range")
+    return s
 
 
 def autocov_sym(x, tau: int) -> np.ndarray:

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError
+from .genproc import _rngs
 from .metrics import md_index
 from .unmixing import apply_unmixing, unmix
 
@@ -186,8 +187,9 @@ def _render(series: np.ndarray, width: int, height: int) -> list[RgbImage]:
 
 
 def random_mixing(seed, d: int = 3) -> np.ndarray:
-    """Identity plus uniform(-1/2, 1/2) real and imaginary perturbations."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    """Identity plus uniform(-1/2, 1/2) real and imaginary perturbations; ``seed``
+    is a non-negative int or a ``SeedSequence``, anything else a ``ConfigError``."""
+    rng = _rngs([seed])[0]
     e = rng.uniform(-0.5, 0.5, size=(d, d))
     f = rng.uniform(-0.5, 0.5, size=(d, d))
     return np.eye(d) + e + 1j * f

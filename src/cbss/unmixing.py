@@ -52,6 +52,8 @@ class UnmixingResult:
 
 
 def _standardize(g: np.ndarray) -> np.ndarray:
+    """Rows of a square matrix or stack rotated onto a real non-negative diagonal;
+    ``PhaseError`` at a diagonal modulus of ``PHASE_TOL`` times its row or less."""
     diag = np.diagonal(g, axis1=-2, axis2=-1)
     mod = np.abs(diag)
     # relative to the row's largest modulus, so that the test is scale-free
@@ -65,19 +67,6 @@ def _standardize(g: np.ndarray) -> np.ndarray:
     idx = np.arange(g.shape[-1])
     out[..., idx, idx] = mod
     return out
-
-
-def standardize_phase(gamma) -> np.ndarray:
-    """Rotate each row so the diagonal entry is real and non-negative.
-
-    Takes a square matrix or a stack of them.  Raises ``PhaseError`` when
-    a diagonal entry's modulus is at most ``PHASE_TOL`` times the largest
-    modulus in its row (the canonical representative is undefined there).
-    """
-    g = linalg.as_cmatrix(gamma)
-    if g.shape[-2] != g.shape[-1] or not g.shape[-1]:
-        raise DimensionError(f"expected a non-empty square matrix, got {g.shape}")
-    return _standardize(g)
 
 
 def align_phase_to(gamma_hat, gamma_ref) -> np.ndarray:

@@ -28,11 +28,6 @@ def two_component_model(phis=(0.8, 0.2)):
     return short_range_model(phis=phis)
 
 
-def stacked(block):
-    """The lab's stacked statistics ``(s0, s_tau, mu, shift)`` of a block's rows."""
-    return [np.stack(column) for column in zip(*block)]
-
-
 def test_slope_fit_exact_power_law():
     ts = [2 ** k for k in range(10, 16)]
     slope, stderr = asymlab.fit_loglog_slope(ts, [t ** -0.5 for t in ts])
@@ -471,7 +466,7 @@ def test_residual_score_matches_three_estimator_calls():
         off = resid[~np.eye(len(lam), dtype=bool)]
         want.append((r_diag, np.max(np.hypot(off.real, off.imag), initial=0.0)))
     # the lab draws the same series as one block and scores their statistics
-    got = asymlab._residual_score(cfg, 256, stacked(asymlab._run_block(cfg, (0, 0, 4))), lam)
+    got = asymlab._residual_score(cfg, 256, asymlab._run_block(cfg, (0, 0, 4))[0], lam)
     assert np.array_equal(got, np.array(want))
 
 
@@ -612,6 +607,38 @@ def test_a_failing_fit_is_scored_again_alone_and_not_drawn_again(monkeypatch):
         assert np.array_equal(got, want)
 
 
+def test_a_draw_failure_and_a_fit_failure_in_one_length(monkeypatch):
+    cfg = small_cfg(replications=100)  # two failures within the budget
+    truth = asymlab._truth(cfg)
+    monkeypatch.delenv("CBSS_THREADS", raising=False)
+    real_draw = asymlab._draw
+
+    def poisoning(model, length, seeds):
+        # replication 3 of the middle length fails its draw, replication 7
+        # its fit
+        x, z = real_draw(model, length, seeds)
+        for row, seed in zip(x, seeds):
+            if seed.spawn_key == (1, 3):
+                row[0, 5] = np.nan
+            if seed.spawn_key == (1, 7):
+                row[[1, model.d + 1]] = 0.0
+        return x, z
+
+    monkeypatch.setattr(asymlab, "_draw", poisoning)
+    rows, failures = asymlab._map_replications(cfg, asymlab._gain_score, truth)
+    assert failures == 2
+    assert [len(r) for r in rows] == [100, 98, 100]
+    monkeypatch.setattr(asymlab, "BLOCK_SAMPLES", 1)
+    single, failures = asymlab._map_replications(cfg, asymlab._gain_score, truth)
+    assert failures == 2
+    for got, want in zip(rows, single):
+        assert np.array_equal(got, want)
+    # the draw failures of a length are named before its fit failures
+    monkeypatch.setattr(asymlab, "FAILURE_BUDGET", 0.0)
+    with pytest.raises(ExperimentError, match="2 of 300 replications failed; first: NonFinite"):
+        asymlab._map_replications(cfg, asymlab._gain_score, truth)
+
+
 @pytest.mark.parametrize("score", ["gain", "residual", "mu"])
 def test_one_lab_block_peaks_at_about_two_block_sizes(score):
     # the block is drawn straight into its part planes, which hold as many
@@ -632,7 +659,7 @@ def test_one_lab_block_peaks_at_about_two_block_sizes(score):
     asymlab._run_block(cfg, task)  # fills the sampler's caches
     tracemalloc.start()
     try:
-        score(cfg, 4096, stacked(asymlab._run_block(cfg, task)), extra)
+        score(cfg, 4096, asymlab._run_block(cfg, task)[0], extra)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -692,13 +719,26 @@ def test_programming_error_in_a_replication_propagates(monkeypatch):
         asymlab.run_rate_experiment(small_cfg())
 
 
-def test_failure_budget_aborts():
+def test_failure_budget_aborts(monkeypatch):
     # an all-zero transform makes every covariance singular
     dead = genproc.Transform("coeffs", coeffs=(0.0,))
     parts = [genproc.LatentComponentSpec(genproc.Driver("iid"), dead)] * 4
     model = genproc.ModelSpec(d=2, components=parts, normalize=False)
     with pytest.raises(ExperimentError):
         asymlab.run_rate_experiment(small_cfg(model=model))
+    # so does a length whose every draw fails, which leaves nothing to score
+    real_draw = asymlab._draw
+
+    def poisoning(model, length, seeds):
+        x, z = real_draw(model, length, seeds)
+        if length == 128:
+            x[...] = np.nan
+        return x, z
+
+    monkeypatch.delenv("CBSS_THREADS", raising=False)
+    monkeypatch.setattr(asymlab, "_draw", poisoning)
+    with pytest.raises(ExperimentError, match="50 of 150 replications failed; first: NonFinite"):
+        asymlab.run_rate_experiment(small_cfg())
 
 
 def test_md_metric_short_range_slope():

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import cbss
-from cbss import estimators, genproc, metrics, unmixing
+from cbss import asymlab, estimators, genproc, metrics, unmixing
 from cbss import imagepipe as ip
-from cbss.errors import CbssError, ConfigError, DimensionError, PhaseError, SingularMatrixError
+from cbss.errors import (CbssError, ConfigError, DimensionError, NonFiniteError, PhaseError,
+                         SingularMatrixError)
 
 from conftest import short_range_model
 
@@ -60,10 +61,15 @@ def series(seed=1):
     return genproc.generate(short_range_model(), 64, seed)[0]
 
 
+#: A unit-scale 64 x 2 series at 2^600: its covariances leave the double range.
+HUGE = genproc.generate(short_range_model((0.8, 0.2)), 64, 1)[0] * 2.0 ** 600
+NOISE = [ip.RgbImage(8, 8, np.random.default_rng(k).integers(0, 256, (8, 8, 3), dtype=np.uint8))
+         for k in range(3)]
+
+
 @pytest.mark.parametrize("call, error", [
     (lambda: metrics.solve_assignment([[np.nan, 1.0], [1.0, 0.0]]), CbssError),
     (lambda: metrics.solve_assignment(np.zeros((0, 0))), CbssError),
-    (lambda: unmixing.standardize_phase(np.zeros((0, 0))), CbssError),
     (lambda: genproc.generate(IID, 16, -1), CbssError),
     (lambda: genproc.hermite_rank(genproc.Transform("coeffs", coeffs=(3.0, 0.0))), CbssError),
     (lambda: ip.rgb_to_complex(ip.RgbImage(1, 1, np.full((1, 1, 3), 128, dtype=np.uint8))),
@@ -87,10 +93,23 @@ def series(seed=1):
      PhaseError),
     (lambda: metrics.md_index(np.stack([np.eye(2), np.diag([1.0, 0.0])]), np.eye(2)),
      SingularMatrixError),
-], ids=["nan-cost", "empty-cost", "empty-phase", "generate-seed-1", "rank", "off-surface",
+    (lambda: estimators.autocov_unsym(HUGE, 1), NonFiniteError),
+    (lambda: estimators.autocov_sym(HUGE, 1), NonFiniteError),
+    (lambda: asymlab.fit_loglog_slope([1, 2, 3], [1, 0, 1]), NonFiniteError),
+    (lambda: asymlab.fit_loglog_slope([-1, 2, 3], [1, 2, 3]), NonFiniteError),
+    (lambda: asymlab.fit_loglog_slope([[1, 2], [3, 4]], [[1, 2], [3, 4]]), DimensionError),
+    (lambda: asymlab.normality_diagnostic([np.nan] * 30), NonFiniteError),
+    (lambda: asymlab.normality_diagnostic([*range(29), np.inf]), NonFiniteError),
+    (lambda: ip.random_mixing(-1), ConfigError),
+    (lambda: ip.random_mixing(1.5), ConfigError),
+    (lambda: ip.separate_images(NOISE, seed=-1), ConfigError),
+], ids=["nan-cost", "empty-cost", "generate-seed-1", "rank", "off-surface",
         "unmix-empty-block", "unmix-block", "lag-sweep-block", "apply-empty-block", "apply-block",
         "as-timeseries-block", "sample-mean-block", "autocov-unsym-block", "autocov-sym-block",
-        "generate-empty-list", "generate-list", "lag-sweep-int", "align-stack", "md-stack"])
+        "generate-empty-list", "generate-list", "lag-sweep-int", "align-stack", "md-stack",
+        "autocov-unsym-overflow", "autocov-sym-overflow", "slope-zero", "slope-negative",
+        "slope-2d", "ks-nan", "ks-inf", "mixing-seed-negative", "mixing-seed-float",
+        "image-seed-negative"])
 def test_public_calls_raise_a_package_error(call, error):
     with pytest.raises(error):
         call()

@@ -93,7 +93,7 @@ def test_apply_unmixing_dimension_mismatch():
 
 def test_standardize_phase_closed_form():
     gamma = np.diag([np.exp(1j * np.pi / 4)])
-    out = unmixing.standardize_phase(gamma)
+    out = unmixing._standardize(gamma)
     np.testing.assert_allclose(out, [[1.0]], atol=1e-15)
     np.testing.assert_allclose(np.exp(-1j * np.pi / 4) * gamma, out, atol=1e-15)
 
@@ -101,16 +101,16 @@ def test_standardize_phase_closed_form():
 def test_standardize_phase_idempotent(rng):
     gamma = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     gamma += 3 * np.eye(3)  # keep the diagonal well away from zero
-    out = unmixing.standardize_phase(gamma)
-    np.testing.assert_allclose(unmixing.standardize_phase(out), out, atol=1e-15)
+    out = unmixing._standardize(gamma)
+    np.testing.assert_allclose(unmixing._standardize(out), out, atol=1e-15)
 
 
 def test_standardize_phase_row_scaling_invariance(rng):
     gamma = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) + 2 * np.eye(3)
     phases = rng.uniform(0, 2 * np.pi, 3)
     rotated = np.exp(1j * phases)[:, None] * gamma
-    out_a = unmixing.standardize_phase(gamma)
-    out_b = unmixing.standardize_phase(rotated)
+    out_a = unmixing._standardize(gamma)
+    out_b = unmixing._standardize(rotated)
     np.testing.assert_allclose(out_a, out_b, atol=1e-13)
     # moduli of the diagonal are preserved exactly
     np.testing.assert_array_equal(np.diag(out_b), np.abs(np.diag(rotated)))
@@ -118,7 +118,7 @@ def test_standardize_phase_row_scaling_invariance(rng):
 
 def test_standardize_phase_zero_diagonal():
     with pytest.raises(PhaseError):
-        unmixing.standardize_phase(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+        unmixing._standardize(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
 
 
 def test_align_phase_exact_class_member(rng):
@@ -174,11 +174,11 @@ def test_fit_is_scale_free_at_decimal_factors(factor):
 
 def test_phase_tolerances_follow_the_row_scale():
     tiny = 1e-20 * np.array([[1j, 2.0], [0.5, -1.0]])
-    np.testing.assert_allclose(unmixing.standardize_phase(tiny),
+    np.testing.assert_allclose(unmixing._standardize(tiny),
                                1e-20 * np.array([[1.0, -2j], [-0.5, 1.0]]), rtol=1e-15)
     np.testing.assert_allclose(unmixing.align_phase_to(tiny, tiny / 1e-20), tiny, rtol=1e-15)
     with pytest.raises(PhaseError):
-        unmixing.standardize_phase(np.array([[1e-15, 1.0], [0.0, 1.0]]))
+        unmixing._standardize(np.array([[1e-15, 1.0], [0.0, 1.0]]))
 
 
 def test_align_phase_orthogonal_rows():
