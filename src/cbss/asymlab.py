@@ -298,7 +298,7 @@ def _gain_score(cfg: RateExperimentConfig, length: int, stats, extra):
             err = np.sqrt(np.sum((diff ** 2).reshape(b, -1), axis=1))
         else:
             err = np.max(diff.reshape(b, -1), axis=1)
-        err = np.ldexp(err, shift)
+        err = linalg._ldexp(err, shift, "the error")
     return np.column_stack((err, diag_err, off_err, gain.reshape(b, -1).view(float)))
 
 
@@ -341,12 +341,12 @@ def fit_loglog_slope(lengths, values) -> tuple[float, float]:
 
     Returns ``(slope, stderr)``; the standard error comes from the usual
     residual-variance formula (zero when only two points are given).  Both
-    sequences must be 1-D (else ``DimensionError``), positive and finite
-    (else ``NonFiniteError``).
+    sequences must be 1-D, the lengths distinct (else ``DimensionError``),
+    positive and finite (else ``NonFiniteError``).
     """
     lx, ly = np.asarray(lengths, dtype=float), np.asarray(values, dtype=float)
-    if lx.ndim != 1 or lx.shape != ly.shape or lx.size < 2:
-        raise DimensionError("need equally many lengths and values, at least two, both 1-D")
+    if lx.ndim != 1 or lx.shape != ly.shape or np.unique(lx).size < max(lx.size, 2):
+        raise DimensionError("need equally many values and distinct lengths, at least two, 1-D")
     if not np.all((np.minimum(lx, ly) > 0) & (np.maximum(lx, ly) < np.inf)):
         raise NonFiniteError("lengths and values must be positive and finite")
     lx, ly = np.log(lx), np.log(ly)
@@ -363,15 +363,16 @@ def fit_loglog_slope(lengths, values) -> tuple[float, float]:
 def normality_diagnostic(samples) -> float:
     """Two-sided KS statistic of the standardized samples against the standard normal.
 
-    The samples are standardized internally (subtract mean, divide by the
-    sample standard deviation); at least 20 finite ones in a 1-D sequence
-    are needed.
+    The samples are standardized internally (brought to unit scale by one exact
+    power of two, then less their mean, over their sample standard deviation), so
+    the statistic is free of their scale; at least 20 finite ones, in 1-D, are needed.
     """
     s = np.asarray(samples, dtype=float)
     if s.ndim != 1 or s.size < 20:
         raise DimensionError(f"need at least 20 samples in one dimension, got shape {s.shape}")
     if not np.isfinite(s).all():
         raise NonFiniteError("the samples hold a NaN or an infinity")
+    s = linalg._pow2_scaled(s)
     sd = s.std(ddof=1)
     if sd <= 0:
         raise NumericalError("zero variance; statistic undefined")

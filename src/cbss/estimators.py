@@ -32,10 +32,10 @@ from .errors import DimensionError, NonFiniteError
 from .linalg import _hermitian_part, _ldexp
 
 #: Series whose largest part lies outside ``2^-SCALE_EXPONENT .. 2^SCALE_EXPONENT``
-#: are brought to unit scale.  Inside, the products lose no digits to
-#: subnormal squares, and ``T`` times the largest square stays a normal
-#: double for any ``T`` below ``2^200``.
-SCALE_EXPONENT = 400
+#: are brought to unit scale.  Inside, no square is subnormal, ``T`` times the
+#: largest stays normal for ``T`` below ``2^600``, and no covariance nears the norms
+#: (about ``2^+-485``) at which LAPACK's eigensolver rescales by a non-power of two.
+SCALE_EXPONENT = 200
 
 
 def _shaped(x, min_length: int = 2) -> np.ndarray:
@@ -138,6 +138,15 @@ def sample_mean(x) -> np.ndarray:
     return _centered(_planes(_shaped(x, min_length=1)))[1]
 
 
+def _autocov(x, tau: int, part) -> np.ndarray:
+    """``part`` of the lag-``tau`` autocovariance, taken before the scale-back."""
+    a = _shaped(x)
+    tau = _checked_lag(tau, len(a), 0)
+    y, _, shift = _centered(_planes(a))
+    s = part(_cross_products(y, tau)[1])
+    return _ldexp(s, -2 * shift, f"the lag-{tau} autocovariance") if shift else s
+
+
 def autocov_unsym(x, tau: int) -> np.ndarray:
     """Unsymmetrized lag-``tau`` autocovariance matrix.
 
@@ -146,18 +155,10 @@ def autocov_unsym(x, tau: int) -> np.ndarray:
     ``[0, T - 2]``; any other lag raises ``DimensionError``, and a matrix
     that leaves the double range raises ``NonFiniteError``.
     """
-    a = _shaped(x)
-    tau = _checked_lag(tau, len(a), 0)
-    y, _, shift = _centered(_planes(a))
-    s = _cross_products(y, tau)[1]
-    if shift:
-        with np.errstate(over="ignore"):
-            s = _ldexp(s, -2 * shift)
-        if not np.isfinite(s).all():
-            raise NonFiniteError(f"the lag-{tau} autocovariance overflows the double range")
-    return s
+    return _autocov(x, tau, np.asarray)
 
 
 def autocov_sym(x, tau: int) -> np.ndarray:
-    """Symmetrized lag-``tau`` autocovariance; always conjugate symmetric."""
-    return _hermitian_part(autocov_unsym(x, tau))
+    """Symmetrized lag-``tau`` autocovariance; always conjugate symmetric.  Its
+    halves are taken before the scale-back, so that none is subnormal."""
+    return _autocov(x, tau, _hermitian_part)

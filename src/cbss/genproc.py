@@ -30,7 +30,7 @@ import numpy as np
 from numpy.polynomial import hermite_e
 
 from . import fourier, linalg
-from .errors import ConfigError, DimensionError, NonFiniteError, NumericalError
+from .errors import ConfigError, DimensionError, NumericalError
 from .estimators import _complex
 
 #: Largest Hermite degree handled by the double-precision recurrence.
@@ -576,11 +576,7 @@ def _draw(model: ModelSpec, length: int, seeds) -> tuple[np.ndarray, np.ndarray]
         if model.normalize:
             np.divide(y, np.sqrt(2.0 * var), out=z[:, idx])
         else:
-            with np.errstate(over="ignore"):
-                np.ldexp(y, shift, out=z[:, idx])
-            if not np.isfinite(z[:, idx]).all():
-                raise NonFiniteError(f"components[{idx}]: the part overflows the double "
-                                     "range; set normalize or scale its coefficients down")
+            z[:, idx] = linalg._ldexp(y, shift, f"components[{idx}]: the part")
         # no part outlives its copy into z
         del raw, y
     if model.normalize and model.centering == "empirical":
@@ -641,14 +637,8 @@ def population_lambdas(model: ModelSpec, tau: int) -> np.ndarray:
         # from the coefficients at unit scale: no square overflows or underflows
         c, var, shift = transform_moments(spec.transform)
         cov = float(np.sum(_FACTORIALS[1:c.size] * c[1:] ** 2 * rho ** np.arange(1, c.size)))
-        if model.normalize:
-            parts.append(cov / (2.0 * var))
-            continue
-        with np.errstate(over="ignore"):
-            parts.append(float(np.ldexp(cov, 2 * shift)))
-        if not math.isfinite(parts[-1]):
-            raise NonFiniteError(f"components[{idx}]: the lag-{tau} autocovariance overflows "
-                                 "the double range; set normalize or scale its coefficients down")
+        parts.append(cov / (2.0 * var) if model.normalize else linalg._ldexp(
+            cov, 2 * shift, f"components[{idx}]: the lag-{tau} autocovariance"))
     # each component: its real part, then its imaginary part
     return np.add(parts[:model.d], parts[model.d:])
 

@@ -57,10 +57,16 @@ def _conj_t(m: np.ndarray) -> np.ndarray:
     return np.swapaxes(m.conj(), -1, -2)
 
 
-def _ldexp(m: np.ndarray, k) -> np.ndarray:
-    """``m * 2^k`` for a complex array, exact unless it leaves the double range;
-    ``k`` is an int or, to scale each row by its own power, ints of shape ``(..., 1)``."""
-    return np.ldexp(np.ascontiguousarray(m).view(np.float64), k).view(np.complex128)
+def _ldexp(m, k, what: str = "the result") -> np.ndarray:
+    """``m * 2^k`` for a real or complex array, exact while it stays normal; beyond
+    the double range, ``NonFiniteError`` names ``what``.  ``k`` is an int or, to
+    scale each row by its own power, ints of shape ``(..., 1)``."""
+    cplx = np.iscomplexobj(m)
+    with np.errstate(over="ignore"):
+        out = np.ldexp(np.ascontiguousarray(m).view(np.float64) if cplx else m, k)
+    if not np.isfinite(out).all():
+        raise NonFiniteError(f"{what} overflows the double range")
+    return out.view(np.complex128) if cplx else out
 
 
 def _pow2_scaled(m: np.ndarray, axis=None) -> np.ndarray:
@@ -171,6 +177,9 @@ def inverse(m) -> np.ndarray:
     n = a.shape[0]
     if n == 0:
         raise DimensionError("cannot invert an empty matrix")
+    # inverted at unit scale and scaled back, so that no pivot or reciprocal is subnormal
+    _, exponent = np.frexp(np.max(np.abs(a)))
+    a = _ldexp(a, -exponent)
     s = np.linalg.svd(a, compute_uv=False)
     if s[-1] <= n * np.finfo(float).eps * s[0]:
         raise SingularMatrixError(
@@ -179,6 +188,4 @@ def inverse(m) -> np.ndarray:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"LU factorization failed: {exc}") from None
-    if not np.isfinite(inv).all():
-        raise NonFiniteError(f"inverse not finite: singular values span [{s[-1]:.3e}, {s[0]:.3e}]")
-    return inv
+    return _ldexp(inv, -exponent, "the inverse")

@@ -113,7 +113,7 @@ def _fit_covariances(s0: np.ndarray, s_tau: np.ndarray, mu: np.ndarray, shift, t
     gap = np.min(lam[..., :-1] - lam[..., 1:], axis=-1, initial=np.inf)
     gamma = _standardize(_conj_t(eig.vectors) @ sig0)
     if np.any(shift):
-        gamma = _ldexp(gamma, np.asarray(shift)[..., None, None])
+        gamma = _ldexp(gamma, np.asarray(shift)[..., None, None], "the unmixing matrix")
     result = UnmixingResult(gamma=gamma, lambdas=lam, mu=mu, tau=tau,
                             eigen_gap=float(gap) if gap.ndim == 0 else gap)
     return result, s0, s_tau
@@ -122,16 +122,16 @@ def _fit_covariances(s0: np.ndarray, s_tau: np.ndarray, mu: np.ndarray, shift, t
 def unmix(x, tau: int) -> UnmixingResult:
     """Fit the unmixing matrix from the lag-0 and lag-``tau`` autocovariances.
 
-    ``x`` is one ``(T, d)`` series.  The fit is scale-free: ``unmix(c * x).gamma``
-    is ``unmix(x).gamma / c`` up to rounding for any ``c`` that keeps ``x``
-    finite and normal.
+    ``x`` is one ``(T, d)`` series.  The fit is scale-free: ``unmix(x * 2^k)``
+    is ``unmix(x)`` with ``gamma`` times ``2^-k`` and ``mu`` times ``2^k``,
+    bit for bit, wherever these stay normal.
 
     Raises
     ------
     DimensionError
         If ``x`` is not one series or ``tau`` is not an integer in ``[1, T-2]``.
     NonFiniteError
-        If ``x`` holds a NaN or an infinity.
+        If ``x`` holds a NaN or an infinity, or ``gamma`` leaves the double range.
     NotPositiveDefiniteError
         If the sample covariance is degenerate.
     """

@@ -128,6 +128,18 @@ def test_unmix_fits_at_any_scale_and_a_degenerate_series_is_numerical_failure(tm
     assert "Traceback" not in proc.stderr
 
 
+def test_unmix_refuses_a_gamma_beyond_the_double_range(tmp_path):
+    # cells near 1e-320 need a gamma near 2^1060: it used to be written as
+    # inf with exit 0, the latent as nan, and numpy's warnings on stderr
+    x, _ = genproc.generate(short_range_model(), 512, seed=4)
+    tiny = np.ldexp(x.real, -1060) + 1j * np.ldexp(x.imag, -1060)
+    cli.write_complex_csv(tmp_path / "x.csv", tiny)
+    proc = run_cli("unmix", "--input", "x.csv", "--tau", "1", "--out", "y_", cwd=tmp_path)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("cbss: numerical failure: the unmixing matrix overflows")
+    assert "Warning" not in proc.stderr and not (tmp_path / "y_gamma.csv").exists()
+
+
 def test_md_zero_row_gain_is_numerical_failure(tmp_path):
     cli.write_complex_csv(tmp_path / "g.csv", np.array([[1.0, 0.0], [0.0, 0.0]]))
     cli.write_complex_csv(tmp_path / "a.csv", np.eye(2))
