@@ -222,7 +222,7 @@ def _run_block(cfg, task) -> list:
         seeds = [np.random.SeedSequence(cfg.seed, spawn_key=(t_index, rep))
                  for rep in range(start, stop)]
         y, mu, shift = _centered(_draw(cfg.model, cfg.t_grid[t_index], seeds)[0])
-        return (*_cross_products(y, cfg.tau), mu, np.full(len(seeds), shift))
+        return (*_cross_products(y, cfg.tau), mu, shift)
 
     return _each_alone(statistics, start, stop, NumericalError)
 
@@ -310,6 +310,9 @@ def _truth(cfg: RateExperimentConfig):
 
 def _residual_score(cfg: RateExperimentConfig, length: int, stats, lam):
     fit, s0, st = _fit_covariances(*stats, cfg.tau)
+    # the fit's covariances are at unit scale; the expansion reads them at the model's
+    back = -2 * stats[3][:, None, None]
+    s0, st = linalg._ldexp(s0, back), linalg._ldexp(st, back)
     # trivial mixing: the gain is the standardized estimate
     gain = fit.gamma
     diag = np.diagonal(gain, axis1=1, axis2=2)

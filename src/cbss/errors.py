@@ -22,7 +22,7 @@ class NotPositiveDefiniteError(NumericalError):
 
 
 class NonConvergenceError(NumericalError):
-    """Iterative solver hit its iteration cap without converging."""
+    """LAPACK's Hermitian eigensolver (``numpy.linalg.eigh``) did not converge."""
 
 
 class NonFiniteError(NumericalError, ValueError):

@@ -18,24 +18,16 @@ and ``autocov_sym(x, tau)`` equal the fit's ``S0`` and ``S_tau`` bit for
 bit.  The lab's blocks ``(B, 2d, T)`` go through the same kernels, each
 series taking the product it would take alone.
 
-The products are scale-free: a series far from unit scale is brought to
-it by one power of two, which is exact, and the results are scaled back.
+The products are scale-free: every series is brought to unit scale by its
+own power of two, which is exact, and the results are scaled back.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from .errors import DimensionError, NonFiniteError
 from .linalg import _hermitian_part, _ldexp
-
-#: Series whose largest part lies outside ``2^-SCALE_EXPONENT .. 2^SCALE_EXPONENT``
-#: are brought to unit scale.  Inside, no square is subnormal, ``T`` times the
-#: largest stays normal for ``T`` below ``2^600``, and no covariance nears the norms
-#: (about ``2^+-485``) at which LAPACK's eigensolver rescales by a non-power of two.
-SCALE_EXPONENT = 200
 
 
 def _shaped(x, min_length: int = 2) -> np.ndarray:
@@ -88,31 +80,30 @@ def _complex(planes: np.ndarray) -> np.ndarray:
     return np.swapaxes(out, -1, -2)
 
 
-def _centered(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """``(y, mu, shift)``: part planes centered in place, their time mean and scale.
+def _centered(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(y, mu, shift)``: part planes centered in place at unit scale, their mean and scale.
 
-    ``y`` holds real part planes ``(..., 2d, T)`` and is overwritten.  One
-    pass each takes the largest and the smallest part: a non-finite one
-    raises ``NonFiniteError``, and a largest modulus outside
-    ``[2^-SCALE_EXPONENT, 2^SCALE_EXPONENT]`` sets ``shift`` so that ``y``
-    ends as the centered planes of the input times ``2^shift``, whose
-    largest part lies in ``[1/2, 1)``.  ``mu`` is the complex mean of the
-    input itself.
+    ``y`` holds the real part planes ``(..., 2d, T)`` of one series or a
+    block of them and is overwritten.  A non-finite part raises
+    ``NonFiniteError``.  Each series is multiplied by ``2^shift``, its own
+    ``shift`` (int32) the negated ``frexp`` exponent of its largest part, so
+    that part lies in ``[1/2, 1)``, and is then centered.  So a series has
+    the same unit-scale planes alone, in any block or scaled by any exact
+    ``2^k``.  ``mu`` is the complex mean of the input itself.
     """
-    # np.max, not max(): a NaN in either place must reach the check
-    top = np.max([np.max(y), -np.min(y)])
-    if not np.isfinite(top):
+    # np.maximum, not max(): a NaN at either end must reach the check
+    top = np.maximum(np.max(y, axis=(-2, -1)), -np.min(y, axis=(-2, -1)))
+    if not np.isfinite(top).all():
         raise NonFiniteError("time series contains non-finite entries")
-    shift = 0
-    if top and not 2.0 ** -SCALE_EXPONENT <= top <= 2.0 ** SCALE_EXPONENT:
-        shift = -math.frexp(top)[1]
-        np.ldexp(y, shift, out=y)
+    # int32: ldexp casts wider exponents through a buffer
+    shift = -np.frexp(top)[1]
+    np.ldexp(y, shift[..., None, None], out=y)
     mean = y.mean(axis=-1)
     # C order: on time-major planes the default order takes a 64 KB ufunc
     # buffer, which moves the heap and a CLI run's peak memory
     np.subtract(y, mean[..., None], out=y, order="C")
     mu = _complex(mean[..., None])[..., 0, :]
-    return y, (_ldexp(mu, -shift) if shift else mu), shift
+    return y, _ldexp(mu, -shift[..., None]), shift
 
 
 def _lag_matrix(p: np.ndarray, divisor: int) -> np.ndarray:
@@ -143,8 +134,7 @@ def _autocov(x, tau: int, part) -> np.ndarray:
     a = _shaped(x)
     tau = _checked_lag(tau, len(a), 0)
     y, _, shift = _centered(_planes(a))
-    s = part(_cross_products(y, tau)[1])
-    return _ldexp(s, -2 * shift, f"the lag-{tau} autocovariance") if shift else s
+    return _ldexp(part(_cross_products(y, tau)[1]), -2 * shift, f"the lag-{tau} autocovariance")
 
 
 def autocov_unsym(x, tau: int) -> np.ndarray:

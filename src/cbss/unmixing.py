@@ -97,23 +97,21 @@ def align_phase_to(gamma_hat, gamma_ref) -> np.ndarray:
 
 def _fit_covariances(s0: np.ndarray, s_tau: np.ndarray, mu: np.ndarray, shift, tau: int):
     """``(result, s0, s_tau)`` from the unsymmetrized lag-0 and lag-``tau``
-    autocovariances (``_cross_products``) of centered part planes at scale
-    ``2^shift`` and their time mean ``mu`` (``_centered``), one set or a
-    stack of them, ``shift`` an int or one int per matrix of the stack:
-    ``gamma`` is ``V^H s0^{-1/2}`` with ``V`` the eigenvectors of the
-    whitened ``s_tau``, rows phase-standardized and scaled back by
-    ``2^shift``, which is exact.  The returned ``s0`` and ``s_tau`` are the
-    Hermitian parts, still at scale ``2^shift``.  Each matrix of a stack gets
-    the numbers it would get alone, so the lab fits a grid length's
-    replications at once from the statistics of its blocks."""
+    autocovariances (``_cross_products``) of centered unit-scale part planes,
+    the input's mean ``mu`` and its scale ``2^shift`` (``_centered``), one set
+    or a stack of them with one int ``shift`` per matrix: ``gamma`` is
+    ``V^H s0^{-1/2}`` with ``V`` the eigenvectors of the whitened ``s_tau``,
+    rows phase-standardized and scaled back by ``2^shift``, which is exact.
+    The returned ``s0`` and ``s_tau`` are the Hermitian parts at unit scale.
+    Each matrix of a stack gets the numbers it would get alone, so the lab
+    fits a grid length's replications at once from the statistics of its blocks."""
     s0, s_tau = _hermitian_part(s0), _hermitian_part(s_tau)
     sig0 = _inv_sqrt(s0)
     eig = _eigh(_hermitian_part(sig0 @ s_tau @ sig0))
     lam = eig.values
     gap = np.min(lam[..., :-1] - lam[..., 1:], axis=-1, initial=np.inf)
-    gamma = _standardize(_conj_t(eig.vectors) @ sig0)
-    if np.any(shift):
-        gamma = _ldexp(gamma, np.asarray(shift)[..., None, None], "the unmixing matrix")
+    gamma = _ldexp(_standardize(_conj_t(eig.vectors) @ sig0),
+                   np.asarray(shift)[..., None, None], "the unmixing matrix")
     result = UnmixingResult(gamma=gamma, lambdas=lam, mu=mu, tau=tau,
                             eigen_gap=float(gap) if gap.ndim == 0 else gap)
     return result, s0, s_tau
@@ -122,9 +120,9 @@ def _fit_covariances(s0: np.ndarray, s_tau: np.ndarray, mu: np.ndarray, shift, t
 def unmix(x, tau: int) -> UnmixingResult:
     """Fit the unmixing matrix from the lag-0 and lag-``tau`` autocovariances.
 
-    ``x`` is one ``(T, d)`` series.  The fit is scale-free: ``unmix(x * 2^k)``
-    is ``unmix(x)`` with ``gamma`` times ``2^-k`` and ``mu`` times ``2^k``,
-    bit for bit, wherever these stay normal.
+    ``x`` is one ``(T, d)`` series.  The fit is scale-free: ``unmix(x * 2^k)``,
+    in the memory order of ``x``, is ``unmix(x)`` with ``gamma`` times ``2^-k``
+    and ``mu`` times ``2^k``, bit for bit, wherever these stay normal.
 
     Raises
     ------
@@ -171,11 +169,12 @@ def lag_sweep(x, taus) -> list[dict]:
     a = _shaped(x)
     if not hasattr(taus, "__iter__"):
         raise DimensionError(f"taus must be an iterable of lags, got {taus!r}")
-    y, mu, shift = _centered(_planes(a))
+    y, mu, _ = _centered(_planes(a))
     rows = []
     for tau in taus:
         tau = _checked_lag(tau, len(a), 1)
-        res = _fit_covariances(*_cross_products(y, tau), mu, shift, tau)[0]
+        # lambdas and gaps are free of scale: the unread gamma stays at unit scale
+        res = _fit_covariances(*_cross_products(y, tau), mu, 0, tau)[0]
         rows.append({"tau": res.tau, "lambdas": res.lambdas, "eigen_gap": res.eigen_gap})
     rows.sort(key=lambda r: -r["eigen_gap"])
     return rows

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cbss import estimators, genproc, unmixing
+from cbss import estimators, genproc, linalg, unmixing
 from cbss.errors import DimensionError, NonFiniteError
 
 from conftest import short_range_model
@@ -130,12 +130,13 @@ def test_chunked_lag_products_match_one_dense_product(t, b, layout):
     rng = np.random.default_rng(t + b)
     planes = rng.standard_normal((b, 4, t))
     block = estimators._complex(planes)
-    # the lab's kernel on a centered plane block, as it scores its draws
-    y = estimators._centered(planes)[0]
+    # the lab's kernel on a centered plane block, as it scores its draws, each
+    # series at unit scale and scaled back by its own exact power of two
+    y, _, shift = estimators._centered(planes)
     for tau in sorted({0, 1, 2, 1023, 1024, 1025, t // 2, t - 2}):
         if tau > t - 2:
             continue
-        lab = estimators._cross_products(y, tau)[1]
+        lab = linalg._ldexp(estimators._cross_products(y, tau)[1], -2 * shift[:, None, None])
         for row, series in zip(lab, block):
             # a series of a plane block sums exactly as it does alone
             assert np.array_equal(row, estimators.autocov_unsym(series, tau))

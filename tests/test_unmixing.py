@@ -172,6 +172,20 @@ def test_fit_is_scale_free_at_decimal_factors(factor):
     assert_fit_scales_back(SCALE_SERIES * factor, factor)
 
 
+@pytest.mark.parametrize("seed, k", [(208, 50), (22, -150)])
+def test_unmix_scales_bit_for_bit_by_any_exact_power_of_two(seed, k):
+    # each series is whitened at its own unit scale: pow(v, -0.5) of the
+    # covariances of x * 2^k need not be 2^-k times that of x's, bit for bit
+    x = genproc.generate(short_range_model(), 1024, seed)[0]
+    unit = unmixing.unmix(x, 1)
+    # in x's memory order, which the Gram products' rounding follows
+    got = unmixing.unmix(np.ldexp(x.real, k) + 1j * np.ldexp(x.imag, k), 1)
+    for name, p in (("gamma", -k), ("lambdas", 0), ("mu", k)):
+        want = linalg._ldexp(getattr(unit, name), p)
+        assert getattr(got, name).tobytes() == want.tobytes(), name
+    assert got.eigen_gap == unit.eigen_gap
+
+
 def test_phase_tolerances_follow_the_row_scale():
     tiny = 1e-20 * np.array([[1j, 2.0], [0.5, -1.0]])
     np.testing.assert_allclose(unmixing._standardize(tiny),
@@ -201,7 +215,7 @@ def test_affine_invariance(rng):
 
 def assert_sweep_matches_unmix(x, taus):
     # lag_sweep fits each lag as unmix does, and the public estimators give
-    # the fit's S0 and S_tau bit for bit
+    # the fit's unit-scale S0 and S_tau, scaled back, bit for bit
     rows = unmixing.lag_sweep(x, taus)
     assert sorted(row["tau"] for row in rows) == sorted(taus)
     for row in rows:
@@ -211,8 +225,10 @@ def assert_sweep_matches_unmix(x, taus):
         y, mu, shift = estimators._centered(estimators._planes(estimators.as_timeseries(x)))
         _, s0, s_tau = unmixing._fit_covariances(*estimators._cross_products(y, row["tau"]),
                                                  mu, shift, row["tau"])
-        np.testing.assert_array_equal(s0, estimators.autocov_sym(x, 0))
-        np.testing.assert_array_equal(s_tau, estimators.autocov_sym(x, row["tau"]))
+        np.testing.assert_array_equal(linalg._ldexp(s0, -2 * shift),
+                                      estimators.autocov_sym(x, 0))
+        np.testing.assert_array_equal(linalg._ldexp(s_tau, -2 * shift),
+                                      estimators.autocov_sym(x, row["tau"]))
 
 
 def test_lag_sweep_rows_equal_unmix_per_lag():
@@ -303,6 +319,18 @@ def test_lag_sweep_single_tau():
     assert len(rows) == 1 and rows[0]["tau"] == 1
 
 
+def test_lag_sweep_reads_no_gamma_beyond_the_double_range():
+    # lambdas and gaps are free of scale, so a series whose gamma is about
+    # 2^1060 still sweeps, to within the rounding of its subnormal parts
+    x, _ = genproc.generate(short_range_model(), 512, seed=4)
+    unit = unmixing.lag_sweep(x, [1, 2])
+    tiny = unmixing.lag_sweep(np.ldexp(x.real, -1060) + 1j * np.ldexp(x.imag, -1060), [1, 2])
+    assert [row["tau"] for row in tiny] == [row["tau"] for row in unit]
+    for got, want in zip(tiny, unit):
+        np.testing.assert_allclose(got["lambdas"], want["lambdas"], rtol=0, atol=1e-5)
+        assert abs(got["eigen_gap"] - want["eigen_gap"]) <= 1e-5
+
+
 def test_lag_sweep_white_noise_small_gap(rng):
     t = 4096
     x = (rng.standard_normal((t, 3)) + 1j * rng.standard_normal((t, 3))) / np.sqrt(2)
@@ -333,6 +361,9 @@ def test_stacked_calls_equal_per_matrix_calls(monkeypatch, d):
                         lambda cost: refined.append(1) or real_lsa(cost))
     y, mu, shift = estimators._centered(genproc._draw(model, 300, seeds)[0])
     res, s0, s1 = unmixing._fit_covariances(*estimators._cross_products(y, 1), mu, shift, 1)
+    # the fit's covariances are at unit scale, each series by its own power of two
+    back = -2 * shift[:, None, None]
+    s0, s1 = linalg._ldexp(s0, back), linalg._ldexp(s1, back)
     aligned = unmixing.align_phase_to(res.gamma, linalg.inverse(mixing))
     scores = metrics.md_index(res.gamma, mixing)
     # above ENUMERATION_MAX_D the assignment is refined by the Hungarian solver
